@@ -16,11 +16,13 @@ from .modes import (
 )
 from .source import (
     GaussianMoments,
+    PairModes,
     PumpPulse,
     RamanGain,
     SourceParams,
     calibrate_gain,
     default_raman_gain,
+    factor_pair_amplitude,
     fwm_joint_amplitude,
     load_raman_gain,
     pair_production_probability,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 
@@ -58,6 +58,7 @@ from .source import (
     SourceParams,
     calibrate_gain,
     default_raman_gain,
+    factor_pair_amplitude,
     load_raman_gain,
     pump_spectrum,
     source_moments,
@@ -239,6 +240,13 @@ class Scenario:
         return {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
 
     @cached_property
+    def pair_modes(self):
+        """Schmidt factorisation of the unit-gain pair amplitude, shared by
+        the gain calibration and the source moments."""
+        return factor_pair_amplitude(self.pump,
+                                     {k: self.grids[k] for k in (STOKES, ANTISTOKES)})
+
+    @cached_property
     def source_params(self):
         cp = self.config
         if cp.has_option("source", "raman_file"):
@@ -255,38 +263,38 @@ class Scenario:
                             stokes_center=self.grids[STOKES].center,
                             antistokes_center=self.grids[ANTISTOKES].center)
         target = cp.getfloat("source", "pair_probability")
-        gl = calibrate_gain(target, self.pump, base, self.filters["signal"],
-                            {k: self.grids[k] for k in (STOKES, ANTISTOKES)})
-        return SourceParams(gamma=gl / base.length, length=base.length,
-                            temperature=base.temperature, raman_gain=gain,
-                            pump_center=base.pump_center,
-                            stokes_center=base.stokes_center,
-                            antistokes_center=base.antistokes_center)
+        gl = calibrate_gain(target, self.pair_modes, self.filters["signal"])
+        return replace(base, gamma=gl / base.length)
 
     @cached_property
     def source(self):
-        return source_moments(self.pump, self.source_params,
-                              {k: self.grids[k] for k in (STOKES, ANTISTOKES)})
+        return source_moments(self.source_params, self.pair_modes)
 
     # -- detectors ------------------------------------------------------
-    def _chain_matrices(self):
-        def chain(basis):
-            k = basis.retained()
-            psi = basis.unit_vectors[:, :k]
-            return (psi * basis.eigenvalues[:k][None, :]) @ psi.conj().T
-        return chain(self.bases["A"]), chain(self.bases["C"])
-
     @cached_property
     def conditioned_transmissions(self):
         """Klyshko-style chain transmissions: the signal's chain averaged
-        over modes heralded through the idler chain, and vice versa."""
-        k_s, k_a = self._chain_matrices()
+        over modes heralded through the idler chain, and vice versa.
+
+        With each chain K = psi chi psi^dag restricted to its retained
+        modes, both heralded weights tr(K_s M K_a* M^dag) and
+        tr(K_a M^T K_s* M*) equal chi_s^T |psi_s^dag M conj(psi_a)|^2 chi_a;
+        the heralded photon numbers are sums of |M conj(psi_a)|^2 and
+        |M^T conj(psi_s)|^2 weighted by chi.
+        """
+        def retained(basis):
+            k = basis.retained()
+            return basis.unit_vectors[:, :k], basis.eigenvalues[:k]
+
+        psi_s, chi_s = retained(self.bases["A"])
+        psi_a, chi_a = retained(self.bases["C"])
         m = self.source.anomalous_block(("right", STOKES), ("right", ANTISTOKES))
-        n_s_cond = m @ k_a.conj() @ m.conj().T
-        n_a_cond = m.T @ k_s.conj() @ m.conj()
-        chi_s = float(np.real(np.trace(k_s @ n_s_cond)) / np.real(np.trace(n_s_cond)))
-        chi_i = float(np.real(np.trace(k_a @ n_a_cond)) / np.real(np.trace(n_a_cond)))
-        return chi_s, chi_i
+        heralded_s = m @ psi_a.conj()
+        heralded_a = m.T @ psi_s.conj()
+        both = chi_s @ np.abs(psi_s.conj().T @ heralded_s) ** 2 @ chi_a
+        chi_s_cond = both / (np.sum(np.abs(heralded_s) ** 2, axis=0) @ chi_a)
+        chi_i_cond = both / (np.sum(np.abs(heralded_a) ** 2, axis=0) @ chi_s)
+        return float(chi_s_cond), float(chi_i_cond)
 
     @cached_property
     def detectors(self):

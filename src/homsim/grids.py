@@ -74,7 +74,3 @@ class FrequencyGrid:
         offset = (other.center - self.center) / self.spacing
         return abs(offset - round(offset)) < rtol
 
-
-def snap_center(center, reference, spacing):
-    """Move `center` onto the lattice defined by `reference` and `spacing`."""
-    return reference + round((center - reference) / spacing) * spacing

@@ -15,6 +15,7 @@ concentration problem), with a single dominant mode for c < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -272,8 +273,9 @@ class ModeBasis:
     eigenvalues: np.ndarray
     eigenmodes: np.ndarray
 
-    @property
+    @cached_property
     def unit_vectors(self):
+        """Computed once per basis: every delay of a scan projects onto them."""
         return self.eigenmodes * np.sqrt(self.grid.spacing / TWO_PI)
 
     def retained(self, cutoff=MODE_RETENTION_CUTOFF, max_modes=MAX_RETAINED_MODES):

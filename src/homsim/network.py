@@ -234,9 +234,8 @@ def hom_dip_width_estimate(signal_basis, pump):
     modes = signal_basis.eigenmodes
     kern_diag = (np.abs(modes) ** 2 @ chi) * signal_basis.grid.spacing / TWO_PI
     b_filter = _fwhm(signal_basis.grid.points, kern_diag)
-    phi = np.convolve(pump.amplitude, pump.amplitude)
-    d = pump.grid.spacing
-    omega_sum = np.arange(len(phi)) * d
+    phi = pump.autoconvolution
+    omega_sum = np.arange(len(phi)) * pump.grid.spacing
     b_corr = _fwhm(omega_sum, np.abs(phi) ** 2)
     if b_filter <= 0 or b_corr <= 0:
         raise NetworkError("degenerate zero-bandwidth input")

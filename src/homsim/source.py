@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
+import scipy.fft
 from scipy.constants import hbar, k as k_B
 
 from .grids import TWO_PI, FrequencyGrid
@@ -63,6 +65,30 @@ class PumpPulse:
     @property
     def center(self):
         return self.grid.center
+
+    @property
+    def support(self):
+        """Slice from the first to the last nonzero sample (empty if none)."""
+        nonzero = np.flatnonzero(self.amplitude)
+        return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+
+    @cached_property
+    def autoconvolution(self):
+        """Phi = (A_p * A_p) dw in seconds, sampled at the pair sums
+        2 w_0 + k dw (k = 0 .. 2n - 2); computed once, by FFT.
+
+        Only the support is transformed, so Phi stays exactly zero where
+        no pair of pump samples sums.
+        """
+        phi = np.zeros(2 * self.grid.n_points - 1, dtype=complex)
+        support = self.support
+        a = self.amplitude[support]
+        if a.size:
+            n = 2 * len(a) - 1
+            spectrum = scipy.fft.fft(a, scipy.fft.next_fast_len(n))
+            phi[2 * support.start:2 * support.start + n] = (
+                scipy.fft.ifft(spectrum * spectrum)[:n] * self.grid.spacing)
+        return phi
 
 
 def _carved_field_envelope(t, duration, rise):
@@ -275,9 +301,8 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
         if not pump.grid.aligned_with(g):
             raise SourceModelError("signal/idler grids are not on the pump lattice")
     d = pump.grid.spacing
-    phi = np.convolve(pump.amplitude, pump.amplitude) * d
-    n_p = pump.grid.n_points
-    om0 = 2 * pump.grid.center - (n_p - 1) * d
+    phi = pump.autoconvolution
+    om0 = 2 * pump.grid.center - (pump.grid.n_points - 1) * d
     total = grid_s.points[:, None] + grid_a.points[None, :]
     idx = np.rint((total - om0) / d).astype(int)
     inside = (idx >= 0) & (idx < len(phi))
@@ -286,39 +311,73 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
     return 1j * gamma_length * jsa
 
 
-def _pump_shift_matrix(band_grid, pump):
-    """Ash[m, k] = A_p(w_m - nu_k) on the common lattice, with the detuning
-    lattice nu_k covering every difference between band and pump samples."""
-    d = band_grid.spacing
-    nb, n_p = band_grid.n_points, pump.grid.n_points
-    n_nu = nb + n_p - 1
-    nu = (band_grid.points[0] - pump.grid.points[-1]) + np.arange(n_nu) * d
-    m = np.arange(nb)[:, None]
-    k = np.arange(n_nu)[None, :]
-    j = m - k + n_p - 1
-    ok = (j >= 0) & (j < n_p)
-    ash = np.zeros((nb, n_nu), dtype=complex)
-    ash[ok] = pump.amplitude[j[ok]]
-    return ash, nu
+# Diagonals of a pump Gram block transformed per FFT batch; bounds the
+# working set to a few MB whatever the pump length.
+_DIAGONALS_PER_BATCH = 32
+
+
+def _detuning_lattice(band_grid, pump):
+    """Detunings nu_k = w_m - w_j between every band sample m and pump
+    sample j, ascending on the common lattice (nb + n_p - 1 values)."""
+    n_nu = band_grid.n_points + pump.grid.n_points - 1
+    return (band_grid.points[0] - pump.grid.points[-1]) + np.arange(n_nu) * band_grid.spacing
+
+
+def _pump_gram(pump, band_grid, weight):
+    """G[m, n] = dw^2 sum_k weight_k conj(A_p(w_m - nu_k)) A_p(w_n - nu_k).
+
+    With j the pump index of w_m - nu_k, diagonal delta of G is a linear
+    convolution of the weight with B_delta[j] = conj(A_j) A_(j+delta):
+    G[m, m+delta] = dw^2 (weight * B_delta)[m + n_p - 1].  Each diagonal is
+    one FFT product of length >= nb + n_p - 1, at which no entry m < nb
+    wraps around.  The lower triangle is the conjugate of the upper one, so
+    G is exactly Hermitian.  Pump samples outside the pump's support add
+    nothing and are left out, with the detunings they pair with.
+    """
+    nb = band_grid.n_points
+    gram = np.zeros((nb, nb), dtype=complex)
+    support = pump.support
+    a = pump.amplitude[support]
+    n_p = len(a)
+    if not n_p:
+        return gram
+    offset = pump.grid.n_points - support.stop
+    weight = weight[offset:offset + nb + n_p - 1]
+    size = scipy.fft.next_fast_len(nb + n_p - 1)
+    weight_hat = scipy.fft.fft(weight, size)
+    diagonals = np.empty((nb, nb), dtype=complex)  # [delta, m] -> G[m, m + delta]
+    for lo in range(0, nb, _DIAGONALS_PER_BATCH):
+        deltas = range(lo, min(lo + _DIAGONALS_PER_BATCH, nb))
+        products = np.zeros((len(deltas), n_p), dtype=complex)
+        for row, delta in enumerate(deltas):
+            overlap = max(n_p - delta, 0)
+            products[row, :overlap] = a[:overlap].conj() * a[delta:delta + overlap]
+        conv = scipy.fft.ifft(scipy.fft.fft(products, size, axis=1) * weight_hat, axis=1)
+        diagonals[lo:lo + len(deltas)] = conv[:, n_p - 1:n_p - 1 + nb]
+    diagonals[0] = diagonals[0].real  # sums of weight * |A|^2, real but for round-off
+    rows, cols = np.triu_indices(nb)
+    upper = diagonals[cols - rows, rows] * band_grid.spacing**2
+    gram[rows, cols] = upper
+    gram[cols, rows] = upper.conj()
+    return gram
 
 
 def raman_moments(pump, params, grid, band):
     """Hermitian PSD Raman occupation block for one band (discrete units).
 
     N[m,n] = L dw dnu sum_k g(nu_k) n_T(nu_k) conj(A_p(w_m - nu_k)) A_p(w_n - nu_k),
-    with the detuning measured from the pump carrier.
+    with the detuning measured from the pump carrier; evaluated diagonal by
+    diagonal with FFT convolutions (see `_pump_gram`).
     """
     if band not in (STOKES, ANTISTOKES):
         raise SourceModelError(f"unknown band {band!r}")
-    d = grid.spacing
-    ash, nu = _pump_shift_matrix(grid, pump)
+    nu = _detuning_lattice(grid, pump)
     gain = params.raman_gain(nu)
     weight = np.zeros_like(gain)
     # the |nu| < dw/2 cell is elastic (pump) scattering, not Raman
-    active = (gain > 0) & (np.abs(nu) >= 0.5 * d)
+    active = (gain > 0) & (np.abs(nu) >= 0.5 * grid.spacing)
     weight[active] = gain[active] * thermal_occupation(nu[active], params.temperature)
-    block = (ash.conj() * weight[None, :]) @ ash.T * (params.length * d * d)
-    return 0.5 * (block + block.conj().T)
+    return params.length * _pump_gram(pump, grid, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -384,41 +443,67 @@ class GaussianMoments:
         return float(np.linalg.eigvalsh(dbl)[0])
 
 
-def _bogoliubov_blocks(jsa_discrete):
-    """Exact two-mode-squeezer moments from the discrete pair amplitude.
+@dataclass(frozen=True)
+class PairModes:
+    """Schmidt pairs of the unit-gain discrete pair amplitude.
 
-    The Schmidt pairs of the (first-order) pair amplitude are squeezed with
-    parameters r_k equal to its singular values, giving M = U sinh r cosh r V
-    and N = conj(U) sinh^2 r U^T on the Stokes side (V^dag ... V on the
-    anti-Stokes side).  Reduces to N ~ J J^dag, M ~ J at small gain.
+    J = i Phi(w_s + w_a) dw = u diag(s) vt over the Stokes and anti-Stokes
+    grids, keeping singular values above 1e-12 s[0].  The amplitude at gain
+    gammaL is gammaL * J, so one factorisation serves the gain calibration
+    and the moments at the calibrated gain.
     """
-    u, s, vt = np.linalg.svd(jsa_discrete, full_matrices=False)
+
+    pump: PumpPulse
+    grids: dict  # band name -> FrequencyGrid
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+
+def factor_pair_amplitude(pump, grids):
+    """SVD of the unit-gain pair amplitude on the (Stokes, anti-Stokes) grids."""
+    grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
+    jsa = fwm_joint_amplitude(pump, 1.0, grid_s, grid_a) * grid_s.spacing
+    u, s, vt = np.linalg.svd(jsa, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-    sh, ch = np.sinh(s), np.cosh(s)
+    return PairModes(pump=pump, grids={STOKES: grid_s, ANTISTOKES: grid_a},
+                     u=u[:, :rank], s=s[:rank], vt=vt[:rank])
+
+
+def _bogoliubov_blocks(u, r, vt):
+    """Exact two-mode-squeezer moments of the Schmidt pairs (u_k, vt_k).
+
+    Pair k is squeezed with parameter r_k, giving M = U sinh r cosh r V and
+    N = conj(U) sinh^2 r U^T on the Stokes side (V^dag ... V on the
+    anti-Stokes side).  Reduces to N ~ J J^dag, M ~ J at small gain, where
+    J = U r V is the pair amplitude.
+    """
+    sh, ch = np.sinh(r), np.cosh(r)
     m_block = (u * (sh * ch)[None, :]) @ vt
     n_s = (u.conj() * (sh**2)[None, :]) @ u.T
     n_a = (vt.conj().T * (sh**2)[None, :]) @ vt
-    return n_s, n_a, m_block, (u, s, vt)
+    return n_s, n_a, m_block
 
 
-def source_moments(pump, params, grids):
+def source_moments(params, modes):
     """Full two-spool Gaussian state (identical, independent spools).
 
-    `grids` maps band name to FrequencyGrid.  Registers are ordered
-    (right, stokes), (right, antistokes), (left, stokes), (left, antistokes).
+    `modes` is the pump's PairModes on the band grids; its Schmidt pairs
+    are squeezed by gammaL times their unit-gain singular values.
+    Registers are ordered (right, stokes), (right, antistokes), (left,
+    stokes), (left, antistokes).
     """
-    grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
+    grid_s, grid_a = modes.grids[STOKES], modes.grids[ANTISTOKES]
     params.check_energy_conservation(grid_s.spacing)
-    jsa = fwm_joint_amplitude(pump, params.gamma_length, grid_s, grid_a)
-    n_s_fwm, n_a_fwm, m_block, (_, sing, _) = _bogoliubov_blocks(jsa * grid_s.spacing)
-    peak = float(np.sinh(sing[0]) ** 2) if len(sing) else 0.0
+    r = params.gamma_length * modes.s
+    n_s_fwm, n_a_fwm, m_block = _bogoliubov_blocks(modes.u, r, modes.vt)
+    peak = float(np.sinh(r[0]) ** 2) if len(r) else 0.0
     if peak > MAX_MODE_OCCUPATION:
         raise SourceModelError(
             f"leading pair-mode occupation {peak:.3f} exceeds "
             f"{MAX_MODE_OCCUPATION}; gain too high for a perturbative pair source")
-    r_s = raman_moments(pump, params, grid_s, STOKES)
-    r_a = raman_moments(pump, params, grid_a, ANTISTOKES)
+    r_s = raman_moments(modes.pump, params, grid_s, STOKES)
+    r_a = raman_moments(modes.pump, params, grid_a, ANTISTOKES)
     registers = tuple((spool, band) for spool in (RIGHT, LEFT)
                       for band in (STOKES, ANTISTOKES))
     normal, anomalous, fwm, raman = {}, {}, {}, {}
@@ -431,7 +516,7 @@ def source_moments(pump, params, grids):
         fwm[ka] = n_a_fwm
         raman[ks] = r_s
         raman[ka] = r_a
-    return GaussianMoments(registers=registers, grids=dict(grids),
+    return GaussianMoments(registers=registers, grids=dict(modes.grids),
                            normal=normal, anomalous=anomalous,
                            fwm_normal=fwm, raman_normal=raman)
 
@@ -447,12 +532,11 @@ def pair_production_probability(moments, band_filter):
     return float(np.real(np.sum(h2 * np.diag(n_fwm))))
 
 
-def calibrate_gain(target_pair_prob, pump, params, band_filter, grids,
-                   rtol=1e-6):
+def calibrate_gain(target_pair_prob, modes, band_filter, rtol=1e-6):
     """Bisection on gamma*L until the filtered pair probability matches.
 
-    The forward model is monotone in gammaL, so the root is unique.
-    Returns the calibrated gammaL in 1/W.
+    `modes` is the pump's PairModes; the forward model is monotone in
+    gammaL, so the root is unique.  Returns the calibrated gammaL in 1/W.
     """
     if not 0 <= target_pair_prob < MAX_PAIR_PROBABILITY:
         raise SourceModelError(
@@ -460,13 +544,9 @@ def calibrate_gain(target_pair_prob, pump, params, band_filter, grids,
             f"perturbative range [0, {MAX_PAIR_PROBABILITY})")
     if target_pair_prob == 0.0:
         return 0.0
-    grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
-    base = fwm_joint_amplitude(pump, 1.0, grid_s, grid_a) * grid_s.spacing
-    u, s, _ = np.linalg.svd(base, full_matrices=False)
-    s = s[s > 1e-12 * s[0]]
-    u = u[:, :len(s)]
+    s = modes.s
     h2 = np.abs(band_filter.amplitude) ** 2
-    mode_weight = h2 @ (np.abs(u) ** 2)  # filtered weight of each Schmidt mode
+    mode_weight = h2 @ (np.abs(modes.u) ** 2)  # filtered weight of each Schmidt mode
 
     def filtered_pairs(gl):
         return float(np.sum(np.sinh(gl * s) ** 2 * mode_weight))
@@ -496,10 +576,8 @@ def commutator_residual(pump, params, grids):
     alpha = (I + C_r)^(-1/2).  The residual is therefore O(C_r^2).
     """
     grid_s = grids[STOKES]
-    d = grid_s.spacing
-    ash, nu = _pump_shift_matrix(grid_s, pump)
-    c_r = (ash * params.raman_gain(nu)[None, :]) @ ash.conj().T * (params.length * d * d)
-    c_r = 0.5 * (c_r + c_r.conj().T)
+    nu = _detuning_lattice(grid_s, pump)
+    c_r = params.length * _pump_gram(pump, grid_s, params.raman_gain(nu)).conj()
     n = c_r.shape[0]
     vals, vecs = np.linalg.eigh(c_r)
     inv = (vecs / (1.0 + vals)[None, :]) @ vecs.conj().T

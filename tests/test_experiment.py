@@ -255,3 +255,53 @@ class TestTwofoldDip:
         fit = fit_visibility(scan, observable="twofold_accsub")
         assert 0.0 < fit.visibility <= 1.2
         assert 0.1 * scan.dip_width < fit.width < 3 * scan.dip_width
+
+
+# Scenario stages that together materialise everything a scan needs.
+SETUP_STAGES = ("grids", "pump", "filters", "bases", "source_params", "source",
+                "detectors", "tau_list")
+
+
+class TestSetup:
+    def test_conditioned_transmissions_match_dense_trace(self):
+        # unequal arms, so the signal and idler transmissions differ
+        sc = load_scenario(CHEAP, overrides=["filters.idler_bandwidth_ghz=40"])
+
+        def chain(basis):
+            k = basis.retained()
+            psi = basis.unit_vectors[:, :k]
+            return (psi * basis.eigenvalues[:k][None, :]) @ psi.conj().T
+
+        k_s, k_a = chain(sc.bases["A"]), chain(sc.bases["C"])
+        m = sc.source.anomalous_block(("right", "stokes"), ("right", "antistokes"))
+        n_s = m @ k_a.conj() @ m.conj().T
+        n_a = m.T @ k_s.conj() @ m.conj()
+        ref = (np.trace(k_s @ n_s).real / np.trace(n_s).real,
+               np.trace(k_a @ n_a).real / np.trace(n_a).real)
+        assert abs(ref[0] - ref[1]) > 1e-3
+        np.testing.assert_allclose(sc.conditioned_transmissions, ref, rtol=1e-12, atol=0)
+
+    def test_one_pair_amplitude_svd_per_scenario(self, monkeypatch):
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        sc = load_scenario(CHEAP)
+        for stage in SETUP_STAGES:
+            getattr(sc, stage)
+        assert calls == [(121, 121)]
+
+    @pytest.mark.parametrize("preset, dip_width, tau_max", [
+        ("single_mode", 1.4306151645202653e-11, 4.2918454935607956e-11),
+        ("multimode", 1.1825572801182876e-10, 3.547671840354863e-10),
+    ])
+    def test_preset_delay_lists_unchanged(self, preset, dip_width, tau_max):
+        sc = preset_scenario(preset)
+        assert sc.dip_width == dip_width
+        assert len(sc.tau_list) == 41
+        assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
+        np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))

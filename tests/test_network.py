@@ -18,6 +18,7 @@ from homsim.source import (
     SourceParams,
     RamanGain,
     calibrate_gain,
+    factor_pair_amplitude,
     pump_spectrum,
     source_moments,
 )
@@ -41,11 +42,12 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
                           raman_gain=gain, pump_center=WP,
                           stokes_center=gs.center, antistokes_center=ga.center)
     filt = make_profile("rectangular", {"bandwidth": bandwidth}, gs)
-    gl = calibrate_gain(pair_prob, pump, params, filt, grids)
+    modes = factor_pair_amplitude(pump, grids)
+    gl = calibrate_gain(pair_prob, modes, filt)
     params = SourceParams(gamma=gl / 1e3, length=1e3, temperature=77.0,
                           raman_gain=gain, pump_center=WP,
                           stokes_center=gs.center, antistokes_center=ga.center)
-    moments = source_moments(pump, params, grids)
+    moments = source_moments(params, modes)
     gate = GateProfile(duration=gate_t, kind="rectangular")
     basis_s = schmidt_decompose(build_kernel(
         make_profile("rectangular", {"bandwidth": bandwidth}, gs), gate))

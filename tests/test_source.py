@@ -15,6 +15,7 @@ from homsim.source import (
     calibrate_gain,
     commutator_residual,
     default_raman_gain,
+    factor_pair_amplitude,
     fwm_joint_amplitude,
     load_raman_gain,
     pair_production_probability,
@@ -223,6 +224,89 @@ class TestRaman:
             assert gain(TWO_PI * 5e12) == 0.0
 
 
+def dense_raman_block(pump, params, grid, weight=None):
+    """Brute-force reference for the Raman block.
+
+    N[m,n] = L dw^2 sum_k weight_k conj(A_p(w_m - nu_k)) A_p(w_n - nu_k) as a
+    dense product over every detuning nu_k on the common lattice, with A_p
+    looked up by frequency.  The default weight is g(nu) n_T(nu) outside
+    the elastic |nu| < dw/2 cell.
+    """
+    d = grid.spacing
+    n_p = pump.grid.n_points
+    nu = (grid.points[0] - pump.grid.points[-1]) + np.arange(grid.n_points + n_p - 1) * d
+    if weight is None:
+        gain = params.raman_gain(nu)
+        active = (gain > 0) & (np.abs(nu) >= 0.5 * d)
+        weight = np.zeros_like(nu)
+        weight[active] = gain[active] * thermal_occupation(nu[active], params.temperature)
+    idx = np.rint((grid.points[:, None] - nu[None, :] - pump.grid.points[0]) / d).astype(int)
+    inside = (idx >= 0) & (idx < n_p)
+    shifted = np.where(inside, pump.amplitude[np.clip(idx, 0, n_p - 1)], 0.0)
+    return params.length * d * d * ((shifted.conj() * weight[None, :]) @ shifted.T)
+
+
+def gaussian_pump_with_underflowing_tails():
+    """A 68.3 GHz Gaussian pump whose grid reaches far enough that its tails
+    hold subnormal samples and exact zeros, like the single_mode preset's."""
+    fw = TWO_PI * 68.3e9
+    d = fw / 8
+    pump = pump_spectrum("transform_limited_gaussian", {"power_fwhm": fw}, 2e-12,
+                         pump_grid(d, 30 * fw))
+    amp = np.abs(pump.amplitude)
+    assert np.any(amp == 0.0)
+    assert np.any((amp > 0) & (amp < np.finfo(float).tiny))
+    return pump
+
+
+class TestRamanDenseReference:
+    """The FFT-diagonal Raman block against the dense formula."""
+
+    def _carved_pump(self):
+        return TestRaman()._pump()
+
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
+    @pytest.mark.parametrize("band", [STOKES, ANTISTOKES])
+    def test_matches_dense_formula(self, make_pump, band):
+        pump = (gaussian_pump_with_underflowing_tails() if make_pump == "gaussian"
+                else self._carved_pump())
+        d = pump.grid.spacing
+        gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
+        grid = gs if band == STOKES else ga
+        params = simple_params(detune=round(TWO_PI * 1.2e12 / d) * d)
+        block = raman_moments(pump, params, grid, band)
+        ref = dense_raman_block(pump, params, grid)
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(block, block.conj().T)
+
+    def test_band_wider_than_pump(self):
+        # diagonals longer than the pump's support are zero, not wrapped
+        d = TWO_PI * 2e9
+        pump = pump_spectrum("transform_limited_gaussian", {"power_fwhm": 4 * d}, 1e-12,
+                             pump_grid(d, 40 * d))
+        gs, _ = make_grids(d, n=201)
+        params = simple_params()
+        block = raman_moments(pump, params, gs, STOKES)
+        ref = dense_raman_block(pump, params, gs)
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_commutator_residual_matches_dense(self):
+        pump = self._carved_pump()
+        gs, ga = make_grids(pump.grid.spacing, n=101)
+        params = simple_params()
+        nu = (gs.points[0] - pump.grid.points[-1]) + np.arange(
+            gs.n_points + pump.grid.n_points - 1) * gs.spacing
+        c_r = dense_raman_block(pump, params, gs, weight=params.raman_gain(nu)).conj()
+        c_r = 0.5 * (c_r + c_r.conj().T)
+        vals, vecs = np.linalg.eigh(c_r)
+        inv = (vecs / (1.0 + vals)[None, :]) @ vecs.conj().T
+        ref = np.linalg.norm(inv + c_r - np.eye(gs.n_points), 2)
+        got = commutator_residual(pump, params, {STOKES: gs, ANTISTOKES: ga})
+        # a spectral norm of O(1) entries: double precision leaves ~1e-13
+        assert abs(got - ref) <= 1e-12
+
+
 class TestSourceMoments:
     def _setup(self, gamma_length=2e-4, g_zero=False, d=TWO_PI * 2e9, n=101):
         pg = pump_grid(d, TWO_PI * 0.6e12)
@@ -234,7 +318,7 @@ class TestSourceMoments:
 
     def test_vacuum_when_dark(self):
         pump, params, grids = self._setup(gamma_length=0.0, g_zero=True)
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         for key in mom.registers:
             assert mom.photon_number(key) == 0.0
         assert np.all(mom.anomalous_block((RIGHT, STOKES), (RIGHT, ANTISTOKES)) == 0)
@@ -243,7 +327,7 @@ class TestSourceMoments:
         # second-order oracle: trace of FWM N_s equals the quadrature-weighted
         # Frobenius norm^2 of the JSA
         pump, params, grids = self._setup(gamma_length=1e-5, g_zero=True)
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         jsa = fwm_joint_amplitude(pump, params.gamma_length,
                                   grids[STOKES], grids[ANTISTOKES])
         frob = np.sum(np.abs(jsa * grids[STOKES].spacing) ** 2)
@@ -258,14 +342,14 @@ class TestSourceMoments:
         ga = FrequencyGrid(center=10.0, span=2.0, n_points=3)
         j = np.array([[0.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.2, 0.0, 0.0]]) * 1e-3
         from homsim.source import _bogoliubov_blocks
-        n_s, n_a, m, _ = _bogoliubov_blocks(1j * j)
+        n_s, n_a, m = _bogoliubov_blocks(*np.linalg.svd(1j * j))
         np.testing.assert_allclose(m, 1j * j, rtol=1e-6)
         np.testing.assert_allclose(n_s, (1j * j).conj() @ (1j * j).T, rtol=1e-6)
         np.testing.assert_allclose(n_a, (1j * j).conj().T @ (1j * j), rtol=1e-6)
 
     def test_spool_independence_and_symmetry(self):
         pump, params, grids = self._setup()
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         cross = mom.normal_block((RIGHT, STOKES), (LEFT, STOKES))
         assert np.all(cross == 0)
         cross_m = mom.anomalous_block((RIGHT, STOKES), (LEFT, ANTISTOKES))
@@ -276,7 +360,7 @@ class TestSourceMoments:
 
     def test_normal_blocks_hermitian_psd(self):
         pump, params, grids = self._setup()
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         for key in [(RIGHT, STOKES), (RIGHT, ANTISTOKES)]:
             block = mom.normal_block(key, key)
             np.testing.assert_allclose(block, block.conj().T, atol=1e-14)
@@ -285,7 +369,7 @@ class TestSourceMoments:
 
     def test_physicality_doubled_matrix(self):
         pump, params, grids = self._setup(gamma_length=3e-4)
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         assert mom.spool_physicality_min_eig(RIGHT) >= -1e-8
 
     def test_raman_scales_linearly_fwm_quadratically_in_energy(self):
@@ -298,7 +382,7 @@ class TestSourceMoments:
         for energy in (5e-12, 10e-12):
             pump = pump_spectrum("cw_carved_rect",
                                  {"duration": 1e-10, "rise_time": 3e-11}, energy, pg)
-            mom = source_moments(pump, params, grids)
+            mom = source_moments(params, factor_pair_amplitude(pump, grids))
             out.append((np.trace(mom.fwm_normal[(RIGHT, STOKES)]).real,
                         np.trace(mom.raman_normal[(RIGHT, STOKES)]).real))
         assert out[1][0] / out[0][0] == pytest.approx(4.0, rel=1e-3)
@@ -309,14 +393,15 @@ class TestSourceMoments:
         # commutator defect is second order in the scattering strength
         pump, params, grids = self._setup()
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
-        gl = calibrate_gain(0.125, pump, params, filt, grids)
+        modes = factor_pair_amplitude(pump, grids)
+        gl = calibrate_gain(0.125, modes, filt)
         tuned = SourceParams(gamma=gl / params.length, length=params.length,
                              temperature=params.temperature,
                              raman_gain=params.raman_gain,
                              pump_center=params.pump_center,
                              stokes_center=params.stokes_center,
                              antistokes_center=params.antistokes_center)
-        mom = source_moments(pump, tuned, grids)
+        mom = source_moments(tuned, modes)
         rho = pair_production_probability(mom, filt)
         resid = commutator_residual(pump, tuned, grids)
         assert resid <= 10 * rho**2
@@ -331,42 +416,44 @@ class TestPairProbability:
 
     def test_vacuum_zero(self):
         pump, params, grids = self._setup(gamma_length=0.0, g_zero=True)
-        mom = source_moments(pump, params, grids)
+        mom = source_moments(params, factor_pair_amplitude(pump, grids))
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         assert pair_production_probability(mom, filt) == 0.0
 
     def test_quadratic_low_gain_scaling(self):
         pump, params, grids = self._setup(gamma_length=1e-5, g_zero=True)
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
-        p1 = pair_production_probability(source_moments(pump, params, grids), filt)
+        modes = factor_pair_amplitude(pump, grids)
+        p1 = pair_production_probability(source_moments(params, modes), filt)
         params2 = simple_params(gamma_length=2e-5, g_zero=True)
-        p2 = pair_production_probability(source_moments(pump, params2, grids), filt)
+        p2 = pair_production_probability(source_moments(params2, modes), filt)
         assert p2 / p1 == pytest.approx(4.0, rel=1e-4)
 
     def test_calibration_roundtrip(self):
         pump, params, grids = self._setup()
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
+        modes = factor_pair_amplitude(pump, grids)
         for target in (0.125, 0.039, 0.003):
-            gl = calibrate_gain(target, pump, params, filt, grids)
+            gl = calibrate_gain(target, modes, filt)
             tuned = SourceParams(gamma=gl / params.length, length=params.length,
                                  temperature=params.temperature,
                                  raman_gain=params.raman_gain,
                                  pump_center=params.pump_center,
                                  stokes_center=params.stokes_center,
                                  antistokes_center=params.antistokes_center)
-            mom = source_moments(pump, tuned, grids)
+            mom = source_moments(tuned, modes)
             assert pair_production_probability(mom, filt) == pytest.approx(target, rel=2e-6)
 
     def test_zero_target(self):
         pump, params, grids = self._setup()
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
-        assert calibrate_gain(0.0, pump, params, filt, grids) == 0.0
+        assert calibrate_gain(0.0, factor_pair_amplitude(pump, grids), filt) == 0.0
 
     def test_target_out_of_range(self):
         pump, params, grids = self._setup()
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         with pytest.raises(SourceModelError):
-            calibrate_gain(0.25, pump, params, filt, grids)
+            calibrate_gain(0.25, factor_pair_amplitude(pump, grids), filt)
 
     def test_grid_resolution_convergence(self):
         vals = []
@@ -376,7 +463,8 @@ class TestPairProbability:
                                  {"duration": 1e-10, "rise_time": 3e-11}, 10e-12, pg)
             gs, ga = make_grids(d, n=n)
             params = simple_params(gamma_length=2e-4)
-            mom = source_moments(pump, params, {STOKES: gs, ANTISTOKES: ga})
+            modes = factor_pair_amplitude(pump, {STOKES: gs, ANTISTOKES: ga})
+            mom = source_moments(params, modes)
             filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, gs)
             vals.append(pair_production_probability(mom, filt))
         assert abs(vals[1] - vals[0]) / vals[0] < 1e-3
