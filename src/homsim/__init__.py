@@ -15,11 +15,11 @@ from .modes import (
     schmidt_decompose,
 )
 from .source import (
-    GaussianMoments,
     PairModes,
     PumpPulse,
     RamanGain,
     SourceParams,
+    SpoolMoments,
     calibrate_gain,
     default_raman_gain,
     factor_pair_amplitude,
@@ -34,15 +34,11 @@ from .source import (
 from .network import (
     DetectionMoments,
     DetectorModel,
-    SpoolMoments,
     detection_mode_projection,
     hom_dip_width_estimate,
-    spool_view,
-    vacuum_spool,
 )
 from .detection import (
     ClickQuery,
-    CoincidenceResult,
     accidental_probability,
     coincidence_probability,
     no_click_expectation,

@@ -72,9 +72,6 @@ class ClickQuery:
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
     dark_means: dict = field(default_factory=dict)
 
-    def detectors(self):
-        return sorted(set(self.weights) | set(self.forms))
-
     def total_form(self, subset, n_modes):
         q = np.zeros((n_modes, n_modes), dtype=complex)
         for name in subset:
@@ -91,13 +88,6 @@ class ClickQuery:
 
     def dark_sum(self, subset):
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
-
-
-@dataclass(frozen=True)
-class CoincidenceResult:
-    probability: float
-    subset: tuple
-    delay: float
 
 
 def _validate_moments(normal, anomalous, psd=False):
@@ -157,7 +147,7 @@ def no_click_expectation(normal, anomalous, query, subset, check=True):
     return float(np.exp(-mu - 0.5 * ld))
 
 
-def coincidence_probability(normal, anomalous, query, subset, delay=0.0):
+def coincidence_probability(normal, anomalous, query, subset):
     """P(all detectors in `subset` click) by inclusion-exclusion.
 
     Tiny negative results above -1e-12 are clamped to zero; anything lower
@@ -177,16 +167,16 @@ def coincidence_probability(normal, anomalous, query, subset, delay=0.0):
         total = 0.0
     if total > 1.0 + 1e-9:
         raise DetectionError(f"coincidence probability {total} exceeds 1")
-    return CoincidenceResult(probability=min(total, 1.0), subset=subset, delay=delay)
+    return min(total, 1.0)
 
 
-def singles_probability(normal, anomalous, query, detector, delay=0.0):
+def singles_probability(normal, anomalous, query, detector):
     """1 - E_{detector}: the single-detector click probability."""
     e1 = no_click_expectation(normal, anomalous, query, (detector,))
     return max(0.0, 1.0 - e1)
 
 
-def accidental_probability(normal, anomalous, query, pair, delay=0.0):
+def accidental_probability(normal, anomalous, query, pair):
     """Adjacent-slot coincidence estimate: product of singles probabilities."""
     a, b = pair
     if a == b:

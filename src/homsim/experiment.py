@@ -50,7 +50,7 @@ from .network import (
     DetectorModel,
     detection_mode_projection,
     hom_dip_width_estimate,
-    spool_view,
+    retained_register,
 )
 from .source import (
     ANTISTOKES,
@@ -268,6 +268,7 @@ class Scenario:
 
     @cached_property
     def source(self):
+        """One spool's state; both spools share pump and parameters."""
         return source_moments(self.source_params, self.pair_modes)
 
     # -- detectors ------------------------------------------------------
@@ -282,13 +283,9 @@ class Scenario:
         the heralded photon numbers are sums of |M conj(psi_a)|^2 and
         |M^T conj(psi_s)|^2 weighted by chi.
         """
-        def retained(basis):
-            k = basis.retained()
-            return basis.unit_vectors[:, :k], basis.eigenvalues[:k]
-
-        psi_s, chi_s = retained(self.bases["A"])
-        psi_a, chi_a = retained(self.bases["C"])
-        m = self.source.anomalous_block(("right", STOKES), ("right", ANTISTOKES))
+        psi_s, chi_s = retained_register(self.bases["A"])
+        psi_a, chi_a = retained_register(self.bases["C"])
+        m = self.source.anomalous
         heralded_s = m @ psi_a.conj()
         heralded_a = m.T @ psi_s.conj()
         both = chi_s @ np.abs(psi_s.conj().T @ heralded_s) ** 2 @ chi_a
@@ -312,16 +309,8 @@ class Scenario:
         else:
             eta_s = t_s * qe
             eta_i = t_i * qe
-        out = []
-        for name, eta, basis in (("A", eta_s, self.bases["A"]),
-                                 ("B", eta_s, self.bases["B"]),
-                                 ("C", eta_i, self.bases["C"]),
-                                 ("D", eta_i, self.bases["D"])):
-            k = basis.retained()
-            out.append(DetectorModel(name=name, efficiency=eta,
-                                     mode_weights=basis.eigenvalues[:k],
-                                     dark_mean=mu, band=basis.grid))
-        return out
+        return [DetectorModel(name=name, efficiency=eta, dark_mean=mu)
+                for name, eta in (("A", eta_s), ("B", eta_s), ("C", eta_i), ("D", eta_i))]
 
     # -- scan plan ------------------------------------------------------
     @cached_property
@@ -398,9 +387,9 @@ class DelayScan:
 
 
 def run_delay_scan(scenario):
-    """Sweep the delay list; the source moments are computed once."""
-    right = spool_view(scenario.source, "right")
-    left = spool_view(scenario.source, "left")
+    """Sweep the delay list; the source moments are computed once and
+    serve both spools."""
+    spool = scenario.source
     bases = scenario.bases
     detectors = scenario.detectors
     taus = scenario.tau_list
@@ -410,12 +399,11 @@ def run_delay_scan(scenario):
     singles = {name: np.empty(len(taus)) for name in "ABCD"}
     for i, tau in enumerate(taus):
         try:
-            dm = detection_mode_projection(right, left, bases, tau)
+            dm = detection_mode_projection(spool, spool, bases, tau)
             query = dm.click_query(detectors)
             p4[i] = coincidence_probability(dm.normal, dm.anomalous, query,
-                                            ("A", "B", "C", "D"), delay=tau).probability
-            p2[i] = coincidence_probability(dm.normal, dm.anomalous, query,
-                                            ("A", "B"), delay=tau).probability
+                                            ("A", "B", "C", "D"))
+            p2[i] = coincidence_probability(dm.normal, dm.anomalous, query, ("A", "B"))
             for name in "ABCD":
                 singles[name][i] = singles_probability(dm.normal, dm.anomalous,
                                                        query, name)

@@ -14,6 +14,7 @@ concentration problem), with a single dominant mode for c < 1.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -278,9 +279,24 @@ class ModeBasis:
         """Computed once per basis: every delay of a scan projects onto them."""
         return self.eigenmodes * np.sqrt(self.grid.spacing / TWO_PI)
 
-    def retained(self, cutoff=MODE_RETENTION_CUTOFF, max_modes=MAX_RETAINED_MODES):
-        """Number of leading modes with chi >= cutoff, capped."""
-        return min(int(np.sum(self.eigenvalues >= cutoff)), max_modes)
+    def retained(self):
+        """Number of leading modes with chi >= MODE_RETENTION_CUTOFF, at most
+        MAX_RETAINED_MODES."""
+        return self._retained_count
+
+    @cached_property
+    def _retained_count(self):
+        """Counted once per basis, so the cap warns once, not per delay."""
+        above = int(np.sum(self.eigenvalues >= MODE_RETENTION_CUTOFF))
+        if above > MAX_RETAINED_MODES:
+            dropped = self.eigenvalues[MAX_RETAINED_MODES:above]
+            kept = self.eigenvalues[:MAX_RETAINED_MODES]
+            warnings.warn(
+                f"the {MAX_RETAINED_MODES}-mode cap drops {len(dropped)} modes with "
+                f"chi >= {MODE_RETENTION_CUTOFF:g} (chi weight {np.sum(dropped):.3g}, "
+                f"{np.sum(dropped) / np.sum(kept):.2%} of the retained chi sum)",
+                RuntimeWarning, stacklevel=4)  # the caller of retained()
+        return min(above, MAX_RETAINED_MODES)
 
     def orthonormality_residual(self):
         g = self.eigenmodes.conj().T @ self.eigenmodes * self.grid.spacing

@@ -32,7 +32,6 @@ import numpy as np
 
 from .detection import ClickQuery
 from .grids import TWO_PI
-from .source import ANTISTOKES, STOKES
 
 
 class NetworkError(ValueError):
@@ -43,50 +42,19 @@ class NetworkError(ValueError):
 class DetectorModel:
     """One threshold detector behind a gate+filter chain.
 
-    mode_weights are the chain's transmission eigenvalues chi_j for the
-    retained modes; efficiency collects propagation loss and quantum
-    efficiency and multiplies every weight.
+    efficiency collects propagation loss and quantum efficiency and scales
+    the chain's number-operator form; dark_mean is the mean dark count.
     """
 
     name: str
     efficiency: float
-    mode_weights: np.ndarray
     dark_mean: float
-    band: object  # FrequencyGrid
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise NetworkError(f"efficiency {self.efficiency} outside [0, 1]")
         if self.dark_mean < 0:
             raise NetworkError("dark mean must be non-negative")
-        w = np.asarray(self.mode_weights, dtype=float)
-        if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-9):
-            raise NetworkError("mode weights must lie in [0, 1]")
-        if np.any(np.diff(w) > 1e-9):
-            raise NetworkError("mode weights must be sorted descending")
-
-
-@dataclass(frozen=True)
-class SpoolMoments:
-    """One spool's (N_s, N_a, M_sa) blocks in discrete normalization."""
-
-    normal_stokes: np.ndarray
-    normal_antistokes: np.ndarray
-    anomalous: np.ndarray
-
-
-def spool_view(moments, spool):
-    """Extract one spool's blocks from a two-spool GaussianMoments."""
-    ks, ka = (spool, STOKES), (spool, ANTISTOKES)
-    return SpoolMoments(normal_stokes=moments.normal_block(ks, ks),
-                        normal_antistokes=moments.normal_block(ka, ka),
-                        anomalous=moments.anomalous_block(ks, ka))
-
-
-def vacuum_spool(n_stokes, n_antistokes):
-    return SpoolMoments(normal_stokes=np.zeros((n_stokes, n_stokes), complex),
-                        normal_antistokes=np.zeros((n_antistokes, n_antistokes), complex),
-                        anomalous=np.zeros((n_stokes, n_antistokes), complex))
 
 
 @dataclass(frozen=True)
@@ -99,15 +67,9 @@ class DetectionMoments:
     anti-Stokes modes, left anti-Stokes modes).
     """
 
-    mode_labels: tuple
     normal: np.ndarray
     anomalous: np.ndarray
-    delay: float
     forms: dict
-
-    @property
-    def n_modes(self):
-        return self.normal.shape[0]
 
     def click_query(self, detectors):
         """Assemble the engine query from DetectorModel efficiencies/darks."""
@@ -120,42 +82,41 @@ class DetectionMoments:
             darks[det.name] = det.dark_mean
         return ClickQuery(forms=forms, dark_means=darks)
 
-    def mean_photons(self, name, efficiency=1.0):
-        q = efficiency * self.forms[name]
-        return float(np.real(np.sum(q * self.normal)))
+    def mean_photons(self, name):
+        """Mean photon number behind detector `name` at unit efficiency."""
+        return float(np.real(np.sum(self.forms[name] * self.normal)))
 
 
-def _retained(basis):
+def retained_register(basis):
+    """Unit-norm retained modes psi and their transmissions chi of a chain."""
     k = basis.retained()
     if k == 0:
         raise NetworkError("no retained detection modes (all chi below cutoff)")
     return basis.unit_vectors[:, :k], basis.eigenvalues[:k]
 
 
-def detection_mode_projection(source_r, source_l, bases, tau, tau_left=None):
+def detection_mode_projection(source_r, source_l, bases, tau):
     """Project two spools onto the detection register at relative delay tau.
 
     Parameters
     ----------
-    source_r, source_l : SpoolMoments (or two-spool GaussianMoments views)
+    source_r, source_l : SpoolMoments of the right and left spool; identical
+        spools are passed as the same state twice.  The two are independent,
+        so every block between them is zero.
     bases : dict with per-arm ModeBasis entries "A", "B", "C", "D"; A and B
         must share one signal basis (one physical coupler), C and D may
         differ.
-    tau : relative Stokes delay in seconds (right leads by +tau/2), or the
-        right spool's delay when `tau_left` is given.
-    tau_left : optional explicit left-spool delay; only the difference
-        tau - tau_left is observable (each spool's chain co-moves with its
-        own arrival, so a common shift of both delays cancels exactly).
+    tau : relative Stokes delay in seconds (right leads by +tau/2).  Only
+        the relative delay is observable: each spool's chain co-moves with
+        its own arrival, so a common shift of both spools cancels exactly.
     """
-    if tau_left is not None:
-        tau = tau - tau_left
     basis_a, basis_b = bases["A"], bases["B"]
     if basis_a is not basis_b and not np.array_equal(
             basis_a.eigenmodes, basis_b.eigenmodes):
         raise NetworkError("A and B must share the signal-arm Schmidt basis")
-    psi_s, chi_s = _retained(basis_a)
-    psi_c, chi_c = _retained(bases["C"])
-    psi_d, chi_d = _retained(bases["D"])
+    psi_s, chi_s = retained_register(basis_a)
+    psi_c, chi_c = retained_register(bases["C"])
+    psi_d, chi_d = retained_register(bases["D"])
     grid_s = basis_a.grid
     n_grid = grid_s.n_points
     for spool in (source_r, source_l):
@@ -204,12 +165,7 @@ def detection_mode_projection(source_r, source_l, bases, tau, tau_left=None):
     q_d[sl_la, sl_la] = np.diag(chi_d)
     forms["D"] = q_d
 
-    labels = ([("right", STOKES, j) for j in range(k_s)]
-              + [("left", STOKES, j) for j in range(k_s)]
-              + [("right", ANTISTOKES, j) for j in range(k_c)]
-              + [("left", ANTISTOKES, j) for j in range(k_d)])
-    return DetectionMoments(mode_labels=tuple(labels), normal=normal,
-                            anomalous=anomalous, delay=tau, forms=forms)
+    return DetectionMoments(normal=normal, anomalous=anomalous, forms=forms)
 
 
 def _fwhm(x, y):

@@ -3,8 +3,12 @@
 Four-wave mixing converts pump photon pairs into Stokes (signal) and
 anti-Stokes (idler) photons; spontaneous Raman scattering off the thermal
 phonon bath adds phase-insensitive background in both bands.  The state of
-each spool is zero-mean Gaussian and fully described by the normal moments
-N = <a^dag a> and anomalous moments M = <a a> over the two bands.
+a spool is zero-mean Gaussian and fully described by the normal moments
+N = <a^dag a> of each band and the anomalous moments M = <a_s a_a>
+between them.  `SpoolMoments` holds this state, with each band's N kept as
+its FWM and Raman parts.  The two spools of the experiment are pumped
+alike and independently, so one `SpoolMoments` describes each of them and
+no correlation links them.
 
 Moments are stored in the discrete normalization: with mode operators
 a_m = a(w_m) sqrt(dw/2pi), N[m,m] is the photon occupation of grid cell m
@@ -19,7 +23,7 @@ the bath operators with thermal occupation n_T.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
@@ -34,7 +38,6 @@ PUMP_CONTAINMENT = 0.999
 MAX_MODE_OCCUPATION = 0.5
 MAX_PAIR_PROBABILITY = 0.2
 
-RIGHT, LEFT = "right", "left"
 STOKES, ANTISTOKES = "stokes", "antistokes"
 
 
@@ -385,62 +388,27 @@ def raman_moments(pump, params, grid, band):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GaussianMoments:
-    """Normal and anomalous moments over (spool, band) registers.
+class SpoolMoments:
+    """One spool's Gaussian state over its Stokes and anti-Stokes bands.
 
-    Blocks are stored sparsely: `normal[(k1, k2)]` holds <a_k1^dag a_k2>
-    and `anomalous[(k1, k2)]` holds <a_k1 a_k2> for the register pairs that
-    are nonzero; absent pairs are zero (cross-spool correlations vanish for
-    independently pumped spools).  All blocks use the discrete
-    normalization, so diagonal traces are photon numbers per pulse.
+    Each band's normal block N = <a^dag a> is held as its FWM and Raman
+    parts; `anomalous` is the pair block M = <a_s a_a>.  Blocks use the
+    discrete normalization, so diagonal traces are photon numbers per pulse.
     """
 
-    registers: tuple
-    grids: dict
-    normal: dict
-    anomalous: dict
-    fwm_normal: dict = field(default_factory=dict)
-    raman_normal: dict = field(default_factory=dict)
+    fwm_stokes: np.ndarray
+    fwm_antistokes: np.ndarray
+    raman_stokes: np.ndarray
+    raman_antistokes: np.ndarray
+    anomalous: np.ndarray
 
-    def normal_block(self, k1, k2):
-        if (k1, k2) in self.normal:
-            return self.normal[(k1, k2)]
-        if (k2, k1) in self.normal:
-            return self.normal[(k2, k1)].conj().T
-        n1 = self.grids[k1[1]].n_points
-        n2 = self.grids[k2[1]].n_points
-        return np.zeros((n1, n2), dtype=complex)
+    @cached_property
+    def normal_stokes(self):
+        return self.fwm_stokes + self.raman_stokes
 
-    def anomalous_block(self, k1, k2):
-        if (k1, k2) in self.anomalous:
-            return self.anomalous[(k1, k2)]
-        if (k2, k1) in self.anomalous:
-            return self.anomalous[(k2, k1)].T
-        n1 = self.grids[k1[1]].n_points
-        n2 = self.grids[k2[1]].n_points
-        return np.zeros((n1, n2), dtype=complex)
-
-    def photon_number(self, key):
-        return float(np.real(np.trace(self.normal_block(key, key))))
-
-    def spool_physicality_min_eig(self, spool):
-        """Smallest eigenvalue of [[N, conj(M)], [M, N^T + I]] for one spool."""
-        ks, ka = (spool, STOKES), (spool, ANTISTOKES)
-        ns = self.normal_block(ks, ks)
-        na = self.normal_block(ka, ka)
-        m = self.anomalous_block(ks, ka)
-        n1, n2 = ns.shape[0], na.shape[0]
-        N = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        N[:n1, :n1] = ns
-        N[n1:, n1:] = na
-        M = np.zeros_like(N)
-        M[:n1, n1:] = m
-        M[n1:, :n1] = m.T
-        top = np.hstack([N, M.conj()])
-        bot = np.hstack([M, N.T + np.eye(n1 + n2)])
-        dbl = np.vstack([top, bot])
-        dbl = 0.5 * (dbl + dbl.conj().T)
-        return float(np.linalg.eigvalsh(dbl)[0])
+    @cached_property
+    def normal_antistokes(self):
+        return self.fwm_antistokes + self.raman_antistokes
 
 
 @dataclass(frozen=True)
@@ -486,12 +454,11 @@ def _bogoliubov_blocks(u, r, vt):
 
 
 def source_moments(params, modes):
-    """Full two-spool Gaussian state (identical, independent spools).
+    """Gaussian state of one spool; both spools share pump and parameters,
+    so this one state describes each of them.
 
     `modes` is the pump's PairModes on the band grids; its Schmidt pairs
     are squeezed by gammaL times their unit-gain singular values.
-    Registers are ordered (right, stokes), (right, antistokes), (left,
-    stokes), (left, antistokes).
     """
     grid_s, grid_a = modes.grids[STOKES], modes.grids[ANTISTOKES]
     params.check_energy_conservation(grid_s.spacing)
@@ -502,34 +469,18 @@ def source_moments(params, modes):
         raise SourceModelError(
             f"leading pair-mode occupation {peak:.3f} exceeds "
             f"{MAX_MODE_OCCUPATION}; gain too high for a perturbative pair source")
-    r_s = raman_moments(modes.pump, params, grid_s, STOKES)
-    r_a = raman_moments(modes.pump, params, grid_a, ANTISTOKES)
-    registers = tuple((spool, band) for spool in (RIGHT, LEFT)
-                      for band in (STOKES, ANTISTOKES))
-    normal, anomalous, fwm, raman = {}, {}, {}, {}
-    for spool in (RIGHT, LEFT):
-        ks, ka = (spool, STOKES), (spool, ANTISTOKES)
-        normal[(ks, ks)] = n_s_fwm + r_s
-        normal[(ka, ka)] = n_a_fwm + r_a
-        anomalous[(ks, ka)] = m_block
-        fwm[ks] = n_s_fwm
-        fwm[ka] = n_a_fwm
-        raman[ks] = r_s
-        raman[ka] = r_a
-    return GaussianMoments(registers=registers, grids=dict(modes.grids),
-                           normal=normal, anomalous=anomalous,
-                           fwm_normal=fwm, raman_normal=raman)
+    return SpoolMoments(fwm_stokes=n_s_fwm, fwm_antistokes=n_a_fwm,
+                        raman_stokes=raman_moments(modes.pump, params, grid_s, STOKES),
+                        raman_antistokes=raman_moments(modes.pump, params, grid_a,
+                                                       ANTISTOKES),
+                        anomalous=m_block)
 
 
-def pair_production_probability(moments, band_filter):
+def pair_production_probability(spool, band_filter):
     """Mean FWM photon number per pulse in the filtered Stokes band
     (Raman photons are excluded: they are not paired emission)."""
-    key = (RIGHT, STOKES)
-    if key not in moments.fwm_normal:
-        return 0.0
-    n_fwm = moments.fwm_normal[key]
     h2 = np.abs(band_filter.amplitude) ** 2
-    return float(np.real(np.sum(h2 * np.diag(n_fwm))))
+    return float(np.real(np.sum(h2 * np.diag(spool.fwm_stokes))))
 
 
 def calibrate_gain(target_pair_prob, modes, band_filter, rtol=1e-6):

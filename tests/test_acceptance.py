@@ -178,13 +178,13 @@ def test_criterion_6_thermal_bound():
         n_mix = u.conj() @ n_src @ u.T
         m_mix = np.zeros((2, 2), complex)
         q = ClickQuery(weights={"A": np.array([w, 0.0]), "B": np.array([0.0, w])})
-        p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B")).probability
+        p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B"))
         w_map = np.array([[1, 0], [0, 1], [1, 0], [0, -1]]) / np.sqrt(2)
         n4 = w_map.conj() @ n_src @ w_map.T
         q4 = ClickQuery(weights={"A": np.array([w, w, 0, 0]),
                                  "B": np.array([0, 0, w, w])})
         p_far = coincidence_probability(n4, np.zeros((4, 4), complex),
-                                        q4, ("A", "B")).probability
+                                        q4, ("A", "B"))
         worst = max(worst, 1 - p_dip / p_far)
     ok = worst <= 0.5 + 1e-9
     report(6, ok, f"max twofold thermal dip visibility = {worst:.6f} <= 0.5")

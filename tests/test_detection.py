@@ -93,7 +93,7 @@ class TestCoincidence:
         n = np.diag([0.2, 0.5]).astype(complex)
         m = np.zeros((2, 2), complex)
         q = ClickQuery(weights={"A": np.array([0.9, 0.0]), "B": np.array([0.0, 0.7])})
-        joint = coincidence_probability(n, m, q, ("A", "B")).probability
+        joint = coincidence_probability(n, m, q, ("A", "B"))
         pa = singles_probability(n, m, q, "A")
         pb = singles_probability(n, m, q, "B")
         assert joint == pytest.approx(pa * pb, rel=1e-10)
@@ -143,7 +143,7 @@ class TestCoincidence:
             q = ClickQuery(weights={"A": np.array([rng.uniform(0, 1), 0.0]),
                                     "B": np.array([0.0, rng.uniform(0, 1)])},
                            dark_means={"A": rng.uniform(0, 1e-3)})
-            p = coincidence_probability(n, m, q, ("A", "B")).probability
+            p = coincidence_probability(n, m, q, ("A", "B"))
             assert 0.0 <= p <= 1.0
 
 
@@ -178,7 +178,7 @@ class TestSinglesAccidentals:
         m = np.zeros((2, 2), complex)
         q = ClickQuery(weights={"A": np.array([0.6, 0.0]), "B": np.array([0.0, 0.9])})
         acc = accidental_probability(n, m, q, ("A", "B"))
-        coin = coincidence_probability(n, m, q, ("A", "B")).probability
+        coin = coincidence_probability(n, m, q, ("A", "B"))
         assert acc == pytest.approx(coin, rel=1e-10)
 
     def test_same_detector_rejected(self):
@@ -201,7 +201,7 @@ class TestThermalHomBound:
         n_mix = u.conj() @ n_src @ u.T
         m_mix = u @ m_src @ u.T
         q = ClickQuery(weights={"A": np.array([w, 0.0]), "B": np.array([0.0, w])})
-        p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B")).probability
+        p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B"))
         # far delay: the two time slots are orthogonal modes, but each split
         # thermal field stays coherent between the two ports; modes ordered
         # (A_r, A_l, B_r, B_l) with the minus sign on B's left-source slot
@@ -211,7 +211,7 @@ class TestThermalHomBound:
         m4 = np.zeros((4, 4), complex)
         q4 = ClickQuery(weights={"A": np.array([w, w, 0, 0]),
                                  "B": np.array([0, 0, w, w])})
-        p_far = coincidence_probability(n4, m4, q4, ("A", "B")).probability
+        p_far = coincidence_probability(n4, m4, q4, ("A", "B"))
         vis = 1 - p_dip / p_far
         assert vis <= 0.5 + 1e-9
         assert vis > 0.25  # thermal bunching is real (1/3 at low occupation)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
+from homsim.modes import MAX_RETAINED_MODES
 
 CHEAP = """
 [scenario]
@@ -273,7 +276,7 @@ class TestSetup:
             return (psi * basis.eigenvalues[:k][None, :]) @ psi.conj().T
 
         k_s, k_a = chain(sc.bases["A"]), chain(sc.bases["C"])
-        m = sc.source.anomalous_block(("right", "stokes"), ("right", "antistokes"))
+        m = sc.source.anomalous
         n_s = m @ k_a.conj() @ m.conj().T
         n_a = m.T @ k_s.conj() @ m.conj()
         ref = (np.trace(k_s @ n_s).real / np.trace(n_s).real,
@@ -305,3 +308,24 @@ class TestSetup:
         assert len(sc.tau_list) == 41
         assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
         np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))
+
+    def test_mode_cap_warns_once_per_basis(self):
+        # 40 GHz filters on the multimode chains leave 14 modes at chi >= 1e-3:
+        # the cap keeps 12, and each of the two bases says so once
+        sc = preset_scenario("multimode", overrides=["filters.signal_bandwidth_ghz=40",
+                                                     "filters.idler_bandwidth_ghz=40"])
+        with pytest.warns(RuntimeWarning) as record:
+            for _ in range(3):
+                counts = [sc.bases[arm].retained() for arm in "ABCD"]
+        assert counts == [MAX_RETAINED_MODES] * 4
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 2
+        for message in messages:
+            assert "drops 2 modes" in message and "chi weight 0.00517" in message
+        # the presets keep every mode above the cutoff
+        for preset in ("single_mode", "multimode"):
+            bases = preset_scenario(preset).bases
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for basis in bases.values():
+                    basis.retained()

@@ -94,7 +94,7 @@ class TestEngineOracleEquivalence:
         weight_sets = {"A": [0.9, 0, 0], "B": [0, 0.8, 0], "C": [0, 0, 0.7]}
         query = ClickQuery(weights={k: np.asarray(v, float)
                                     for k, v in weight_sets.items()})
-        engine = coincidence_probability(n, m, query, ("A", "B", "C")).probability
+        engine = coincidence_probability(n, m, query, ("A", "B", "C"))
         oracle = fock_oracle_click_probability(spec, weight_sets, 3,
                                                ("A", "B", "C"), cutoff=12)
         assert engine == pytest.approx(oracle, abs=1e-7)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,12 @@ from homsim.network import (
     NetworkError,
     detection_mode_projection,
     hom_dip_width_estimate,
-    spool_view,
-    vacuum_spool,
 )
 from homsim.source import (
     ANTISTOKES,
     STOKES,
     SourceParams,
+    SpoolMoments,
     RamanGain,
     calibrate_gain,
     factor_pair_amplitude,
@@ -57,23 +58,18 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
     return pump, moments, bases
 
 
-def detectors_for(det_moments, bases, eta_s=1.0, eta_i=1.0, mu=0.0):
-    k_s = bases["A"].retained()
-    k_c = bases["C"].retained()
-    return [
-        DetectorModel("A", eta_s, bases["A"].eigenvalues[:k_s], mu, bases["A"].grid),
-        DetectorModel("B", eta_s, bases["B"].eigenvalues[:k_s], mu, bases["B"].grid),
-        DetectorModel("C", eta_i, bases["C"].eigenvalues[:k_c], mu, bases["C"].grid),
-        DetectorModel("D", eta_i, bases["D"].eigenvalues[:k_c], mu, bases["D"].grid),
-    ]
+def detectors_for(eta_s=1.0, eta_i=1.0, mu=0.0):
+    return [DetectorModel(name, eta, mu)
+            for name, eta in (("A", eta_s), ("B", eta_s), ("C", eta_i), ("D", eta_i))]
 
 
 class TestProjection:
     def test_left_vacuum_splits_half(self):
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        n = bases["A"].grid.n_points
-        left = vacuum_spool(n, n)
+        right = moments
+        zero = np.zeros((bases["A"].grid.n_points,) * 2, complex)
+        left = SpoolMoments(fwm_stokes=zero, fwm_antistokes=zero, raman_stokes=zero,
+                            raman_antistokes=zero, anomalous=zero)
         dm = detection_mode_projection(right, left, bases, 0.0)
         # balanced splitter: each port sees half the right-spool flux
         full = dm.mean_photons("A") + dm.mean_photons("B")
@@ -86,8 +82,7 @@ class TestProjection:
 
     def test_energy_conservation_at_splitter(self):
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         for tau in (0.0, 17e-12, 61e-12):
             dm = detection_mode_projection(right, left, bases, tau)
             total = dm.mean_photons("A") + dm.mean_photons("B")
@@ -103,12 +98,11 @@ class TestProjection:
         # mean photon numbers are exactly delay-independent; click singles
         # inherit only a tiny bunching-statistics wobble
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         vals, means = [], []
         for tau in (0.0, 23e-12, 88e-12, 301e-12):
             dm = detection_mode_projection(right, left, bases, tau)
-            dets = detectors_for(dm, bases, eta_s=0.01, eta_i=0.01, mu=1e-4)
+            dets = detectors_for(eta_s=0.01, eta_i=0.01, mu=1e-4)
             q = dm.click_query(dets)
             vals.append([singles_probability(dm.normal, dm.anomalous, q, name)
                          for name in "ABCD"])
@@ -121,10 +115,11 @@ class TestProjection:
         # 2-point grid, hand-checkable anomalous projections at tau = 0
         gs = FrequencyGrid(center=0.0, span=1.0, n_points=2)
         ga = FrequencyGrid(center=10.0, span=1.0, n_points=2)
-        from homsim.network import SpoolMoments
         m_sa = np.array([[0.0, 0.1], [0.1, 0.0]], complex)
-        spool = SpoolMoments(normal_stokes=0.01 * np.eye(2, dtype=complex),
-                             normal_antistokes=0.01 * np.eye(2, dtype=complex),
+        spool = SpoolMoments(fwm_stokes=0.01 * np.eye(2, dtype=complex),
+                             fwm_antistokes=0.01 * np.eye(2, dtype=complex),
+                             raman_stokes=np.zeros((2, 2), complex),
+                             raman_antistokes=np.zeros((2, 2), complex),
                              anomalous=m_sa)
 
         class TinyBasis:
@@ -137,7 +132,7 @@ class TestProjection:
             def unit_vectors(self):
                 return self.eigenmodes * np.sqrt(gs.spacing / TWO_PI)
 
-            def retained(self, **kw):
+            def retained(self):
                 return 1
 
         class TinyBasisA(TinyBasis):
@@ -152,59 +147,44 @@ class TestProjection:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_global_delay_invariance(self):
-        # shifting both spools by a common delay leaves every probability
-        # unchanged: each spool's chain follows its own arrival, so only the
-        # relative delay is observable
+        # the projection takes only the relative delay, so a common delay of
+        # both spools cannot enter; a common carrier phase co-rotates M and
+        # changes nothing either
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         tau = 31e-12
-        dm = detection_mode_projection(right, left, bases, tau / 2, tau_left=-tau / 2)
-        dets = detectors_for(dm, bases, eta_s=0.02, eta_i=0.02, mu=1e-4)
-        q = dm.click_query(dets)
-        p4 = coincidence_probability(dm.normal, dm.anomalous, q,
-                                     ("A", "B", "C", "D")).probability
-        common = 47e-12
-        dm2 = detection_mode_projection(right, left, bases,
-                                        tau / 2 + common, tau_left=-tau / 2 + common)
-        q2 = dm2.click_query(dets)
-        p4b = coincidence_probability(dm2.normal, dm2.anomalous, q2,
-                                      ("A", "B", "C", "D")).probability
-        assert p4b == pytest.approx(p4, rel=1e-12)
-        # a common carrier phase co-rotates M and changes nothing either
-        from homsim.network import SpoolMoments
+        dm = detection_mode_projection(right, left, bases, tau)
+        dets = detectors_for(eta_s=0.02, eta_i=0.02, mu=1e-4)
+        p4 = coincidence_probability(dm.normal, dm.anomalous, dm.click_query(dets),
+                                     ("A", "B", "C", "D"))
 
         def rotated(spool, theta):
-            return SpoolMoments(normal_stokes=spool.normal_stokes,
-                                normal_antistokes=spool.normal_antistokes,
-                                anomalous=np.exp(2j * theta) * spool.anomalous)
+            return replace(spool, anomalous=np.exp(2j * theta) * spool.anomalous)
 
         dm3 = detection_mode_projection(rotated(right, 0.7), rotated(left, 0.7),
                                         bases, tau)
         p4c = coincidence_probability(dm3.normal, dm3.anomalous,
                                       dm3.click_query(dets),
-                                      ("A", "B", "C", "D")).probability
+                                      ("A", "B", "C", "D"))
         assert p4c == pytest.approx(p4, rel=1e-9)
 
     def test_spool_swap_symmetry(self):
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         tau = 13e-12
         dm = detection_mode_projection(right, left, bases, tau)
         dm_swap = detection_mode_projection(left, right, bases, -tau)
-        dets = detectors_for(dm, bases, eta_s=0.05, eta_i=0.03, mu=0.0)
+        dets = detectors_for(eta_s=0.05, eta_i=0.03, mu=0.0)
         for subset in [("A",), ("A", "C"), ("A", "B", "C", "D")]:
             p1 = coincidence_probability(dm.normal, dm.anomalous,
-                                         dm.click_query(dets), subset).probability
+                                         dm.click_query(dets), subset)
             p2 = coincidence_probability(dm_swap.normal, dm_swap.anomalous,
-                                         dm_swap.click_query(dets), subset).probability
+                                         dm_swap.click_query(dets), subset)
             assert p1 == pytest.approx(p2, rel=1e-9)
 
     def test_moment_structure_preserved(self):
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         dm = detection_mode_projection(right, left, bases, 21e-12)
         np.testing.assert_allclose(dm.normal, dm.normal.conj().T, atol=1e-14)
         np.testing.assert_allclose(dm.anomalous, dm.anomalous.T, atol=1e-14)
@@ -218,16 +198,15 @@ class TestProjection:
         vals = {}
         for n, d in ((101, TWO_PI * 2e9), (201, TWO_PI * 1e9)):
             pump, moments, bases = build_scene(n=n, d=d)
-            right = spool_view(moments, "right")
-            left = spool_view(moments, "left")
+            right = left = moments
             taus = np.linspace(0, 80e-12, 9)
             p4 = []
             for tau in taus:
                 dm = detection_mode_projection(right, left, bases, tau)
-                dets = detectors_for(dm, bases, eta_s=0.05, eta_i=0.05, mu=0.0)
+                dets = detectors_for(eta_s=0.05, eta_i=0.05, mu=0.0)
                 q = dm.click_query(dets)
                 p4.append(coincidence_probability(
-                    dm.normal, dm.anomalous, q, ("A", "B", "C", "D")).probability)
+                    dm.normal, dm.anomalous, q, ("A", "B", "C", "D")))
             vals[n] = np.array(p4)
         # normalized dip shapes agree across resolutions (no ringing); the
         # absolute scale carries ordinary discretization error
@@ -247,15 +226,13 @@ class TestProjection:
         bad = dict(bases)
         bad["B"] = other
         with pytest.raises(NetworkError):
-            detection_mode_projection(spool_view(moments, "right"),
-                                      spool_view(moments, "left"), bad, 0.0)
+            detection_mode_projection(moments, moments, bad, 0.0)
 
     def test_grid_mismatch_rejected(self):
         pump, moments, bases = build_scene()
         small = build_scene(n=51)[1]
         with pytest.raises(NetworkError):
-            detection_mode_projection(spool_view(small, "right"),
-                                      spool_view(moments, "left"), bases, 0.0)
+            detection_mode_projection(small, moments, bases, 0.0)
 
 
 class TestDipWidth:
@@ -291,10 +268,9 @@ class TestEngineProperties:
         from itertools import combinations
         from homsim.detection import no_click_expectation
         pump, moments, bases = build_scene()
-        right = spool_view(moments, "right")
-        left = spool_view(moments, "left")
+        right = left = moments
         dm = detection_mode_projection(right, left, bases, 11e-12)
-        dets = detectors_for(dm, bases, eta_s=0.05, eta_i=0.04, mu=1e-4)
+        dets = detectors_for(eta_s=0.05, eta_i=0.04, mu=1e-4)
         q = dm.click_query(dets)
         subset = ("A", "B", "C", "D")
         partials = []

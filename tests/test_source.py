@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
+from homsim.detection import physicality_min_eig
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import make_profile
+from homsim.modes import GateProfile, build_kernel, make_profile, schmidt_decompose
+from homsim.network import detection_mode_projection
 from homsim.source import (
     ANTISTOKES,
-    LEFT,
-    RIGHT,
     STOKES,
     RamanGain,
     SourceModelError,
@@ -318,20 +318,20 @@ class TestSourceMoments:
 
     def test_vacuum_when_dark(self):
         pump, params, grids = self._setup(gamma_length=0.0, g_zero=True)
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
-        for key in mom.registers:
-            assert mom.photon_number(key) == 0.0
-        assert np.all(mom.anomalous_block((RIGHT, STOKES), (RIGHT, ANTISTOKES)) == 0)
+        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        for block in (spool.normal_stokes, spool.normal_antistokes):
+            assert np.trace(block).real == 0.0
+        assert np.all(spool.anomalous == 0)
 
     def test_low_gain_trace_matches_perturbative_oracle(self):
         # second-order oracle: trace of FWM N_s equals the quadrature-weighted
         # Frobenius norm^2 of the JSA
         pump, params, grids = self._setup(gamma_length=1e-5, g_zero=True)
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
+        spool = source_moments(params, factor_pair_amplitude(pump, grids))
         jsa = fwm_joint_amplitude(pump, params.gamma_length,
                                   grids[STOKES], grids[ANTISTOKES])
         frob = np.sum(np.abs(jsa * grids[STOKES].spacing) ** 2)
-        got = mom.photon_number((RIGHT, STOKES))
+        got = np.trace(spool.normal_stokes).real
         assert got == pytest.approx(frob, rel=1e-4)
 
     def test_three_point_grid_second_order_expansion(self):
@@ -348,29 +348,43 @@ class TestSourceMoments:
         np.testing.assert_allclose(n_a, (1j * j).conj().T @ (1j * j), rtol=1e-6)
 
     def test_spool_independence_and_symmetry(self):
+        # both spools get the same state and no block correlates them
         pump, params, grids = self._setup()
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
-        cross = mom.normal_block((RIGHT, STOKES), (LEFT, STOKES))
-        assert np.all(cross == 0)
-        cross_m = mom.anomalous_block((RIGHT, STOKES), (LEFT, ANTISTOKES))
-        assert np.all(cross_m == 0)
-        m = mom.anomalous_block((RIGHT, STOKES), (RIGHT, ANTISTOKES))
-        m_t = mom.anomalous_block((RIGHT, ANTISTOKES), (RIGHT, STOKES))
-        np.testing.assert_array_equal(m_t, m.T)
+        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        gate = GateProfile(duration=1e-10, kind="rectangular")
+        basis_s, basis_a = (schmidt_decompose(build_kernel(make_profile(
+            "rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[band]), gate))
+            for band in (STOKES, ANTISTOKES))
+        bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+        dm = detection_mode_projection(spool, spool, bases, 13e-12)
+        k_s, k_a = basis_s.retained(), basis_a.retained()
+        right = np.r_[0:k_s, 2 * k_s:2 * k_s + k_a]
+        left = np.r_[k_s:2 * k_s, 2 * k_s + k_a:2 * k_s + 2 * k_a]
+        for block in (dm.normal, dm.anomalous):
+            assert np.all(block[np.ix_(right, left)] == 0)
+            assert np.all(block[np.ix_(left, right)] == 0)
+            np.testing.assert_array_equal(block[np.ix_(right, right)],
+                                          block[np.ix_(left, left)])
+        np.testing.assert_array_equal(dm.anomalous, dm.anomalous.T)
 
     def test_normal_blocks_hermitian_psd(self):
         pump, params, grids = self._setup()
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
-        for key in [(RIGHT, STOKES), (RIGHT, ANTISTOKES)]:
-            block = mom.normal_block(key, key)
+        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        for block in (spool.normal_stokes, spool.normal_antistokes):
             np.testing.assert_allclose(block, block.conj().T, atol=1e-14)
             eigs = np.linalg.eigvalsh(block)
             assert eigs.min() >= -1e-10 * eigs.max()
 
     def test_physicality_doubled_matrix(self):
         pump, params, grids = self._setup(gamma_length=3e-4)
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
-        assert mom.spool_physicality_min_eig(RIGHT) >= -1e-8
+        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        # the spool's two-band moments: N = diag(N_s, N_a), M pairs s with a
+        m = spool.anomalous
+        normal = np.block([[spool.normal_stokes, np.zeros_like(m)],
+                           [np.zeros_like(m.T), spool.normal_antistokes]])
+        anomalous = np.block([[np.zeros((m.shape[0],) * 2), m],
+                              [m.T, np.zeros((m.shape[1],) * 2)]])
+        assert physicality_min_eig(normal, anomalous) >= -1e-8
 
     def test_raman_scales_linearly_fwm_quadratically_in_energy(self):
         d = TWO_PI * 2e9
@@ -382,9 +396,9 @@ class TestSourceMoments:
         for energy in (5e-12, 10e-12):
             pump = pump_spectrum("cw_carved_rect",
                                  {"duration": 1e-10, "rise_time": 3e-11}, energy, pg)
-            mom = source_moments(params, factor_pair_amplitude(pump, grids))
-            out.append((np.trace(mom.fwm_normal[(RIGHT, STOKES)]).real,
-                        np.trace(mom.raman_normal[(RIGHT, STOKES)]).real))
+            spool = source_moments(params, factor_pair_amplitude(pump, grids))
+            out.append((np.trace(spool.fwm_stokes).real,
+                        np.trace(spool.raman_stokes).real))
         assert out[1][0] / out[0][0] == pytest.approx(4.0, rel=1e-3)
         assert out[1][1] / out[0][1] == pytest.approx(2.0, rel=1e-10)
 
@@ -406,7 +420,7 @@ class TestSourceMoments:
         resid = commutator_residual(pump, tuned, grids)
         assert resid <= 10 * rho**2
         # the correction must beat the uncorrected defect by a wide margin
-        raman_flux = np.trace(mom.raman_normal[(RIGHT, STOKES)]).real
+        raman_flux = np.trace(mom.raman_stokes).real
         assert resid < 0.1 * raman_flux
 
 
