@@ -4,7 +4,6 @@ fiber photon-pair sources behind gate+filter mode selection."""
 from .grids import FrequencyGrid, angular_from_nm, nm_from_angular
 from .modes import (
     FilterProfile,
-    GateProfile,
     KernelMatrix,
     ModeBasis,
     build_kernel,
@@ -39,7 +38,6 @@ from .network import (
 )
 from .detection import (
     ClickQuery,
-    accidental_probability,
     coincidence_probability,
     no_click_expectation,
     singles_probability,

@@ -102,7 +102,8 @@ def cmd_calibrate(args):
     scenario = _load_scenario(args)
     try:
         params = scenario.source_params
-        prob = pair_production_probability(scenario.source, scenario.filters["signal"])
+        prob = pair_production_probability(scenario.pair_modes, params.gamma_length,
+                                           scenario.filters["signal"])
     except SourceModelError as exc:
         raise _CliError(str(exc), EXIT_NUMERICAL) from exc
     sys.stdout.write(f"gammaL_per_W = {params.gamma_length:.9e}\n"

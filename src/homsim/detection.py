@@ -9,9 +9,10 @@ they are evaluated through a log-determinant that tracks the departure of
 each pivot from unity, which keeps the 2^|S| inclusion-exclusion sums
 accurate for coincidence probabilities as small as ~1e-15.
 
-Detector number operators may be plain weighted mode sums
-(n_M = sum_j w_jM a_j^dag a_j) or general positive quadratic forms
-(n_M = a^dag Q_M a), which is how delayed two-spool arms enter.
+Detector number operators are positive quadratic forms n_M = a^dag Q_M a
+over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
+is the diagonal form Q_M = diag(w_M), and delayed two-spool arms enter as
+general forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ PSD_TOLERANCE = 1e-8
 
 
 class DetectionError(ValueError):
-    """Raised for unphysical moments or invalid detector weights."""
+    """Raised for unphysical moments or invalid detector forms."""
 
 
 def logdet_one_plus(x):
@@ -61,29 +62,24 @@ def logdet_one_plus(x):
 
 @dataclass(frozen=True)
 class ClickQuery:
-    """Weighted detector description over a shared mode register.
+    """Detector description over a shared mode register.
 
-    Each detector contributes either a weight vector (diagonal number
-    operator, entries eta_M * chi_jM over its slice of the register) or a
-    Hermitian PSD form matrix over the full register, plus a dark mean.
+    Each detector contributes a Hermitian PSD form matrix over the full
+    register (diag(w) for a weighted mode sum) and a dark mean.
     """
 
-    weights: dict = field(default_factory=dict)   # name -> 1d weights over register
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
     dark_means: dict = field(default_factory=dict)
 
     def total_form(self, subset, n_modes):
         q = np.zeros((n_modes, n_modes), dtype=complex)
         for name in subset:
-            if name in self.forms:
-                q += self.forms[name]
-            elif name in self.weights:
-                w = np.asarray(self.weights[name], dtype=float)
-                if w.shape != (n_modes,):
-                    raise DetectionError(f"weight vector of {name!r} does not match register")
-                q[np.diag_indices(n_modes)] += w
-            else:
+            if name not in self.forms:
                 raise DetectionError(f"unknown detector {name!r}")
+            form = self.forms[name]
+            if np.shape(form) != (n_modes, n_modes):
+                raise DetectionError(f"form of {name!r} does not match register")
+            q += form
         return q
 
     def dark_sum(self, subset):
@@ -175,11 +171,3 @@ def singles_probability(normal, anomalous, query, detector):
     e1 = no_click_expectation(normal, anomalous, query, (detector,))
     return max(0.0, 1.0 - e1)
 
-
-def accidental_probability(normal, anomalous, query, pair):
-    """Adjacent-slot coincidence estimate: product of singles probabilities."""
-    a, b = pair
-    if a == b:
-        raise DetectionError("accidental estimate needs two distinct detectors")
-    return (singles_probability(normal, anomalous, query, a)
-            * singles_probability(normal, anomalous, query, b))

@@ -41,7 +41,6 @@ from .grids import TWO_PI, FrequencyGrid, angular_from_nm
 from .modes import (
     DEFAULT_GRID_POINTS,
     DEFAULT_SPAN_FACTOR,
-    GateProfile,
     build_kernel,
     make_profile,
     schmidt_decompose,
@@ -171,11 +170,7 @@ class Scenario:
 
     @property
     def pump_duration(self):
-        cp = self.config
-        if cp.get("pump", "shape") == "cw_carved_rect":
-            return cp.getfloat("pump", "duration_ps") * 1e-12
-        fw = TWO_PI * 1e9 * cp.getfloat("pump", "power_fwhm_ghz")
-        return 2 * np.log(2) / np.pi / (fw / TWO_PI)
+        return self.pump.duration
 
     @property
     def gate_duration(self):
@@ -234,9 +229,9 @@ class Scenario:
 
     @cached_property
     def bases(self):
-        gate = GateProfile(duration=self.gate_duration, kind="rectangular")
-        basis_s = schmidt_decompose(build_kernel(self.filters["signal"], gate))
-        basis_a = schmidt_decompose(build_kernel(self.filters["idler"], gate))
+        duration = self.gate_duration
+        basis_s = schmidt_decompose(build_kernel(self.filters["signal"], duration))
+        basis_a = schmidt_decompose(build_kernel(self.filters["idler"], duration))
         return {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
 
     @cached_property

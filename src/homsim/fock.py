@@ -271,7 +271,7 @@ def random_equivalence_comparison(n_states=200, seed=7, cutoff=12):
             weight_sets[f"D{k}"] = w
         n_mat, m_mat = moments_from_state_spec(spec, n_modes)
         diag = fock_state_diagonal(spec, n_modes, cutoff)
-        query = ClickQuery(weights=weight_sets)
+        query = ClickQuery(forms={k: np.diag(w) for k, w in weight_sets.items()})
         names = sorted(weight_sets)
         for r in range(len(names) + 1):
             for subset in combinations(names, r):

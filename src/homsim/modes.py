@@ -5,11 +5,14 @@ amplitude h(w) acts on incident light through the Hermitian kernel
 
     kappa(w, w') = conj(h(w)) h(w') F(w - w'),   F(D) = integral dt |f(t)|^2 e^{iDt}.
 
+The gate is rectangular: |f(t)|^2 = 1 for |t| <= T/2 and 0 outside, so
+F(D) = T sinc(D T / 2) in closed form.
+
 Diagonalizing kappa yields transmission eigenvalues chi_j in [0, 1] and
 eigenmodes phi_j(w) normalized to integral dw |phi_j|^2 = 2*pi.  For a
-rectangular filter of bandwidth B and a rectangular gate of duration T the
-eigenvalues depend only on c = B*T/4 (the bandlimited/timelimited
-concentration problem), with a single dominant mode for c < 1.
+rectangular filter of bandwidth B and a gate of duration T the eigenvalues
+depend only on c = B*T/4 (the bandlimited/timelimited concentration
+problem), with a single dominant mode for c < 1.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ EIGENVALUE_CEILING_TOL = 1e-6
 DEFAULT_GRID_POINTS = 513
 DEFAULT_SPAN_FACTOR = 4.0
 
-_QUADRATURE_SAMPLES = 4096
-
 
 class ModeAnalysisError(ValueError):
     """Raised for invalid profiles, kernels, or failed decompositions."""
@@ -49,7 +50,6 @@ class FilterProfile:
 
     grid: FrequencyGrid
     amplitude: np.ndarray
-    kind: str
 
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=complex)
@@ -62,79 +62,6 @@ class FilterProfile:
     @property
     def power(self):
         return np.abs(self.amplitude) ** 2
-
-
-@dataclass(frozen=True)
-class GateProfile:
-    """Temporal gate described by |f(t)|^2; |f| <= 1.
-
-    kind is one of ``rectangular``, ``gaussian``, ``cw_carved`` (rectangle
-    with raised-cosine rise/fall edges) or ``sampled``.  ``duration`` is the
-    full width at half maximum of |f|^2.
-    """
-
-    duration: float
-    kind: str
-    rise_time: float = 0.0
-    times: np.ndarray | None = None
-    intensity: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.duration > 0:
-            raise ModeAnalysisError("gate duration must be positive (zero is degenerate)")
-        if self.kind == "cw_carved" and not 0 <= self.rise_time < self.duration:
-            raise ModeAnalysisError("rise time must satisfy 0 <= rise < duration")
-        if self.kind == "sampled":
-            if self.times is None or self.intensity is None:
-                raise ModeAnalysisError("sampled gate needs times and intensity")
-            if np.max(self.intensity) > 1.0 + 1e-12 or np.min(self.intensity) < 0:
-                raise ModeAnalysisError("gate intensity must lie in [0, 1]")
-
-    def intensity_samples(self, n=_QUADRATURE_SAMPLES):
-        """|f(t)|^2 on a symmetric time grid wide enough for the support."""
-        if self.kind == "sampled":
-            return np.asarray(self.times, float), np.asarray(self.intensity, float)
-        half = 0.5 * self.duration + self.rise_time
-        if self.kind == "gaussian":
-            half = 4.0 * self.duration
-        t = np.linspace(-half, half, n)
-        return t, self._intensity_on(t)
-
-    def _intensity_on(self, t):
-        at = np.abs(t)
-        if self.kind == "rectangular":
-            return (at <= self.duration / 2).astype(float)
-        if self.kind == "gaussian":
-            return np.exp(-4 * np.log(2) * (t / self.duration) ** 2)
-        if self.kind == "cw_carved":
-            # flat top with raised-cosine edges; FWHM stays at `duration`
-            flat = self.duration - self.rise_time
-            out = np.zeros_like(at)
-            out[at <= flat / 2] = 1.0
-            edge = (at > flat / 2) & (at <= flat / 2 + self.rise_time)
-            out[edge] = 0.5 * (1 + np.cos(np.pi * (at[edge] - flat / 2) / self.rise_time))
-            return out
-        raise ModeAnalysisError(f"unknown gate kind {self.kind!r}")
-
-    def fourier_intensity(self, delta):
-        """F(D) = integral dt |f(t)|^2 e^{iDt}, closed form where available."""
-        delta = np.asarray(delta, dtype=float)
-        if self.kind == "rectangular":
-            return self.duration * np.sinc(delta * self.duration / 2 / np.pi)
-        if self.kind == "gaussian":
-            a = 4 * np.log(2) / self.duration**2
-            return np.sqrt(np.pi / a) * np.exp(-(delta**2) / (4 * a))
-        t, inten = self.intensity_samples()
-        dt = t[1] - t[0]
-        # trapezoid quadrature of the Fourier integral, chunked to bound memory
-        flat = delta.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        step = max(1, int(2e6 / len(t)))
-        for lo in range(0, len(flat), step):
-            block = flat[lo:lo + step]
-            out[lo:lo + step] = np.trapezoid(
-                inten[None, :] * np.exp(1j * np.outer(block, t)), dx=dt, axis=1)
-        return out.reshape(delta.shape)
 
 
 def _rect_amplitude_cell_averaged(grid, center, bandwidth):
@@ -214,7 +141,7 @@ def make_profile(kind, params, grid):
             amp = amp / np.max(amp)
     else:
         raise ModeAnalysisError(f"unknown filter kind {kind!r}")
-    return FilterProfile(grid=grid, amplitude=amp.astype(complex), kind=kind)
+    return FilterProfile(grid=grid, amplitude=amp.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +170,19 @@ class KernelMatrix:
         return float(np.real(np.trace(self.entries))) * self.grid.spacing / TWO_PI
 
 
-def build_kernel(filt, gate):
-    """Assemble kappa[m,n] = conj(h_m) h_n F(w_m - w_n), symmetrized.
+def build_kernel(filt, gate_duration):
+    """Assemble kappa[m,n] = conj(h_m) h_n F(w_m - w_n), symmetrized, for a
+    rectangular gate of duration T, whose F(D) = T sinc(D T / 2).
 
     On a uniform grid the differences take only 2n-1 values, so F is
     evaluated once per unique difference.
     """
+    if not gate_duration > 0:
+        raise ModeAnalysisError("gate duration must be positive (zero is degenerate)")
     grid = filt.grid
     n = grid.n_points
     diffs = np.arange(-(n - 1), n) * grid.spacing
-    f_of_diff = gate.fourier_intensity(diffs)
+    f_of_diff = gate_duration * np.sinc(diffs * gate_duration / 2 / np.pi)
     idx = np.arange(n)
     F = f_of_diff[idx[:, None] - idx[None, :] + (n - 1)]
     h = filt.amplitude
@@ -352,8 +282,7 @@ def rect_rect_basis(c, n_points=DEFAULT_GRID_POINTS, span_factor=DEFAULT_SPAN_FA
     B = 4.0 * c
     grid = FrequencyGrid(center=0.0, span=span_factor * B, n_points=n_points)
     filt = make_profile("rectangular", {"bandwidth": B}, grid)
-    gate = GateProfile(duration=1.0, kind="rectangular")
-    return schmidt_decompose(build_kernel(filt, gate))
+    return schmidt_decompose(build_kernel(filt, 1.0))
 
 
 def eigenvalue_curve(c_values, n_modes=3, n_points=DEFAULT_GRID_POINTS):

@@ -37,6 +37,7 @@ THERMAL_OCCUPATION_CAP = 1e12
 PUMP_CONTAINMENT = 0.999
 MAX_MODE_OCCUPATION = 0.5
 MAX_PAIR_PROBABILITY = 0.2
+CALIBRATION_RTOL = 1e-6  # relative width of the final gammaL bracket
 
 STOKES, ANTISTOKES = "stokes", "antistokes"
 
@@ -58,7 +59,6 @@ class PumpPulse:
 
     grid: FrequencyGrid
     amplitude: np.ndarray
-    shape: str
     duration: float  # intensity FWHM in seconds
 
     @property
@@ -112,10 +112,9 @@ def _carved_field_envelope(t, duration, rise):
 def pump_spectrum(shape, params, energy, grid):
     """Sample a transform-limited pump spectrum and normalize to `energy`.
 
-    shape: ``cw_carved_rect`` (params: duration, optional rise_time),
-    ``transform_limited_gaussian`` (params: power_fwhm, rad/s), or
-    ``sampled`` (params: omega, amplitude).  Rejects grids holding less
-    than 99.9% of the pulse energy.
+    shape: ``cw_carved_rect`` (params: duration, optional rise_time) or
+    ``transform_limited_gaussian`` (params: power_fwhm, rad/s).  Rejects
+    grids holding less than 99.9% of the pulse energy.
     """
     if not energy > 0:
         raise SourceModelError("pump energy must be positive")
@@ -152,28 +151,19 @@ def pump_spectrum(shape, params, energy, grid):
         amp = np.exp(-2 * np.log(2) * ((w - wc) / fw) ** 2)
         # time-bandwidth product of a transform-limited gaussian
         duration = 2 * np.log(2) / np.pi / (fw / TWO_PI)
-        total_time = None
-    elif shape == "sampled":
-        omega = np.asarray(params["omega"], float)
-        values = np.asarray(params["amplitude"], complex)
-        amp = np.interp(w, omega, values.real) + 1j * np.interp(w, omega, values.imag)
-        duration = params.get("duration", 0.0)
-        total_time = None
     else:
         raise SourceModelError(f"unknown pump shape {shape!r}")
 
     amp = np.asarray(amp, dtype=complex)
     sampled = grid.integrate(np.abs(amp) ** 2)
-    if total_time is not None:
+    if shape == "cw_carved_rect":
         # Parseval: integral |A|^2 dw = 2 pi * integral |f|^2 dt
         fraction = sampled / (TWO_PI * total_time)
-    elif shape == "transform_limited_gaussian":
+    else:
         # analytic Gaussian tail outside the grid; |A|^2 has std fw/(2 sqrt(2 ln 2))
         from scipy.special import erf
         sig_pow = fw / (2 * np.sqrt(2 * np.log(2)))
         fraction = float(erf(grid.span / 2 / (np.sqrt(2) * sig_pow)))
-    else:
-        fraction = 1.0
     if fraction < PUMP_CONTAINMENT:
         missing = max(1e-12, 1.0 - fraction)
         needed = grid.span * max(2.0, np.sqrt(missing / (1.0 - PUMP_CONTAINMENT)))
@@ -182,7 +172,7 @@ def pump_spectrum(shape, params, energy, grid):
             f"(needs >= {PUMP_CONTAINMENT:.1%}); widen the pump grid span "
             f"to roughly {needed:.3e} rad/s")
     amp *= np.sqrt(energy / (TWO_PI * sampled))
-    return PumpPulse(grid=grid, amplitude=amp, shape=shape, duration=duration)
+    return PumpPulse(grid=grid, amplitude=amp, duration=duration)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ class RamanGain:
         return RamanGain(detuning=self.detuning, gain=self.gain, scale=self.scale * factor)
 
 
-def load_raman_gain(path, scale=1.0):
+def load_raman_gain(path):
     """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed)."""
     nu, g = [], []
     with open(path) as fh:
@@ -252,13 +242,13 @@ def load_raman_gain(path, scale=1.0):
     nu = np.asarray(nu) * TWO_PI * 1e12
     g = np.asarray(g)
     order = np.argsort(nu)
-    return RamanGain(detuning=nu[order], gain=g[order], scale=scale)
+    return RamanGain(detuning=nu[order], gain=g[order])
 
 
-def default_raman_gain(scale=1.0):
+def default_raman_gain():
     """The bundled silica-like gain curve."""
     with resources.as_file(resources.files("homsim.data") / "raman_silica.txt") as p:
-        return load_raman_gain(p, scale=scale)
+        return load_raman_gain(p)
 
 
 @dataclass(frozen=True)
@@ -476,14 +466,16 @@ def source_moments(params, modes):
                         anomalous=m_block)
 
 
-def pair_production_probability(spool, band_filter):
-    """Mean FWM photon number per pulse in the filtered Stokes band
-    (Raman photons are excluded: they are not paired emission)."""
-    h2 = np.abs(band_filter.amplitude) ** 2
-    return float(np.real(np.sum(h2 * np.diag(spool.fwm_stokes))))
+def pair_production_probability(modes, gamma_length, band_filter):
+    """Mean FWM photon number per pulse in the filtered Stokes band at gain
+    gammaL: sum_k sinh^2(gammaL s_k) (|h|^2 . |u_k|^2) over the Schmidt
+    pairs of `modes` (Raman photons are excluded: they are not paired
+    emission)."""
+    mode_weight = band_filter.power @ (np.abs(modes.u) ** 2)  # filtered weight per pair
+    return float(np.sum(np.sinh(gamma_length * modes.s) ** 2 * mode_weight))
 
 
-def calibrate_gain(target_pair_prob, modes, band_filter, rtol=1e-6):
+def calibrate_gain(target_pair_prob, modes, band_filter):
     """Bisection on gamma*L until the filtered pair probability matches.
 
     `modes` is the pump's PairModes; the forward model is monotone in
@@ -496,11 +488,9 @@ def calibrate_gain(target_pair_prob, modes, band_filter, rtol=1e-6):
     if target_pair_prob == 0.0:
         return 0.0
     s = modes.s
-    h2 = np.abs(band_filter.amplitude) ** 2
-    mode_weight = h2 @ (np.abs(modes.u) ** 2)  # filtered weight of each Schmidt mode
 
     def filtered_pairs(gl):
-        return float(np.sum(np.sinh(gl * s) ** 2 * mode_weight))
+        return pair_production_probability(modes, gl, band_filter)
 
     lo, hi = 0.0, 1.0 / s[0]
     while filtered_pairs(hi) < target_pair_prob:
@@ -513,7 +503,7 @@ def calibrate_gain(target_pair_prob, modes, band_filter, rtol=1e-6):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * hi:
+        if hi - lo <= CALIBRATION_RTOL * hi:
             break
     return 0.5 * (lo + hi)
 

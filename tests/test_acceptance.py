@@ -18,7 +18,7 @@ from homsim.experiment import (
 )
 from homsim.fock import fock_oracle_click_probability, random_equivalence_comparison
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import GateProfile, build_kernel, make_profile, rect_rect_basis, schmidt_decompose
+from homsim.modes import build_kernel, make_profile, rect_rect_basis, schmidt_decompose
 
 
 def report(num, ok, detail):
@@ -82,8 +82,7 @@ def test_criterion_3_trace_identity():
         dur = rng.uniform(0.02, 4.0)
         grid = FrequencyGrid(center=0.0, span=4 * bw, n_points=257)
         filt = make_profile("rectangular", {"bandwidth": bw}, grid)
-        basis = schmidt_decompose(build_kernel(
-            filt, GateProfile(duration=dur, kind="rectangular")))
+        basis = schmidt_decompose(build_kernel(filt, dur))
         total = float(np.sum(basis.eigenvalues))
         worst = max(worst, abs(total - bw * dur / TWO_PI) / (bw * dur / TWO_PI))
     ok = worst < 1e-8
@@ -101,7 +100,7 @@ def test_criterion_4_engine_oracle_equivalence():
     nbar, w = 0.37, 0.81
     n = np.array([[nbar]], complex)
     m = np.zeros((1, 1), complex)
-    q = ClickQuery(weights={"A": np.array([w])})
+    q = ClickQuery(forms={"A": np.diag([w])})
     thermal_dev = abs(no_click_expectation(n, m, q, ("A",)) - 1 / (1 + w * nbar))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and thermal_dev < 1e-10 and elapsed < 120.0
@@ -177,12 +176,12 @@ def test_criterion_6_thermal_bound():
         n_src = np.diag([nbar, nbar]).astype(complex)
         n_mix = u.conj() @ n_src @ u.T
         m_mix = np.zeros((2, 2), complex)
-        q = ClickQuery(weights={"A": np.array([w, 0.0]), "B": np.array([0.0, w])})
+        q = ClickQuery(forms={"A": np.diag([w, 0.0]), "B": np.diag([0.0, w])})
         p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B"))
         w_map = np.array([[1, 0], [0, 1], [1, 0], [0, -1]]) / np.sqrt(2)
         n4 = w_map.conj() @ n_src @ w_map.T
-        q4 = ClickQuery(weights={"A": np.array([w, w, 0, 0]),
-                                 "B": np.array([0, 0, w, w])})
+        q4 = ClickQuery(forms={"A": np.diag([w, w, 0, 0]),
+                               "B": np.diag([0, 0, w, w])})
         p_far = coincidence_probability(n4, np.zeros((4, 4), complex),
                                         q4, ("A", "B"))
         worst = max(worst, 1 - p_dip / p_far)

@@ -4,7 +4,6 @@ import pytest
 from homsim.detection import (
     ClickQuery,
     DetectionError,
-    accidental_probability,
     coincidence_probability,
     no_click_expectation,
     singles_probability,
@@ -30,7 +29,7 @@ def tmsv(nbar):
 class TestNoClick:
     def test_vacuum_gives_dark_factor(self):
         n, m = vacuum(3)
-        q = ClickQuery(weights={"A": np.array([1.0, 0.5, 0.2])},
+        q = ClickQuery(forms={"A": np.diag([1.0, 0.5, 0.2])},
                        dark_means={"A": 1.6e-4})
         val = no_click_expectation(n, m, q, ("A",))
         assert val == pytest.approx(np.exp(-1.6e-4), rel=1e-12)
@@ -38,46 +37,55 @@ class TestNoClick:
     def test_thermal_closed_form(self):
         for nbar, w in [(0.3, 0.7), (2.5, 1.0), (1e-3, 0.01)]:
             n, m = thermal(nbar)
-            q = ClickQuery(weights={"A": np.array([w])})
+            q = ClickQuery(forms={"A": np.diag([w])})
             val = no_click_expectation(n, m, q, ("A",))
             assert val == pytest.approx(1 / (1 + w * nbar), rel=1e-10)
 
     def test_tmsv_closed_form(self):
         nbar, w = 0.4, 0.6
         n, m = tmsv(nbar)
-        q = ClickQuery(weights={"A": np.array([w, 0.0]), "B": np.array([0.0, w])})
+        q = ClickQuery(forms={"A": np.diag([w, 0.0]), "B": np.diag([0.0, w])})
         val = no_click_expectation(n, m, q, ("A", "B"))
         expect = 1 / ((1 + w * nbar) ** 2 - w**2 * nbar * (nbar + 1))
         assert val == pytest.approx(expect, rel=1e-10)
 
     def test_empty_subset_is_one(self):
         n, m = thermal(1.0)
-        q = ClickQuery(weights={"A": np.array([1.0])})
+        q = ClickQuery(forms={"A": np.diag([1.0])})
         assert no_click_expectation(n, m, q, ()) == 1.0
+
+    def test_form_off_register_rejected(self):
+        n, m = vacuum(3)
+        for form in (np.diag([0.5, 0.5]), np.full((3, 2), 0.1), np.array([0.5, 0.5, 0.5])):
+            q = ClickQuery(forms={"A": form})
+            with pytest.raises(DetectionError, match="does not match register"):
+                no_click_expectation(n, m, q, ("A",))
+
+    def test_unknown_detector_rejected(self):
+        n, m = vacuum(1)
+        q = ClickQuery(forms={"A": np.diag([0.5])})
+        with pytest.raises(DetectionError, match="unknown detector"):
+            no_click_expectation(n, m, q, ("B",))
 
     def test_weight_above_one_rejected(self):
         n, m = thermal(0.1)
-        q = ClickQuery(weights={"A": np.array([1.2])})
+        q = ClickQuery(forms={"A": np.diag([1.2])})
         with pytest.raises(DetectionError, match="exceeds 1"):
             no_click_expectation(n, m, q, ("A",))
 
     def test_nonphysical_moments_rejected(self):
         n = np.array([[0.1]], complex)
         m = np.array([[5.0]], complex)  # |M| >> sqrt(N(N+1)): unphysical
-        q = ClickQuery(weights={"A": np.array([1.0])})
+        q = ClickQuery(forms={"A": np.diag([1.0])})
         with pytest.raises(DetectionError):
             no_click_expectation(n, m, q, ("A",))
 
     def test_form_equals_diagonal_weights(self):
+        # a rotated form agrees with rotating the state instead
         rng = np.random.default_rng(3)
         n, m = tmsv(0.2)
         w = np.array([0.3, 0.8])
-        q_diag = ClickQuery(weights={"A": w})
-        q_form = ClickQuery(forms={"A": np.diag(w).astype(complex)})
-        a = no_click_expectation(n, m, q_diag, ("A",))
-        b = no_click_expectation(n, m, q_form, ("A",))
-        assert a == pytest.approx(b, rel=1e-13)
-        # a rotated form agrees with rotating the state instead
+        q_diag = ClickQuery(forms={"A": np.diag(w)})
         th = rng.uniform(0, np.pi)
         u = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
         form = u.T @ np.diag(w) @ u
@@ -92,7 +100,7 @@ class TestCoincidence:
     def test_independent_blocks_factorize(self):
         n = np.diag([0.2, 0.5]).astype(complex)
         m = np.zeros((2, 2), complex)
-        q = ClickQuery(weights={"A": np.array([0.9, 0.0]), "B": np.array([0.0, 0.7])})
+        q = ClickQuery(forms={"A": np.diag([0.9, 0.0]), "B": np.diag([0.0, 0.7])})
         joint = coincidence_probability(n, m, q, ("A", "B"))
         pa = singles_probability(n, m, q, "A")
         pb = singles_probability(n, m, q, "B")
@@ -101,7 +109,7 @@ class TestCoincidence:
     def test_bonferroni_partial_sums_alternate(self):
         n, m = tmsv(0.3)
         n = n + np.diag([0.05, 0.02])
-        q = ClickQuery(weights={"A": np.array([0.8, 0.0]), "B": np.array([0.0, 0.6])},
+        q = ClickQuery(forms={"A": np.diag([0.8, 0.0]), "B": np.diag([0.0, 0.6])},
                        dark_means={"A": 1e-4, "B": 2e-4})
         from itertools import combinations
         subset = ("A", "B")
@@ -116,19 +124,19 @@ class TestCoincidence:
 
     def test_monotone_in_efficiency_and_dark(self):
         n, m = thermal(0.2)
-        base = singles_probability(n, m, ClickQuery(weights={"A": np.array([0.5])}), "A")
-        higher = singles_probability(n, m, ClickQuery(weights={"A": np.array([0.7])}), "A")
+        base = singles_probability(n, m, ClickQuery(forms={"A": np.diag([0.5])}), "A")
+        higher = singles_probability(n, m, ClickQuery(forms={"A": np.diag([0.7])}), "A")
         dark = singles_probability(
-            n, m, ClickQuery(weights={"A": np.array([0.5])}, dark_means={"A": 1e-3}), "A")
+            n, m, ClickQuery(forms={"A": np.diag([0.5])}, dark_means={"A": 1e-3}), "A")
         assert higher > base
         assert dark > base
 
     def test_dark_factorization(self):
         n, m = tmsv(0.25)
-        w = {"A": np.array([0.5, 0.0]), "B": np.array([0.0, 0.5])}
+        forms = {"A": np.diag([0.5, 0.0]), "B": np.diag([0.0, 0.5])}
         mus = {"A": 3e-3, "B": 1e-3}
-        q0 = ClickQuery(weights=w)
-        q1 = ClickQuery(weights=w, dark_means=mus)
+        q0 = ClickQuery(forms=forms)
+        q1 = ClickQuery(forms=forms, dark_means=mus)
         for subset in [("A",), ("B",), ("A", "B")]:
             e0 = no_click_expectation(n, m, q0, subset)
             e1 = no_click_expectation(n, m, q1, subset)
@@ -140,8 +148,8 @@ class TestCoincidence:
             nb1, nb2 = rng.uniform(0.01, 0.8, 2)
             n, m = tmsv(nb1)
             n = n + np.diag([nb2, 0.3 * nb2])
-            q = ClickQuery(weights={"A": np.array([rng.uniform(0, 1), 0.0]),
-                                    "B": np.array([0.0, rng.uniform(0, 1)])},
+            q = ClickQuery(forms={"A": np.diag([rng.uniform(0, 1), 0.0]),
+                                  "B": np.diag([0.0, rng.uniform(0, 1)])},
                            dark_means={"A": rng.uniform(0, 1e-3)})
             p = coincidence_probability(n, m, q, ("A", "B"))
             assert 0.0 <= p <= 1.0
@@ -150,42 +158,21 @@ class TestCoincidence:
 class TestSinglesAccidentals:
     def test_vacuum_dark_singles(self):
         n, m = vacuum(1)
-        q = ClickQuery(weights={"A": np.array([0.2])}, dark_means={"A": 1.6e-4})
+        q = ClickQuery(forms={"A": np.diag([0.2])}, dark_means={"A": 1.6e-4})
         p = singles_probability(n, m, q, "A")
         assert p == pytest.approx(1.6e-4, rel=1e-3)
 
     def test_thermal_singles_closed_form(self):
         nbar, w = 0.7, 0.4
         n, m = thermal(nbar)
-        q = ClickQuery(weights={"A": np.array([w])})
+        q = ClickQuery(forms={"A": np.diag([w])})
         assert singles_probability(n, m, q, "A") == pytest.approx(
             w * nbar / (1 + w * nbar), rel=1e-10)
 
     def test_zero_efficiency_zero_singles(self):
         n, m = thermal(2.0)
-        q = ClickQuery(weights={"A": np.array([0.0])})
+        q = ClickQuery(forms={"A": np.diag([0.0])})
         assert singles_probability(n, m, q, "A") == 0.0
-
-    def test_accidental_vacuum(self):
-        n, m = vacuum(2)
-        q = ClickQuery(weights={"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])},
-                       dark_means={"A": 2e-4, "B": 3e-4})
-        acc = accidental_probability(n, m, q, ("A", "B"))
-        assert acc == pytest.approx((1 - np.exp(-2e-4)) * (1 - np.exp(-3e-4)), rel=1e-9)
-
-    def test_accidental_equals_coincidence_when_uncorrelated(self):
-        n = np.diag([0.3, 0.4]).astype(complex)
-        m = np.zeros((2, 2), complex)
-        q = ClickQuery(weights={"A": np.array([0.6, 0.0]), "B": np.array([0.0, 0.9])})
-        acc = accidental_probability(n, m, q, ("A", "B"))
-        coin = coincidence_probability(n, m, q, ("A", "B"))
-        assert acc == pytest.approx(coin, rel=1e-10)
-
-    def test_same_detector_rejected(self):
-        n, m = vacuum(1)
-        q = ClickQuery(weights={"A": np.array([1.0])})
-        with pytest.raises(DetectionError):
-            accidental_probability(n, m, q, ("A", "A"))
 
 
 class TestThermalHomBound:
@@ -200,7 +187,7 @@ class TestThermalHomBound:
         m_src = np.zeros((2, 2), complex)
         n_mix = u.conj() @ n_src @ u.T
         m_mix = u @ m_src @ u.T
-        q = ClickQuery(weights={"A": np.array([w, 0.0]), "B": np.array([0.0, w])})
+        q = ClickQuery(forms={"A": np.diag([w, 0.0]), "B": np.diag([0.0, w])})
         p_dip = coincidence_probability(n_mix, m_mix, q, ("A", "B"))
         # far delay: the two time slots are orthogonal modes, but each split
         # thermal field stays coherent between the two ports; modes ordered
@@ -209,8 +196,8 @@ class TestThermalHomBound:
         n_src = np.diag([nbar, nbar]).astype(complex)
         n4 = w_map.conj() @ n_src @ w_map.T
         m4 = np.zeros((4, 4), complex)
-        q4 = ClickQuery(weights={"A": np.array([w, w, 0, 0]),
-                                 "B": np.array([0, 0, w, w])})
+        q4 = ClickQuery(forms={"A": np.diag([w, w, 0, 0]),
+                               "B": np.diag([0, 0, w, w])})
         p_far = coincidence_probability(n4, m4, q4, ("A", "B"))
         vis = 1 - p_dip / p_far
         assert vis <= 0.5 + 1e-9

@@ -54,8 +54,8 @@ class TestOracleBasics:
 class TestEngineOracleEquivalence:
     def _compare(self, spec, weight_sets, n_modes, cutoff=14, tol=1e-6):
         n, m = moments_from_state_spec(spec, n_modes)
-        query = ClickQuery(weights={k: np.asarray(v, float)
-                                    for k, v in weight_sets.items()})
+        query = ClickQuery(forms={k: np.diag(np.asarray(v, float))
+                                  for k, v in weight_sets.items()})
         names = sorted(weight_sets)
         diag = fock_state_diagonal(spec, n_modes, cutoff)
         from itertools import combinations
@@ -92,8 +92,8 @@ class TestEngineOracleEquivalence:
                 ("bs", (0, 2), 0.5, 0.2)]
         n, m = moments_from_state_spec(spec, 3)
         weight_sets = {"A": [0.9, 0, 0], "B": [0, 0.8, 0], "C": [0, 0, 0.7]}
-        query = ClickQuery(weights={k: np.asarray(v, float)
-                                    for k, v in weight_sets.items()})
+        query = ClickQuery(forms={k: np.diag(np.asarray(v, float))
+                                  for k, v in weight_sets.items()})
         engine = coincidence_probability(n, m, query, ("A", "B", "C"))
         oracle = fock_oracle_click_probability(spec, weight_sets, 3,
                                                ("A", "B", "C"), cutoff=12)

@@ -3,7 +3,6 @@ import pytest
 
 from homsim.grids import FrequencyGrid, TWO_PI
 from homsim.modes import (
-    GateProfile,
     KernelMatrix,
     ModeAnalysisError,
     build_kernel,
@@ -77,29 +76,23 @@ class TestProfiles:
 
 class TestKernel:
     def test_rect_gate_closed_form_vs_quadrature(self):
-        # oracle: trapezoid quadrature of the Fourier integral of a unit rectangle
+        # oracle: trapezoid quadrature of the Fourier integral of a unit
+        # rectangle; an all-pass filter (|h| = 1 on the whole grid) leaves
+        # K[m, 13] = F(w_m - w_13) = F(w_m) on this symmetric grid
         T = 0.7
-        gate = GateProfile(duration=T, kind="rectangular")
-        delta = np.linspace(-40, 40, 27)
+        grid = FrequencyGrid(center=0.0, span=80.0, n_points=27)
+        filt = make_profile("rectangular", {"bandwidth": 200.0}, grid)
+        assert np.all(filt.amplitude == 1.0)
+        delta = grid.points
         t = np.linspace(-T / 2, T / 2, 200001)
         oracle = np.array([np.trapezoid(np.exp(1j * d * t), t) for d in delta]).real
-        np.testing.assert_allclose(gate.fourier_intensity(delta), oracle,
+        np.testing.assert_allclose(build_kernel(filt, T).entries[:, 13], oracle,
                                    rtol=2e-8, atol=2e-8)
-
-    def test_gaussian_gate_closed_form_vs_quadrature(self):
-        gate = GateProfile(duration=1.3, kind="gaussian")
-        delta = np.linspace(-15, 15, 11)
-        t = np.linspace(-8, 8, 400001)
-        inten = np.exp(-4 * np.log(2) * (t / 1.3) ** 2)
-        oracle = np.array([np.trapezoid(inten * np.exp(1j * d * t), t) for d in delta]).real
-        np.testing.assert_allclose(gate.fourier_intensity(delta), oracle,
-                                   atol=1e-9 * gate.fourier_intensity(np.array(0.0)))
 
     def test_kernel_entries(self):
         grid = FrequencyGrid(center=0.0, span=8.0, n_points=101)
         filt = make_profile("rectangular", {"bandwidth": 2.0}, grid)
-        gate = GateProfile(duration=3.0, kind="rectangular")
-        K = build_kernel(filt, gate).entries
+        K = build_kernel(filt, 3.0).entries
         # diagonal: |h|^2 * T
         np.testing.assert_allclose(np.diag(K).real, filt.power * 3.0, atol=1e-14)
         # off-diagonal closed form conj(h) h T sinc(D T / 2)
@@ -114,12 +107,15 @@ class TestKernel:
     def test_zero_filter_gives_zero_kernel(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=31)
         filt = make_profile("rectangular", {"bandwidth": 1.0, "center": 100.0}, grid)
-        K = build_kernel(filt, GateProfile(duration=1.0, kind="rectangular"))
+        K = build_kernel(filt, 1.0)
         assert np.all(K.entries == 0.0)
 
     def test_zero_duration_gate_rejected(self):
-        with pytest.raises(ModeAnalysisError):
-            GateProfile(duration=0.0, kind="rectangular")
+        grid = FrequencyGrid(center=0.0, span=4.0, n_points=31)
+        filt = make_profile("rectangular", {"bandwidth": 1.0}, grid)
+        for duration in (0.0, -1.0):
+            with pytest.raises(ModeAnalysisError, match="duration"):
+                build_kernel(filt, duration)
 
 
 class TestSchmidt:
@@ -154,7 +150,7 @@ class TestSchmidt:
             T = rng.uniform(0.05, 3.0)
             grid = FrequencyGrid(center=0.0, span=4 * B, n_points=257)
             filt = make_profile("rectangular", {"bandwidth": B}, grid)
-            kern = build_kernel(filt, GateProfile(duration=T, kind="rectangular"))
+            kern = build_kernel(filt, T)
             basis = schmidt_decompose(kern)
             total = np.sum(basis.eigenvalues)
             assert total == pytest.approx(kern.trace_chi(), rel=1e-10)
@@ -165,7 +161,7 @@ class TestSchmidt:
         B, s = 4 * 2.7, 11.3
         grid = FrequencyGrid(center=0.0, span=4 * B / s, n_points=513)
         filt = make_profile("rectangular", {"bandwidth": B / s}, grid)
-        kern = build_kernel(filt, GateProfile(duration=s, kind="rectangular"))
+        kern = build_kernel(filt, s)
         b = schmidt_decompose(kern).eigenvalues[:8]
         assert np.max(np.abs(a - b)) < 1e-8
 
@@ -199,20 +195,6 @@ class TestSchmidt:
         # phi_0 even under reflection
         assert np.max(np.abs(phi0 - phi0[::-1])) < 1e-6 * np.max(np.abs(phi0))
 
-    def test_gaussian_gaussian_geometric_eigenvalues(self):
-        # oracle prediction: gaussian filter x gaussian gate gives a geometric
-        # eigenvalue ladder chi_j = A mu^j; verified by linear fit of log chi
-        grid = FrequencyGrid(center=0.0, span=40.0, n_points=1025)
-        filt = make_profile("gaussian", {"fwhm": 4.0}, grid)
-        kern = build_kernel(filt, GateProfile(duration=1.0, kind="gaussian"))
-        chis = schmidt_decompose(kern).eigenvalues[:8]
-        logs = np.log(chis)
-        j = np.arange(8)
-        slope, intercept = np.polyfit(j, logs, 1)
-        resid = logs - (slope * j + intercept)
-        assert np.max(np.abs(resid)) < 1e-3
-        assert slope < 0
-
     def test_eigenvalue_above_one_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)
         bad = KernelMatrix(grid=grid, entries=np.eye(21) * (3 * TWO_PI / grid.spacing))
@@ -242,31 +224,3 @@ class TestCurve:
         _, x0, x1, x2 = rows[0]
         assert x0 > 0.97 and abs(x1 - 0.9) < 0.05 and abs(x2 - 0.5) < 0.08
 
-
-class TestGateKinds:
-    def test_carved_gate_trace_preserved(self):
-        # raised-cosine edges conserve the integrated intensity: trace = B*T/2pi
-        grid = FrequencyGrid(center=0.0, span=8.0, n_points=257)
-        filt = make_profile("rectangular", {"bandwidth": 2.0}, grid)
-        gate = GateProfile(duration=3.0, kind="cw_carved", rise_time=0.9)
-        basis = schmidt_decompose(build_kernel(filt, gate))
-        assert np.sum(basis.eigenvalues) == pytest.approx(2.0 * 3.0 / TWO_PI, rel=1e-4)
-
-    def test_carved_gate_approaches_rectangle(self):
-        grid = FrequencyGrid(center=0.0, span=8.0, n_points=129)
-        filt = make_profile("rectangular", {"bandwidth": 2.0}, grid)
-        rect = schmidt_decompose(build_kernel(
-            filt, GateProfile(duration=3.0, kind="rectangular"))).eigenvalues[:4]
-        soft = schmidt_decompose(build_kernel(
-            filt, GateProfile(duration=3.0, kind="cw_carved",
-                              rise_time=0.02))).eigenvalues[:4]
-        assert np.max(np.abs(rect - soft)) < 5e-3
-
-    def test_sampled_gate_matches_rectangular(self):
-        t = np.linspace(-2.0, 2.0, 4096)
-        inten = (np.abs(t) <= 1.5).astype(float)
-        gate = GateProfile(duration=3.0, kind="sampled", times=t, intensity=inten)
-        delta = np.linspace(-10, 10, 7)
-        ref = GateProfile(duration=3.0, kind="rectangular").fourier_intensity(delta)
-        got = gate.fourier_intensity(delta)
-        np.testing.assert_allclose(got.real, ref, atol=5e-3 * np.max(np.abs(ref)))

@@ -5,7 +5,7 @@ import pytest
 
 from homsim.detection import coincidence_probability, singles_probability
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import GateProfile, build_kernel, make_profile, schmidt_decompose
+from homsim.modes import build_kernel, make_profile, schmidt_decompose
 from homsim.network import (
     DetectorModel,
     NetworkError,
@@ -49,11 +49,10 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
                           raman_gain=gain, pump_center=WP,
                           stokes_center=gs.center, antistokes_center=ga.center)
     moments = source_moments(params, modes)
-    gate = GateProfile(duration=gate_t, kind="rectangular")
     basis_s = schmidt_decompose(build_kernel(
-        make_profile("rectangular", {"bandwidth": bandwidth}, gs), gate))
+        make_profile("rectangular", {"bandwidth": bandwidth}, gs), gate_t))
     basis_a = schmidt_decompose(build_kernel(
-        make_profile("rectangular", {"bandwidth": bandwidth}, ga), gate))
+        make_profile("rectangular", {"bandwidth": bandwidth}, ga), gate_t))
     bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
     return pump, moments, bases
 
@@ -222,7 +221,7 @@ class TestProjection:
         pump, moments, bases = build_scene()
         other = schmidt_decompose(build_kernel(
             make_profile("rectangular", {"bandwidth": TWO_PI * 12e9}, bases["A"].grid),
-            GateProfile(duration=1e-10, kind="rectangular")))
+            1e-10))
         bad = dict(bases)
         bad["B"] = other
         with pytest.raises(NetworkError):

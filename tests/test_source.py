@@ -4,7 +4,7 @@ from scipy.constants import hbar, k as k_B
 
 from homsim.detection import physicality_min_eig
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import GateProfile, build_kernel, make_profile, schmidt_decompose
+from homsim.modes import build_kernel, make_profile, schmidt_decompose
 from homsim.network import detection_mode_projection
 from homsim.source import (
     ANTISTOKES,
@@ -129,7 +129,7 @@ class TestJSA:
         amp = np.zeros(pg.n_points, complex)
         amp[pg.n_points // 2] = 1.0
         from homsim.source import PumpPulse
-        pump = PumpPulse(grid=pg, amplitude=amp, shape="sampled", duration=0.0)
+        pump = PumpPulse(grid=pg, amplitude=amp, duration=0.0)
         jsa = fwm_joint_amplitude(pump, 1.0, gs, ga)
         nz = np.argwhere(np.abs(jsa) > 0)
         sums = gs.points[nz[:, 0]] + ga.points[nz[:, 1]]
@@ -351,9 +351,8 @@ class TestSourceMoments:
         # both spools get the same state and no block correlates them
         pump, params, grids = self._setup()
         spool = source_moments(params, factor_pair_amplitude(pump, grids))
-        gate = GateProfile(duration=1e-10, kind="rectangular")
         basis_s, basis_a = (schmidt_decompose(build_kernel(make_profile(
-            "rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[band]), gate))
+            "rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[band]), 1e-10))
             for band in (STOKES, ANTISTOKES))
         bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
         dm = detection_mode_projection(spool, spool, bases, 13e-12)
@@ -416,7 +415,7 @@ class TestSourceMoments:
                              stokes_center=params.stokes_center,
                              antistokes_center=params.antistokes_center)
         mom = source_moments(tuned, modes)
-        rho = pair_production_probability(mom, filt)
+        rho = pair_production_probability(modes, gl, filt)
         resid = commutator_residual(pump, tuned, grids)
         assert resid <= 10 * rho**2
         # the correction must beat the uncorrected defect by a wide margin
@@ -430,17 +429,16 @@ class TestPairProbability:
 
     def test_vacuum_zero(self):
         pump, params, grids = self._setup(gamma_length=0.0, g_zero=True)
-        mom = source_moments(params, factor_pair_amplitude(pump, grids))
+        modes = factor_pair_amplitude(pump, grids)
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
-        assert pair_production_probability(mom, filt) == 0.0
+        assert pair_production_probability(modes, params.gamma_length, filt) == 0.0
 
     def test_quadratic_low_gain_scaling(self):
         pump, params, grids = self._setup(gamma_length=1e-5, g_zero=True)
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         modes = factor_pair_amplitude(pump, grids)
-        p1 = pair_production_probability(source_moments(params, modes), filt)
-        params2 = simple_params(gamma_length=2e-5, g_zero=True)
-        p2 = pair_production_probability(source_moments(params2, modes), filt)
+        p1 = pair_production_probability(modes, params.gamma_length, filt)
+        p2 = pair_production_probability(modes, 2e-5, filt)
         assert p2 / p1 == pytest.approx(4.0, rel=1e-4)
 
     def test_calibration_roundtrip(self):
@@ -455,8 +453,13 @@ class TestPairProbability:
                                  pump_center=params.pump_center,
                                  stokes_center=params.stokes_center,
                                  antistokes_center=params.antistokes_center)
-            mom = source_moments(tuned, modes)
-            assert pair_production_probability(mom, filt) == pytest.approx(target, rel=2e-6)
+            assert pair_production_probability(modes, gl, filt) == pytest.approx(
+                target, rel=2e-6)
+            # independent of the Schmidt-pair sum: the filtered diagonal of
+            # the FWM Stokes block of the assembled spool
+            spool = source_moments(tuned, modes)
+            pairs = float(np.sum(filt.power * np.diag(spool.fwm_stokes).real))
+            assert pairs == pytest.approx(target, rel=2e-6)
 
     def test_zero_target(self):
         pump, params, grids = self._setup()
@@ -478,7 +481,6 @@ class TestPairProbability:
             gs, ga = make_grids(d, n=n)
             params = simple_params(gamma_length=2e-4)
             modes = factor_pair_amplitude(pump, {STOKES: gs, ANTISTOKES: ga})
-            mom = source_moments(params, modes)
             filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, gs)
-            vals.append(pair_production_probability(mom, filt))
+            vals.append(pair_production_probability(modes, params.gamma_length, filt))
         assert abs(vals[1] - vals[0]) / vals[0] < 1e-3
