@@ -15,6 +15,10 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 TWO_PI = 2.0 * np.pi
+# relative spacing mismatch below which two grids contract safely
+SPACING_RTOL = 1e-9
+# offset between two grid lattices, in spacings, below which they coincide
+ALIGNMENT_RTOL = 1e-6
 
 
 def angular_from_nm(wavelength_nm):
@@ -63,14 +67,14 @@ class FrequencyGrid:
         """Quadrature sum_m values[m] * dw."""
         return np.sum(values) * self.spacing
 
-    def compatible(self, other, rtol=1e-9):
+    def compatible(self, other):
         """True when both grids share the same spacing (contraction-safe)."""
-        return abs(self.spacing - other.spacing) <= rtol * self.spacing
+        return abs(self.spacing - other.spacing) <= SPACING_RTOL * self.spacing
 
-    def aligned_with(self, other, rtol=1e-6):
+    def aligned_with(self, other):
         """True when the two grids live on one common frequency lattice."""
         if not self.compatible(other):
             return False
         offset = (other.center - self.center) / self.spacing
-        return abs(offset - round(offset)) < rtol
+        return abs(offset - round(offset)) < ALIGNMENT_RTOL
 

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from homsim import detection, experiment
 from homsim.detection import (
     ClickQuery,
     DetectionError,
@@ -8,6 +11,8 @@ from homsim.detection import (
     no_click_expectation,
     singles_probability,
 )
+from homsim.fock import moments_from_state_spec
+from homsim.network import detection_mode_projection
 
 
 def vacuum(n):
@@ -79,6 +84,46 @@ class TestNoClick:
         q = ClickQuery(forms={"A": np.diag([1.0])})
         with pytest.raises(DetectionError):
             no_click_expectation(n, m, q, ("A",))
+
+    def test_singular_determinant_rejected(self):
+        # W^(1/2) G W^(1/2) = [[0.1, 5], [5, 0.1]] has eigenvalue -4.9 and
+        # [[0, 1], [1, 0]] has -1 (det = 0): both unphysical, so the PSD
+        # guard is bypassed to reach the determinant itself
+        q = ClickQuery(forms={"A": np.diag([1.0])})
+        for nbar, pair in [(0.1, 5.0), (0.0, 1.0)]:
+            n = np.array([[nbar]], complex)
+            m = np.array([[pair]], complex)
+            with pytest.raises(DetectionError, match="singular"):
+                no_click_expectation(n, m, q, ("A",), check=False)
+
+    def test_log_equals_log_of_value(self):
+        n, m = tmsv(0.3)
+        q = ClickQuery(forms={"A": np.diag([0.8, 0.0]), "B": np.diag([0.0, 0.6])},
+                       dark_means={"A": 1e-4})
+        for subset in [(), ("A",), ("A", "B")]:
+            val = no_click_expectation(n, m, q, subset)
+            assert no_click_expectation(n, m, q, subset, log=True) == pytest.approx(
+                np.log(val), rel=1e-13, abs=1e-16)
+
+    def test_complex_form_equals_rotated_state(self):
+        # n_Q = a^dag Q a with Q = U^dag W U is diag(W) after the mode map
+        # a -> U a, here a beam splitter with a complex phase on a state
+        # whose normal moments are complex
+        spec = [("thermal", 0, 0.05), ("thermal", 2, 0.03), ("tmsv", (0, 1), 0.06),
+                ("bs", (1, 2), 0.5, 0.3), ("squeeze", 2, 0.1, 0.9),
+                ("bs", (0, 2), 0.8, 2.1), ("phase", 1, 0.7), ("tmsv", (1, 2), 0.03)]
+        theta, phi = 0.6, 1.1
+        u = np.eye(3, dtype=complex)
+        u[0, 0] = u[1, 1] = np.cos(theta)
+        u[0, 1] = np.exp(1j * phi) * np.sin(theta)
+        u[1, 0] = -np.exp(-1j * phi) * np.sin(theta)
+        w = np.diag([0.7, 0.4, 0.0])
+        n, m = moments_from_state_spec(spec, 3)
+        n_rot, m_rot = moments_from_state_spec(spec + [("bs", (0, 1), theta, phi)], 3)
+        assert np.max(np.abs(n.imag)) > 1e-3
+        lhs = no_click_expectation(n, m, ClickQuery(forms={"A": u.conj().T @ w @ u}), ("A",))
+        rhs = no_click_expectation(n_rot, m_rot, ClickQuery(forms={"A": w}), ("A",))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_form_equals_diagonal_weights(self):
         # a rotated form agrees with rotating the state instead
@@ -202,3 +247,56 @@ class TestThermalHomBound:
         vis = 1 - p_dip / p_far
         assert vis <= 0.5 + 1e-9
         assert vis > 0.25  # thermal bunching is real (1/3 at low occupation)
+
+
+class TestPresetPrecision:
+    """p4 against a 40-digit evaluation of the same double moments."""
+
+    @staticmethod
+    def reference_p4(mp, normal, anomalous, query, names):
+        # sum_S (-1)^|S| exp(-mu_S) det(I + [[N^T, M], [M*, N]] diag(Q, Q^T))^(-1/2)
+        # over the full register, with no eigendecomposition
+        k = normal.shape[0]
+        n, m = mp.matrix(normal.tolist()), mp.matrix(anomalous.tolist())
+        total = mp.mpf(0)
+        for r in range(len(names) + 1):
+            for subset in combinations(names, r):
+                form = mp.zeros(k, k)
+                for name in subset:
+                    form += mp.matrix(query.forms[name].tolist())
+                g = mp.zeros(2 * k, 2 * k)
+                weights = mp.zeros(2 * k, 2 * k)
+                for i in range(k):
+                    for j in range(k):
+                        g[i, j], g[i, k + j] = n[j, i], m[i, j]
+                        g[k + i, j], g[k + i, k + j] = mp.conj(m[i, j]), n[i, j]
+                        weights[i, j], weights[k + i, k + j] = form[i, j], form[j, i]
+                det = mp.re(mp.det(mp.eye(2 * k) + g * weights))
+                mu = mp.fsum(mp.mpf(query.dark_means[name]) for name in subset)
+                total += (-1) ** r * mp.exp(-mu) / mp.sqrt(det)
+        return total
+
+    def test_single_mode_p4_matches_mpmath(self, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        sc = experiment.preset_scenario("single_mode")
+        taus = sc.tau_list
+        centre = len(taus) // 2
+        assert taus[centre] == 0.0
+        sc.tau_list = taus[[centre, centre + 6]]        # the dip and one off-dip delay
+        calls = []
+        original = detection.no_click_expectation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "no_click_expectation", counted)
+        scan = experiment.run_delay_scan(sc)
+        assert len(calls) == 24 * len(sc.tau_list)
+        with mp.workdps(40):
+            for tau, p4 in zip(sc.tau_list, scan.p4):
+                dm = detection_mode_projection(sc.source, sc.source, sc.bases, tau)
+                assert dm.normal.shape == (8, 8)
+                query = dm.click_query(sc.detectors)
+                ref = self.reference_p4(mp, dm.normal, dm.anomalous, query, "ABCD")
+                assert abs(float(mp.mpf(p4) / ref - 1)) <= 1e-7
