@@ -84,7 +84,7 @@ _REQUIRED = {
     "scenario": ["label", "pulses"],
     "pump": ["shape", "center_nm", "energy_pj"],
     "source": ["detuning_thz", "length_m", "temperature_k", "pair_probability"],
-    "filters": ["signal_shape", "idler_shape"],
+    "filters": ["signal_shape", "idler_shape", "signal_bandwidth_ghz"],
     "detectors": ["signal_transmission", "idler_transmission",
                   "quantum_efficiency", "dark_count_probability"],
 }
@@ -263,8 +263,11 @@ class Scenario:
 
     @cached_property
     def source(self):
-        """One spool's state; both spools share pump and parameters."""
-        return source_moments(self.source_params, self.pair_modes)
+        """One spool's state on the retained registers of bases A and C;
+        both spools share pump, parameters and bases."""
+        psi_s, _ = retained_register(self.bases["A"])
+        psi_a, _ = retained_register(self.bases["C"])
+        return source_moments(self.source_params, self.pair_modes, psi_s, psi_a)
 
     # -- detectors ------------------------------------------------------
     @cached_property
@@ -274,19 +277,23 @@ class Scenario:
 
         With each chain K = psi chi psi^dag restricted to its retained
         modes, both heralded weights tr(K_s M K_a* M^dag) and
-        tr(K_a M^T K_s* M*) equal chi_s^T |psi_s^dag M conj(psi_a)|^2 chi_a;
-        the heralded photon numbers are sums of |M conj(psi_a)|^2 and
-        |M^T conj(psi_s)|^2 weighted by chi.
+        tr(K_a M^T K_s* M*) equal chi_s^T |M_reg|^2 chi_a, with M_reg the
+        spool's register block psi_s^dag M conj(psi_a).  The heralded
+        photon numbers |M conj(psi_a)|^2 and |M^T conj(psi_s)|^2 summed over
+        the grid come from the Schmidt pairs: with M = u sinh r cosh r vt
+        and orthonormal u, vt they are sums over the pairs of
+        (sinh r cosh r)^2 |vt conj(psi_a)|^2 and (sinh r cosh r)^2
+        |u^T conj(psi_s)|^2.
         """
         psi_s, chi_s = retained_register(self.bases["A"])
         psi_a, chi_a = retained_register(self.bases["C"])
-        m = self.source.anomalous
-        heralded_s = m @ psi_a.conj()
-        heralded_a = m.T @ psi_s.conj()
-        both = chi_s @ np.abs(psi_s.conj().T @ heralded_s) ** 2 @ chi_a
-        chi_s_cond = both / (np.sum(np.abs(heralded_s) ** 2, axis=0) @ chi_a)
-        chi_i_cond = both / (np.sum(np.abs(heralded_a) ** 2, axis=0) @ chi_s)
-        return float(chi_s_cond), float(chi_i_cond)
+        modes = self.pair_modes
+        r = self.source_params.gamma_length * modes.s
+        pair = (np.sinh(r) * np.cosh(r)) ** 2
+        heralded_s = pair @ np.abs(modes.vt @ psi_a.conj()) ** 2
+        heralded_a = pair @ np.abs(modes.u.T @ psi_s.conj()) ** 2
+        both = chi_s @ np.abs(self.source.anomalous) ** 2 @ chi_a
+        return float(both / (heralded_s @ chi_a)), float(both / (heralded_a @ chi_s))
 
     @cached_property
     def detectors(self):

@@ -241,8 +241,6 @@ def random_equivalence_comparison(n_states=200, seed=7, cutoff=12):
     Gaussian determinant engine and the Fock oracle, and returns the worst
     absolute deviation together with the number of comparisons.
     """
-    from itertools import combinations
-
     from .detection import ClickQuery, no_click_expectation
 
     rng = np.random.default_rng(seed)

@@ -21,7 +21,9 @@ Hong-Ou-Mandel dip.  The operator is PSD by construction and the two ports
 sum to the full transmitted intensity at every delay.
 
 All forms are supported on the span of the retained Schmidt modes, so the
-click computation restricts exactly to a small register.
+click computation restricts exactly to a small register; the spools'
+states arrive on it already (`source.source_moments`), and only the port
+forms depend on the delay.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ def retained_register(basis):
 
 
 def detection_mode_projection(source_r, source_l, bases, tau):
-    """Project two spools onto the detection register at relative delay tau.
+    """Place two spools on the detection register at relative delay tau.
 
     Parameters
     ----------
-    source_r, source_l : SpoolMoments of the right and left spool; identical
-        spools are passed as the same state twice.  The two are independent,
-        so every block between them is zero.
+    source_r, source_l : SpoolMoments of the right and left spool, already
+        on the retained registers of the arms: right on (A, C), left on
+        (B, D).  Identical spools are passed as the same state twice.  The
+        two are independent, so every block between them is zero.
     bases : dict with per-arm ModeBasis entries "A", "B", "C", "D"; A and B
         must share one signal basis (one physical coupler), C and D may
         differ.
@@ -115,38 +118,32 @@ def detection_mode_projection(source_r, source_l, bases, tau):
             basis_a.eigenmodes, basis_b.eigenmodes):
         raise NetworkError("A and B must share the signal-arm Schmidt basis")
     psi_s, chi_s = retained_register(basis_a)
-    psi_c, chi_c = retained_register(bases["C"])
-    psi_d, chi_d = retained_register(bases["D"])
-    grid_s = basis_a.grid
-    n_grid = grid_s.n_points
-    for spool in (source_r, source_l):
-        if spool.normal_stokes.shape[0] != n_grid:
-            raise NetworkError("basis grid does not match the moments grid")
-    k_s = psi_s.shape[1]
-    k_c, k_d = psi_c.shape[1], psi_d.shape[1]
+    _, chi_c = retained_register(bases["C"])
+    _, chi_d = retained_register(bases["D"])
+    k_s, k_c, k_d = len(chi_s), len(chi_c), len(chi_d)
+    for spool, k_a in ((source_r, k_c), (source_l, k_d)):
+        if (spool.normal_stokes.shape != (k_s, k_s)
+                or spool.normal_antistokes.shape != (k_a, k_a)
+                or spool.anomalous.shape != (k_s, k_a)):
+            raise NetworkError("spool register does not match the detection register")
     m_tot = 2 * k_s + k_c + k_d
     sl_rs = slice(0, k_s)
     sl_ls = slice(k_s, 2 * k_s)
     sl_ra = slice(2 * k_s, 2 * k_s + k_c)
     sl_la = slice(2 * k_s + k_c, m_tot)
 
-    # moments restricted to the retained register (exact: detection forms
-    # vanish outside this span, so dropped directions contribute factors of 1)
+    # the spools' register blocks (exact: detection forms vanish outside the
+    # retained span, so dropped directions contribute factors of 1)
     normal = np.zeros((m_tot, m_tot), dtype=complex)
     anomalous = np.zeros((m_tot, m_tot), dtype=complex)
-    normal[sl_rs, sl_rs] = psi_s.conj().T @ source_r.normal_stokes @ psi_s
-    normal[sl_ls, sl_ls] = psi_s.conj().T @ source_l.normal_stokes @ psi_s
-    normal[sl_ra, sl_ra] = psi_c.conj().T @ source_r.normal_antistokes @ psi_c
-    normal[sl_la, sl_la] = psi_d.conj().T @ source_l.normal_antistokes @ psi_d
-    m_r = psi_s.conj().T @ source_r.anomalous @ psi_c.conj()
-    m_l = psi_s.conj().T @ source_l.anomalous @ psi_d.conj()
-    anomalous[sl_rs, sl_ra] = m_r
-    anomalous[sl_ra, sl_rs] = m_r.T
-    anomalous[sl_ls, sl_la] = m_l
-    anomalous[sl_la, sl_ls] = m_l.T
+    for spool, sl_s, sl_a in ((source_r, sl_rs, sl_ra), (source_l, sl_ls, sl_la)):
+        normal[sl_s, sl_s] = spool.normal_stokes
+        normal[sl_a, sl_a] = spool.normal_antistokes
+        anomalous[sl_s, sl_a] = spool.anomalous
+        anomalous[sl_a, sl_s] = spool.anomalous.T
 
     # port forms: overlap of the delayed and advanced Schmidt modes
-    phases = np.exp(-1j * tau * grid_s.points)
+    phases = np.exp(-1j * tau * basis_a.grid.points)
     overlap = psi_s.conj().T @ (phases[:, None] * psi_s)
     sq = np.sqrt(chi_s)
     cross = 0.5 * (sq[:, None] * overlap * sq[None, :])

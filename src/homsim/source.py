@@ -5,19 +5,22 @@ anti-Stokes (idler) photons; spontaneous Raman scattering off the thermal
 phonon bath adds phase-insensitive background in both bands.  The state of
 a spool is zero-mean Gaussian and fully described by the normal moments
 N = <a^dag a> of each band and the anomalous moments M = <a_s a_a>
-between them.  `SpoolMoments` holds this state, with each band's N kept as
-its FWM and Raman parts.  The two spools of the experiment are pumped
-alike and independently, so one `SpoolMoments` describes each of them and
-no correlation links them.
+between them.  Detection only ever sees the few retained Schmidt modes of
+each gate+filter chain, so `SpoolMoments` holds this state on those
+registers: three register-sized blocks, never a grid-sized one.  The two
+spools of the experiment are pumped alike and independently, so one
+`SpoolMoments` describes each of them and no correlation links them.
 
 Moments are stored in the discrete normalization: with mode operators
-a_m = a(w_m) sqrt(dw/2pi), N[m,m] is the photon occupation of grid cell m
-and trace(N) is the photon number in the band.
+a_m = a(w_m) sqrt(dw/2pi), N[m,m] on the identity register is the photon
+occupation of grid cell m and trace(N) is the photon number in the band.
 
 The pair-production term is evaluated per Schmidt pair of the joint
 spectral amplitude as an exact two-mode squeezer (sinh/cosh kernels), which
-preserves the output commutators identically; the Raman term is linear in
-the bath operators with thermal occupation n_T.
+preserves the output commutators identically, and enters the register
+through the overlaps of the register modes with the Schmidt vectors; the
+Raman term is linear in the bath operators with thermal occupation n_T and
+is built on the register by one FFT convolution per register mode.
 """
 
 from __future__ import annotations
@@ -304,73 +307,41 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
     return 1j * gamma_length * jsa
 
 
-# Diagonals of a pump Gram block transformed per FFT batch; bounds the
-# working set to a few MB whatever the pump length.
-_DIAGONALS_PER_BATCH = 32
+def raman_moments(pump, params, grid, band, modes):
+    """Hermitian PSD Raman occupation block of one band on the register
+    `modes` (unit vectors on `grid`, one per column), in discrete units.
 
-
-def _detuning_lattice(band_grid, pump):
-    """Detunings nu_k = w_m - w_j between every band sample m and pump
-    sample j, ascending on the common lattice (nb + n_p - 1 values)."""
-    n_nu = band_grid.n_points + pump.grid.n_points - 1
-    return (band_grid.points[0] - pump.grid.points[-1]) + np.arange(n_nu) * band_grid.spacing
-
-
-def _pump_gram(pump, band_grid, weight):
-    """G[m, n] = dw^2 sum_k weight_k conj(A_p(w_m - nu_k)) A_p(w_n - nu_k).
-
-    With j the pump index of w_m - nu_k, diagonal delta of G is a linear
-    convolution of the weight with B_delta[j] = conj(A_j) A_(j+delta):
-    G[m, m+delta] = dw^2 (weight * B_delta)[m + n_p - 1].  Each diagonal is
-    one FFT product of length >= nb + n_p - 1, at which no entry m < nb
-    wraps around.  The lower triangle is the conjugate of the upper one, so
-    G is exactly Hermitian.  Pump samples outside the pump's support add
-    nothing and are left out, with the detunings they pair with.
-    """
-    nb = band_grid.n_points
-    gram = np.zeros((nb, nb), dtype=complex)
-    support = pump.support
-    a = pump.amplitude[support]
-    n_p = len(a)
-    if not n_p:
-        return gram
-    offset = pump.grid.n_points - support.stop
-    weight = weight[offset:offset + nb + n_p - 1]
-    size = scipy.fft.next_fast_len(nb + n_p - 1)
-    weight_hat = scipy.fft.fft(weight, size)
-    diagonals = np.empty((nb, nb), dtype=complex)  # [delta, m] -> G[m, m + delta]
-    for lo in range(0, nb, _DIAGONALS_PER_BATCH):
-        deltas = range(lo, min(lo + _DIAGONALS_PER_BATCH, nb))
-        products = np.zeros((len(deltas), n_p), dtype=complex)
-        for row, delta in enumerate(deltas):
-            overlap = max(n_p - delta, 0)
-            products[row, :overlap] = a[:overlap].conj() * a[delta:delta + overlap]
-        conv = scipy.fft.ifft(scipy.fft.fft(products, size, axis=1) * weight_hat, axis=1)
-        diagonals[lo:lo + len(deltas)] = conv[:, n_p - 1:n_p - 1 + nb]
-    diagonals[0] = diagonals[0].real  # sums of weight * |A|^2, real but for round-off
-    rows, cols = np.triu_indices(nb)
-    upper = diagonals[cols - rows, rows] * band_grid.spacing**2
-    gram[rows, cols] = upper
-    gram[cols, rows] = upper.conj()
-    return gram
-
-
-def raman_moments(pump, params, grid, band):
-    """Hermitian PSD Raman occupation block for one band (discrete units).
-
-    N[m,n] = L dw dnu sum_k g(nu_k) n_T(nu_k) conj(A_p(w_m - nu_k)) A_p(w_n - nu_k),
-    with the detuning measured from the pump carrier; evaluated diagonal by
-    diagonal with FFT convolutions (see `_pump_gram`).
+    The full block is N[m,n] = L dw dnu sum_k w_k conj(A_p(w_m - nu_k))
+    A_p(w_n - nu_k), with w = g(nu) n_T(nu) and the detuning measured from
+    the pump carrier.  On the register it is L dw^2 c^dag diag(w) c, where
+    c[k, j] = sum_n A_p(w_n - nu_k) modes[n, j] is the linear convolution
+    of mode j with the reversed pump amplitude: one FFT per mode.  Pump
+    samples outside the pump's support add nothing and are left out, with
+    the detunings they pair with.  The identity register gives the full
+    block.
     """
     if band not in (STOKES, ANTISTOKES):
         raise SourceModelError(f"unknown band {band!r}")
-    nu = _detuning_lattice(grid, pump)
+    k = modes.shape[1]
+    support = pump.support
+    reversed_pump = pump.amplitude[support][::-1]
+    if not reversed_pump.size:
+        return np.zeros((k, k), dtype=complex)
+    # nu_k = w_0 - w_last + k dw, with w_last the last supported pump sample:
+    # row k of c pairs band sample n with the pump sample n - k after w_last
+    n = grid.n_points + reversed_pump.size - 1
+    nu = (grid.points[0] - pump.grid.points[support.stop - 1]) + np.arange(n) * grid.spacing
     gain = params.raman_gain(nu)
     weight = np.zeros_like(gain)
     # the |nu| < dw/2 cell is elastic (pump) scattering, not Raman
     active = (gain > 0) & (np.abs(nu) >= 0.5 * grid.spacing)
     weight[active] = gain[active] * thermal_occupation(nu[active], params.temperature)
-    return params.length * _pump_gram(pump, grid, weight)
+    size = scipy.fft.next_fast_len(n)
+    c = scipy.fft.ifft(scipy.fft.fft(reversed_pump, size)[:, None]
+                       * scipy.fft.fft(modes, size, axis=0), axis=0)[:n]
+    c *= np.sqrt(weight)[:, None]
+    block = params.length * grid.spacing**2 * (c.conj().T @ c)
+    return 0.5 * (block + block.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +350,19 @@ def raman_moments(pump, params, grid, band):
 
 @dataclass(frozen=True)
 class SpoolMoments:
-    """One spool's Gaussian state over its Stokes and anti-Stokes bands.
+    """One spool's Gaussian state on a Stokes and an anti-Stokes register.
 
-    Each band's normal block N = <a^dag a> is held as its FWM and Raman
-    parts; `anomalous` is the pair block M = <a_s a_a>.  Blocks use the
-    discrete normalization, so diagonal traces are photon numbers per pulse.
+    A register psi holds unit vectors on the band grid, one per column; its
+    modes b_j = sum_m conj(psi_mj) a_m are the ones a chain K = psi chi
+    psi^dag counts.  `normal_stokes` and `normal_antistokes` are their
+    <b_i^dag b_j> = psi^T N conj(psi); `anomalous` is <b_s,i b_a,j> =
+    psi_s^dag M conj(psi_a).  On the identity register these are the
+    grid-cell moments, whose diagonal traces are photon numbers per pulse.
     """
 
-    fwm_stokes: np.ndarray
-    fwm_antistokes: np.ndarray
-    raman_stokes: np.ndarray
-    raman_antistokes: np.ndarray
+    normal_stokes: np.ndarray
+    normal_antistokes: np.ndarray
     anomalous: np.ndarray
-
-    @cached_property
-    def normal_stokes(self):
-        return self.fwm_stokes + self.raman_stokes
-
-    @cached_property
-    def normal_antistokes(self):
-        return self.fwm_antistokes + self.raman_antistokes
 
 
 @dataclass(frozen=True)
@@ -428,42 +392,38 @@ def factor_pair_amplitude(pump, grids):
                      u=u[:, :rank], s=s[:rank], vt=vt[:rank])
 
 
-def _bogoliubov_blocks(u, r, vt):
-    """Exact two-mode-squeezer moments of the Schmidt pairs (u_k, vt_k).
+def source_moments(params, modes, psi_s, psi_a):
+    """Gaussian state of one spool on the Stokes register `psi_s` and the
+    anti-Stokes register `psi_a` (unit vectors on the band grids, one per
+    column); both spools share pump and parameters, so this one state
+    describes each of them.
 
-    Pair k is squeezed with parameter r_k, giving M = U sinh r cosh r V and
-    N = conj(U) sinh^2 r U^T on the Stokes side (V^dag ... V on the
-    anti-Stokes side).  Reduces to N ~ J J^dag, M ~ J at small gain, where
-    J = U r V is the pair amplitude.
-    """
-    sh, ch = np.sinh(r), np.cosh(r)
-    m_block = (u * (sh * ch)[None, :]) @ vt
-    n_s = (u.conj() * (sh**2)[None, :]) @ u.T
-    n_a = (vt.conj().T * (sh**2)[None, :]) @ vt
-    return n_s, n_a, m_block
-
-
-def source_moments(params, modes):
-    """Gaussian state of one spool; both spools share pump and parameters,
-    so this one state describes each of them.
-
-    `modes` is the pump's PairModes on the band grids; its Schmidt pairs
-    are squeezed by gammaL times their unit-gain singular values.
+    `modes` is the pump's PairModes on the band grids.  Pair k is an exact
+    two-mode squeezer with r_k = gammaL s_k: on the grid M = u sinh r cosh r
+    vt, N_s = conj(u) sinh^2 r u^T and N_a = vt^dag sinh^2 r vt, which
+    reduce to M ~ J, N_s ~ conj(J) J^T at small gain.  On the registers
+    (see `SpoolMoments`) only the overlaps u^T conj(psi_s) and
+    vt conj(psi_a) enter.  Raman scattering adds to both normal blocks
+    (`raman_moments` on conj(psi)).
     """
     grid_s, grid_a = modes.grids[STOKES], modes.grids[ANTISTOKES]
     params.check_energy_conservation(grid_s.spacing)
     r = params.gamma_length * modes.s
-    n_s_fwm, n_a_fwm, m_block = _bogoliubov_blocks(modes.u, r, modes.vt)
     peak = float(np.sinh(r[0]) ** 2) if len(r) else 0.0
     if peak > MAX_MODE_OCCUPATION:
         raise SourceModelError(
             f"leading pair-mode occupation {peak:.3f} exceeds "
             f"{MAX_MODE_OCCUPATION}; gain too high for a perturbative pair source")
-    return SpoolMoments(fwm_stokes=n_s_fwm, fwm_antistokes=n_a_fwm,
-                        raman_stokes=raman_moments(modes.pump, params, grid_s, STOKES),
-                        raman_antistokes=raman_moments(modes.pump, params, grid_a,
-                                                       ANTISTOKES),
-                        anomalous=m_block)
+    sh, ch = np.sinh(r)[:, None], np.cosh(r)[:, None]
+    stokes = modes.u.T @ psi_s.conj()       # (pairs, k_s)
+    antistokes = modes.vt @ psi_a.conj()    # (pairs, k_a)
+    return SpoolMoments(
+        normal_stokes=(stokes.conj().T @ (sh**2 * stokes)
+                       + raman_moments(modes.pump, params, grid_s, STOKES, psi_s.conj())),
+        normal_antistokes=(antistokes.conj().T @ (sh**2 * antistokes)
+                           + raman_moments(modes.pump, params, grid_a, ANTISTOKES,
+                                           psi_a.conj())),
+        anomalous=stokes.T @ (sh * ch * antistokes))
 
 
 def pair_production_probability(modes, gamma_length, band_filter):
@@ -506,21 +466,3 @@ def calibrate_gain(target_pair_prob, modes, band_filter):
         if hi - lo <= CALIBRATION_RTOL * hi:
             break
     return 0.5 * (lo + hi)
-
-
-def commutator_residual(pump, params, grids):
-    """Deviation of [a, a^dag] from the identity after the self-consistent
-    vacuum-scattering correction, normalized as a spectral norm.
-
-    The squeezer part preserves commutators exactly; the Raman term adds
-    its commutator C_r, compensated at leading order by the correction
-    alpha = (I + C_r)^(-1/2).  The residual is therefore O(C_r^2).
-    """
-    grid_s = grids[STOKES]
-    nu = _detuning_lattice(grid_s, pump)
-    c_r = params.length * _pump_gram(pump, grid_s, params.raman_gain(nu)).conj()
-    n = c_r.shape[0]
-    vals, vecs = np.linalg.eigh(c_r)
-    inv = (vecs / (1.0 + vals)[None, :]) @ vecs.conj().T
-    residual = inv + c_r - np.eye(n)
-    return float(np.linalg.norm(residual, 2))

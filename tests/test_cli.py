@@ -97,6 +97,10 @@ class TestScanFit:
         cfg.write_text("[scenario]\nlabel = x\n")
         assert main(["scan", "--config", str(cfg)]) == 2
         assert "missing required fields" in capsys.readouterr().err
+        # the grids are sized by the signal bandwidth whatever the filter shape
+        cfg.write_text(CHEAP.replace("signal_bandwidth_ghz = 24.6\n", ""))
+        assert main(["calibrate", "--config", str(cfg)]) == 2
+        assert "filters.signal_bandwidth_ghz" in capsys.readouterr().err
 
     def test_fit_empty_csv(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

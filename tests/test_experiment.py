@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,25 @@ class TestScan:
         np.testing.assert_allclose(scan.p2_acc,
                                    scan.singles["A"] * scan.singles["B"], rtol=1e-12)
 
+    def test_schmidt_mode_phases_change_nothing(self, cheap):
+        # the phase of each Schmidt mode is free (K = psi chi psi^dag does
+        # not see it), so the spool's register blocks and the port forms
+        # must transform together and leave every probability unchanged
+        _, scan = cheap
+        phased = load_scenario(CHEAP)
+        rng = np.random.default_rng(7)
+        for arm in "AC":
+            basis = phased.bases[arm]
+            phases = np.exp(2j * np.pi * rng.random(basis.eigenmodes.shape[1]))
+            phased.bases[arm] = replace(basis, eigenmodes=basis.eigenmodes * phases)
+        phased.bases["B"], phased.bases["D"] = phased.bases["A"], phased.bases["C"]
+        got = run_delay_scan(phased)
+        np.testing.assert_allclose(got.p4, scan.p4, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(got.p2_ab, scan.p2_ab, rtol=1e-10, atol=0)
+        for name in "ABCD":
+            np.testing.assert_allclose(got.singles[name], scan.singles[name],
+                                       rtol=1e-12, atol=0)
+
 
 class TestConfigPaths:
     def test_custom_raman_file(self, tmp_path):
@@ -276,13 +296,24 @@ class TestSetup:
             return (psi * basis.eigenvalues[:k][None, :]) @ psi.conj().T
 
         k_s, k_a = chain(sc.bases["A"]), chain(sc.bases["C"])
-        m = sc.source.anomalous
+        # the pair block on the grid, from the Schmidt pairs at the calibrated gain
+        modes = sc.pair_modes
+        r = sc.source_params.gamma_length * modes.s
+        m = (modes.u * (np.sinh(r) * np.cosh(r))) @ modes.vt
         n_s = m @ k_a.conj() @ m.conj().T
         n_a = m.T @ k_s.conj() @ m.conj()
         ref = (np.trace(k_s @ n_s).real / np.trace(n_s).real,
                np.trace(k_a @ n_a).real / np.trace(n_a).real)
         assert abs(ref[0] - ref[1]) > 1e-3
         np.testing.assert_allclose(sc.conditioned_transmissions, ref, rtol=1e-12, atol=0)
+
+    def test_source_holds_register_blocks_only(self):
+        # single_mode keeps 2 modes per arm, so its spool is three 2 x 2 blocks
+        spool = preset_scenario("single_mode").source
+        assert [f.name for f in fields(spool)] == ["normal_stokes", "normal_antistokes",
+                                                   "anomalous"]
+        for f in fields(spool):
+            assert getattr(spool, f.name).shape == (2, 2)
 
     def test_one_pair_amplitude_svd_per_scenario(self, monkeypatch):
         real_svd = np.linalg.svd

@@ -11,10 +11,13 @@ from homsim.network import (
     NetworkError,
     detection_mode_projection,
     hom_dip_width_estimate,
+    retained_register,
 )
 from homsim.source import (
     ANTISTOKES,
     STOKES,
+    PairModes,
+    PumpPulse,
     SourceParams,
     SpoolMoments,
     RamanGain,
@@ -48,12 +51,13 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
     params = SourceParams(gamma=gl / 1e3, length=1e3, temperature=77.0,
                           raman_gain=gain, pump_center=WP,
                           stokes_center=gs.center, antistokes_center=ga.center)
-    moments = source_moments(params, modes)
     basis_s = schmidt_decompose(build_kernel(
         make_profile("rectangular", {"bandwidth": bandwidth}, gs), gate_t))
     basis_a = schmidt_decompose(build_kernel(
         make_profile("rectangular", {"bandwidth": bandwidth}, ga), gate_t))
     bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+    moments = source_moments(params, modes, retained_register(basis_s)[0],
+                             retained_register(basis_a)[0])
     return pump, moments, bases
 
 
@@ -66,9 +70,9 @@ class TestProjection:
     def test_left_vacuum_splits_half(self):
         pump, moments, bases = build_scene()
         right = moments
-        zero = np.zeros((bases["A"].grid.n_points,) * 2, complex)
-        left = SpoolMoments(fwm_stokes=zero, fwm_antistokes=zero, raman_stokes=zero,
-                            raman_antistokes=zero, anomalous=zero)
+        left = SpoolMoments(normal_stokes=np.zeros_like(moments.normal_stokes),
+                            normal_antistokes=np.zeros_like(moments.normal_antistokes),
+                            anomalous=np.zeros_like(moments.anomalous))
         dm = detection_mode_projection(right, left, bases, 0.0)
         # balanced splitter: each port sees half the right-spool flux
         full = dm.mean_photons("A") + dm.mean_photons("B")
@@ -86,11 +90,8 @@ class TestProjection:
             dm = detection_mode_projection(right, left, bases, tau)
             total = dm.mean_photons("A") + dm.mean_photons("B")
             # equals the chain-transmitted flux of both spools at any delay
-            k = bases["A"].retained()
-            psi = bases["A"].unit_vectors[:, :k]
-            chi = bases["A"].eigenvalues[:k]
-            per_spool = np.real(np.sum(np.diag(
-                psi.conj().T @ right.normal_stokes @ psi) * chi))
+            chi = bases["A"].eigenvalues[:bases["A"].retained()]
+            per_spool = np.real(np.diag(right.normal_stokes)) @ chi
             assert total == pytest.approx(2 * per_spool, rel=1e-10)
 
     def test_singles_nearly_flat_in_delay(self):
@@ -111,15 +112,23 @@ class TestProjection:
         assert np.max(np.abs(vals - vals[0])) < 1e-3 * np.max(vals)
 
     def test_two_point_hand_contraction(self):
-        # 2-point grid, hand-checkable anomalous projections at tau = 0
+        # 2-point grid, hand-checkable anomalous projections at tau = 0: two
+        # Schmidt pairs (s_0, a_1) and (s_1, a_0) squeezed alike, so that
+        # M = sinh r cosh r [[0, 1], [1, 0]] on the grid (gammaL = 1; the
+        # pump is dark, so no Raman light is added)
         gs = FrequencyGrid(center=0.0, span=1.0, n_points=2)
         ga = FrequencyGrid(center=10.0, span=1.0, n_points=2)
+        r = 0.5 * np.arcsinh(0.2)  # sinh r cosh r = 0.1
         m_sa = np.array([[0.0, 0.1], [0.1, 0.0]], complex)
-        spool = SpoolMoments(fwm_stokes=0.01 * np.eye(2, dtype=complex),
-                             fwm_antistokes=0.01 * np.eye(2, dtype=complex),
-                             raman_stokes=np.zeros((2, 2), complex),
-                             raman_antistokes=np.zeros((2, 2), complex),
-                             anomalous=m_sa)
+        pump = PumpPulse(grid=FrequencyGrid(center=5.0, span=1.0, n_points=2),
+                         amplitude=np.zeros(2, complex), duration=0.0)
+        modes = PairModes(pump=pump, grids={STOKES: gs, ANTISTOKES: ga},
+                          u=np.eye(2, dtype=complex), s=np.array([r, r]),
+                          vt=np.array([[0.0, 1.0], [1.0, 0.0]], complex))
+        params = SourceParams(gamma=1.0, length=1.0, temperature=77.0,
+                              raman_gain=RamanGain(detuning=np.array([0.0, 1.0]),
+                                                   gain=np.array([0.0, 0.0])),
+                              pump_center=5.0, stokes_center=0.0, antistokes_center=10.0)
 
         class TinyBasis:
             grid = gs
@@ -138,6 +147,8 @@ class TestProjection:
             grid = ga
 
         bases = {"A": TinyBasis(), "B": TinyBasis(), "C": TinyBasisA(), "D": TinyBasisA()}
+        spool = source_moments(params, modes, bases["A"].unit_vectors,
+                               bases["C"].unit_vectors)
         dm = detection_mode_projection(spool, spool, bases, 0.0)
         # M between the right-stokes register mode and the right-idler mode:
         # psi^dag M psi* with psi = (1,1)/sqrt2 gives mean of all entries
@@ -228,10 +239,18 @@ class TestProjection:
             detection_mode_projection(moments, moments, bad, 0.0)
 
     def test_grid_mismatch_rejected(self):
+        # a spool on a register one mode short of the detection register
         pump, moments, bases = build_scene()
-        small = build_scene(n=51)[1]
-        with pytest.raises(NetworkError):
-            detection_mode_projection(small, moments, bases, 0.0)
+        k_s, k_a = moments.anomalous.shape
+        assert k_s > 1 and k_a > 1
+        for short in (replace(moments, normal_stokes=moments.normal_stokes[1:, 1:],
+                              anomalous=moments.anomalous[1:]),
+                      replace(moments, normal_antistokes=moments.normal_antistokes[1:, 1:],
+                              anomalous=moments.anomalous[:, 1:])):
+            with pytest.raises(NetworkError, match="register"):
+                detection_mode_projection(short, moments, bases, 0.0)
+            with pytest.raises(NetworkError, match="register"):
+                detection_mode_projection(moments, short, bases, 0.0)
 
 
 class TestDipWidth:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
@@ -5,15 +7,16 @@ from scipy.constants import hbar, k as k_B
 from homsim.detection import physicality_min_eig
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import build_kernel, make_profile, schmidt_decompose
-from homsim.network import detection_mode_projection
+from homsim.network import detection_mode_projection, retained_register
 from homsim.source import (
     ANTISTOKES,
     STOKES,
+    PairModes,
+    PumpPulse,
     RamanGain,
     SourceModelError,
     SourceParams,
     calibrate_gain,
-    commutator_residual,
     default_raman_gain,
     factor_pair_amplitude,
     fwm_joint_amplitude,
@@ -38,6 +41,17 @@ def make_grids(spacing, n=257, detune=TWO_PI * 1.2e12):
 def pump_grid(spacing, half):
     n = int(2 * half / spacing) // 2 * 2 + 1
     return FrequencyGrid(center=WP, span=spacing * (n - 1), n_points=n)
+
+
+def identity(grid):
+    """The register of every grid cell: blocks on it are the full blocks."""
+    return np.eye(grid.n_points, dtype=complex)
+
+
+def full_moments(params, modes):
+    """A spool's state on the identity registers of both bands."""
+    return source_moments(params, modes, identity(modes.grids[STOKES]),
+                          identity(modes.grids[ANTISTOKES]))
 
 
 def simple_params(gamma_length=1e-3, g_zero=False, temperature=77.0,
@@ -128,7 +142,6 @@ class TestJSA:
         pg = pump_grid(d, 5 * d)
         amp = np.zeros(pg.n_points, complex)
         amp[pg.n_points // 2] = 1.0
-        from homsim.source import PumpPulse
         pump = PumpPulse(grid=pg, amplitude=amp, duration=0.0)
         jsa = fwm_joint_amplitude(pump, 1.0, gs, ga)
         nz = np.argwhere(np.abs(jsa) > 0)
@@ -178,13 +191,13 @@ class TestRaman:
         pump = self._pump()
         gs, _ = make_grids(pump.grid.spacing, n=101)
         params = simple_params(g_zero=True)
-        assert np.all(raman_moments(pump, params, gs, STOKES) == 0)
+        assert np.all(raman_moments(pump, params, gs, STOKES, identity(gs)) == 0)
 
     def test_cold_antistokes_vanishes(self):
         pump = self._pump()
         _, ga = make_grids(pump.grid.spacing, n=101)
         params = simple_params(temperature=1e-3)
-        block = raman_moments(pump, params, ga, ANTISTOKES)
+        block = raman_moments(pump, params, ga, ANTISTOKES, identity(ga))
         assert np.max(np.abs(block)) < 1e-30
 
     def test_trace_linear_in_length(self):
@@ -195,22 +208,22 @@ class TestRaman:
                           temperature=p1.temperature, raman_gain=p1.raman_gain,
                           pump_center=p1.pump_center, stokes_center=p1.stokes_center,
                           antistokes_center=p1.antistokes_center)
-        t1 = np.trace(raman_moments(pump, p1, gs, STOKES)).real
-        t2 = np.trace(raman_moments(pump, p2, gs, STOKES)).real
+        t1 = np.trace(raman_moments(pump, p1, gs, STOKES, identity(gs))).real
+        t2 = np.trace(raman_moments(pump, p2, gs, STOKES, identity(gs))).real
         assert t2 / t1 == pytest.approx(2.0, rel=1e-10)
 
     def test_stokes_exceeds_antistokes_at_77k(self):
         pump = self._pump()
         gs, ga = make_grids(pump.grid.spacing, n=101)
         params = simple_params()
-        ts = np.trace(raman_moments(pump, params, gs, STOKES)).real
-        ta = np.trace(raman_moments(pump, params, ga, ANTISTOKES)).real
+        ts = np.trace(raman_moments(pump, params, gs, STOKES, identity(gs))).real
+        ta = np.trace(raman_moments(pump, params, ga, ANTISTOKES, identity(ga))).real
         assert ts > ta > 0
 
     def test_psd(self):
         pump = self._pump()
         gs, _ = make_grids(pump.grid.spacing, n=101)
-        block = raman_moments(pump, simple_params(), gs, STOKES)
+        block = raman_moments(pump, simple_params(), gs, STOKES, identity(gs))
         eigs = np.linalg.eigvalsh(block)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
@@ -227,10 +240,10 @@ class TestRaman:
 def dense_raman_block(pump, params, grid, weight=None):
     """Brute-force reference for the Raman block.
 
-    N[m,n] = L dw^2 sum_k weight_k conj(A_p(w_m - nu_k)) A_p(w_n - nu_k) as a
-    dense product over every detuning nu_k on the common lattice, with A_p
-    looked up by frequency.  The default weight is g(nu) n_T(nu) outside
-    the elastic |nu| < dw/2 cell.
+    N[m,n] = L dw^2 sum_k weight(nu_k) conj(A_p(w_m - nu_k)) A_p(w_n - nu_k)
+    as a dense product over every detuning nu_k on the common lattice, with
+    A_p looked up by frequency.  The default weight is g(nu) n_T(nu)
+    outside the elastic |nu| < dw/2 cell.
     """
     d = grid.spacing
     n_p = pump.grid.n_points
@@ -240,10 +253,28 @@ def dense_raman_block(pump, params, grid, weight=None):
         active = (gain > 0) & (np.abs(nu) >= 0.5 * d)
         weight = np.zeros_like(nu)
         weight[active] = gain[active] * thermal_occupation(nu[active], params.temperature)
+    else:
+        weight = weight(nu)
     idx = np.rint((grid.points[:, None] - nu[None, :] - pump.grid.points[0]) / d).astype(int)
     inside = (idx >= 0) & (idx < n_p)
     shifted = np.where(inside, pump.amplitude[np.clip(idx, 0, n_p - 1)], 0.0)
     return params.length * d * d * ((shifted.conj() * weight[None, :]) @ shifted.T)
+
+
+def commutator_residual(pump, params, grid):
+    """Deviation of [a, a^dag] from the identity after the self-consistent
+    vacuum-scattering correction, normalized as a spectral norm.
+
+    The squeezer part preserves commutators exactly; the Raman term adds
+    its commutator C_r (the Raman block with weight g alone), compensated
+    at leading order by the correction alpha = (I + C_r)^(-1/2).  The
+    residual is therefore O(C_r^2).
+    """
+    c_r = dense_raman_block(pump, params, grid, weight=params.raman_gain).conj()
+    c_r = 0.5 * (c_r + c_r.conj().T)
+    vals, vecs = np.linalg.eigh(c_r)
+    inv = (vecs / (1.0 + vals)[None, :]) @ vecs.conj().T
+    return float(np.linalg.norm(inv + c_r - np.eye(grid.n_points), 2))
 
 
 def gaussian_pump_with_underflowing_tails():
@@ -259,22 +290,33 @@ def gaussian_pump_with_underflowing_tails():
     return pump
 
 
+def skewed_pump():
+    """The carved pump with a lopsided amplitude and a linear spectral phase
+    (a time shift), so that A_p(w) and A_p(-w) differ: symmetric pumps
+    cannot tell a convolution from a correlation."""
+    pump = TestRaman()._pump()
+    x = (pump.grid.points - pump.center) / (pump.grid.span / 2)
+    return replace(pump, amplitude=pump.amplitude * (1 + 0.5 * x) * np.exp(3j * x))
+
+
+def make_test_pump(name):
+    if name == "gaussian":
+        return gaussian_pump_with_underflowing_tails()
+    return skewed_pump() if name == "skewed" else TestRaman()._pump()
+
+
 class TestRamanDenseReference:
-    """The FFT-diagonal Raman block against the dense formula."""
+    """The FFT Raman block on the identity register against the dense formula."""
 
-    def _carved_pump(self):
-        return TestRaman()._pump()
-
-    @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved", "skewed"])
     @pytest.mark.parametrize("band", [STOKES, ANTISTOKES])
     def test_matches_dense_formula(self, make_pump, band):
-        pump = (gaussian_pump_with_underflowing_tails() if make_pump == "gaussian"
-                else self._carved_pump())
+        pump = make_test_pump(make_pump)
         d = pump.grid.spacing
         gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
         grid = gs if band == STOKES else ga
         params = simple_params(detune=round(TWO_PI * 1.2e12 / d) * d)
-        block = raman_moments(pump, params, grid, band)
+        block = raman_moments(pump, params, grid, band, identity(grid))
         ref = dense_raman_block(pump, params, grid)
         assert np.max(np.abs(ref)) > 0
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -287,24 +329,49 @@ class TestRamanDenseReference:
                              pump_grid(d, 40 * d))
         gs, _ = make_grids(d, n=201)
         params = simple_params()
-        block = raman_moments(pump, params, gs, STOKES)
+        block = raman_moments(pump, params, gs, STOKES, identity(gs))
         ref = dense_raman_block(pump, params, gs)
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_commutator_residual_matches_dense(self):
-        pump = self._carved_pump()
-        gs, ga = make_grids(pump.grid.spacing, n=101)
-        params = simple_params()
-        nu = (gs.points[0] - pump.grid.points[-1]) + np.arange(
-            gs.n_points + pump.grid.n_points - 1) * gs.spacing
-        c_r = dense_raman_block(pump, params, gs, weight=params.raman_gain(nu)).conj()
-        c_r = 0.5 * (c_r + c_r.conj().T)
-        vals, vecs = np.linalg.eigh(c_r)
-        inv = (vecs / (1.0 + vals)[None, :]) @ vecs.conj().T
-        ref = np.linalg.norm(inv + c_r - np.eye(gs.n_points), 2)
-        got = commutator_residual(pump, params, {STOKES: gs, ANTISTOKES: ga})
-        # a spectral norm of O(1) entries: double precision leaves ~1e-13
-        assert abs(got - ref) <= 1e-12
+
+def random_register(grid, k, seed):
+    """k orthonormal complex unit vectors on `grid`, from a seeded draw."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((grid.n_points, k)) + 1j * rng.standard_normal((grid.n_points, k))
+    return np.linalg.qr(z)[0]
+
+
+class TestRegisterProjection:
+    """Blocks built on a register equal the projections of the full blocks."""
+
+    @staticmethod
+    def assert_projects(block, ref):
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved", "skewed"])
+    def test_register_blocks_are_projected_full_blocks(self, make_pump):
+        pump = make_test_pump(make_pump)
+        d = pump.grid.spacing
+        detune = round(TWO_PI * 1.2e12 / d) * d
+        gs, ga = make_grids(d, n=101, detune=detune)
+        grids = {STOKES: gs, ANTISTOKES: ga}
+        psi = {STOKES: random_register(gs, 5, seed=1),
+               ANTISTOKES: random_register(ga, 4, seed=2)}
+        modes = factor_pair_amplitude(pump, grids)
+        params = simple_params(gamma_length=0.3 / modes.s[0], detune=detune)
+        for band, grid in grids.items():
+            self.assert_projects(
+                raman_moments(pump, params, grid, band, psi[band]),
+                psi[band].conj().T @ dense_raman_block(pump, params, grid) @ psi[band])
+        # the register modes are b_j = sum_m conj(psi_mj) a_m
+        spool = source_moments(params, modes, psi[STOKES], psi[ANTISTOKES])
+        full = full_moments(params, modes)
+        psi_s, psi_a = psi[STOKES], psi[ANTISTOKES]
+        self.assert_projects(spool.normal_stokes, psi_s.T @ full.normal_stokes @ psi_s.conj())
+        self.assert_projects(spool.normal_antistokes,
+                             psi_a.T @ full.normal_antistokes @ psi_a.conj())
+        self.assert_projects(spool.anomalous, psi_s.conj().T @ full.anomalous @ psi_a.conj())
 
 
 class TestSourceMoments:
@@ -318,7 +385,7 @@ class TestSourceMoments:
 
     def test_vacuum_when_dark(self):
         pump, params, grids = self._setup(gamma_length=0.0, g_zero=True)
-        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        spool = full_moments(params, factor_pair_amplitude(pump, grids))
         for block in (spool.normal_stokes, spool.normal_antistokes):
             assert np.trace(block).real == 0.0
         assert np.all(spool.anomalous == 0)
@@ -327,7 +394,7 @@ class TestSourceMoments:
         # second-order oracle: trace of FWM N_s equals the quadrature-weighted
         # Frobenius norm^2 of the JSA
         pump, params, grids = self._setup(gamma_length=1e-5, g_zero=True)
-        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        spool = full_moments(params, factor_pair_amplitude(pump, grids))
         jsa = fwm_joint_amplitude(pump, params.gamma_length,
                                   grids[STOKES], grids[ANTISTOKES])
         frob = np.sum(np.abs(jsa * grids[STOKES].spacing) ** 2)
@@ -337,24 +404,34 @@ class TestSourceMoments:
     def test_three_point_grid_second_order_expansion(self):
         # hand-built oracle on a 3-point grid: expand sinh/cosh moments of a
         # known pair amplitude to second order in the gain
-        d = 1.0
+        # (gammaL = 1, so the singular values are the squeezing parameters;
+        # the pump is dark, so no Raman light is added)
         gs = FrequencyGrid(center=-10.0, span=2.0, n_points=3)
         ga = FrequencyGrid(center=10.0, span=2.0, n_points=3)
+        pump = PumpPulse(grid=FrequencyGrid(center=0.0, span=2.0, n_points=3),
+                         amplitude=np.zeros(3, complex), duration=0.0)
         j = np.array([[0.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.2, 0.0, 0.0]]) * 1e-3
-        from homsim.source import _bogoliubov_blocks
-        n_s, n_a, m = _bogoliubov_blocks(*np.linalg.svd(1j * j))
-        np.testing.assert_allclose(m, 1j * j, rtol=1e-6)
-        np.testing.assert_allclose(n_s, (1j * j).conj() @ (1j * j).T, rtol=1e-6)
-        np.testing.assert_allclose(n_a, (1j * j).conj().T @ (1j * j), rtol=1e-6)
+        u, s, vt = np.linalg.svd(1j * j)
+        modes = PairModes(pump=pump, grids={STOKES: gs, ANTISTOKES: ga}, u=u, s=s, vt=vt)
+        params = SourceParams(gamma=1.0, length=1.0, temperature=77.0,
+                              raman_gain=default_raman_gain(), pump_center=0.0,
+                              stokes_center=gs.center, antistokes_center=ga.center)
+        spool = full_moments(params, modes)
+        np.testing.assert_allclose(spool.anomalous, 1j * j, rtol=1e-6)
+        np.testing.assert_allclose(spool.normal_stokes, (1j * j).conj() @ (1j * j).T,
+                                   rtol=1e-6)
+        np.testing.assert_allclose(spool.normal_antistokes, (1j * j).conj().T @ (1j * j),
+                                   rtol=1e-6)
 
     def test_spool_independence_and_symmetry(self):
         # both spools get the same state and no block correlates them
         pump, params, grids = self._setup()
-        spool = source_moments(params, factor_pair_amplitude(pump, grids))
         basis_s, basis_a = (schmidt_decompose(build_kernel(make_profile(
             "rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[band]), 1e-10))
             for band in (STOKES, ANTISTOKES))
         bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+        spool = source_moments(params, factor_pair_amplitude(pump, grids),
+                               retained_register(basis_s)[0], retained_register(basis_a)[0])
         dm = detection_mode_projection(spool, spool, bases, 13e-12)
         k_s, k_a = basis_s.retained(), basis_a.retained()
         right = np.r_[0:k_s, 2 * k_s:2 * k_s + k_a]
@@ -368,7 +445,7 @@ class TestSourceMoments:
 
     def test_normal_blocks_hermitian_psd(self):
         pump, params, grids = self._setup()
-        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        spool = full_moments(params, factor_pair_amplitude(pump, grids))
         for block in (spool.normal_stokes, spool.normal_antistokes):
             np.testing.assert_allclose(block, block.conj().T, atol=1e-14)
             eigs = np.linalg.eigvalsh(block)
@@ -376,7 +453,7 @@ class TestSourceMoments:
 
     def test_physicality_doubled_matrix(self):
         pump, params, grids = self._setup(gamma_length=3e-4)
-        spool = source_moments(params, factor_pair_amplitude(pump, grids))
+        spool = full_moments(params, factor_pair_amplitude(pump, grids))
         # the spool's two-band moments: N = diag(N_s, N_a), M pairs s with a
         m = spool.anomalous
         normal = np.block([[spool.normal_stokes, np.zeros_like(m)],
@@ -386,18 +463,20 @@ class TestSourceMoments:
         assert physicality_min_eig(normal, anomalous) >= -1e-8
 
     def test_raman_scales_linearly_fwm_quadratically_in_energy(self):
+        # FWM photons from a spool without Raman gain, Raman photons alone
         d = TWO_PI * 2e9
         pg = pump_grid(d, TWO_PI * 0.6e12)
         gs, ga = make_grids(d, n=101)
         params = simple_params(gamma_length=1e-5)
+        dark = simple_params(gamma_length=1e-5, g_zero=True)
         grids = {STOKES: gs, ANTISTOKES: ga}
         out = []
         for energy in (5e-12, 10e-12):
             pump = pump_spectrum("cw_carved_rect",
                                  {"duration": 1e-10, "rise_time": 3e-11}, energy, pg)
-            spool = source_moments(params, factor_pair_amplitude(pump, grids))
-            out.append((np.trace(spool.fwm_stokes).real,
-                        np.trace(spool.raman_stokes).real))
+            spool = full_moments(dark, factor_pair_amplitude(pump, grids))
+            raman = raman_moments(pump, params, gs, STOKES, identity(gs))
+            out.append((np.trace(spool.normal_stokes).real, np.trace(raman).real))
         assert out[1][0] / out[0][0] == pytest.approx(4.0, rel=1e-3)
         assert out[1][1] / out[0][1] == pytest.approx(2.0, rel=1e-10)
 
@@ -414,12 +493,12 @@ class TestSourceMoments:
                              pump_center=params.pump_center,
                              stokes_center=params.stokes_center,
                              antistokes_center=params.antistokes_center)
-        mom = source_moments(tuned, modes)
         rho = pair_production_probability(modes, gl, filt)
-        resid = commutator_residual(pump, tuned, grids)
+        resid = commutator_residual(pump, tuned, grids[STOKES])
         assert resid <= 10 * rho**2
         # the correction must beat the uncorrected defect by a wide margin
-        raman_flux = np.trace(mom.raman_stokes).real
+        raman_flux = np.trace(raman_moments(pump, tuned, grids[STOKES], STOKES,
+                                            identity(grids[STOKES]))).real
         assert resid < 0.1 * raman_flux
 
 
@@ -442,7 +521,8 @@ class TestPairProbability:
         assert p2 / p1 == pytest.approx(4.0, rel=1e-4)
 
     def test_calibration_roundtrip(self):
-        pump, params, grids = self._setup()
+        # no Raman gain: the spool's Stokes photons are all FWM photons
+        pump, params, grids = self._setup(g_zero=True)
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         modes = factor_pair_amplitude(pump, grids)
         for target in (0.125, 0.039, 0.003):
@@ -456,9 +536,9 @@ class TestPairProbability:
             assert pair_production_probability(modes, gl, filt) == pytest.approx(
                 target, rel=2e-6)
             # independent of the Schmidt-pair sum: the filtered diagonal of
-            # the FWM Stokes block of the assembled spool
-            spool = source_moments(tuned, modes)
-            pairs = float(np.sum(filt.power * np.diag(spool.fwm_stokes).real))
+            # the Stokes block of the assembled spool on the identity register
+            spool = full_moments(tuned, modes)
+            pairs = float(np.sum(filt.power * np.diag(spool.normal_stokes).real))
             assert pairs == pytest.approx(target, rel=2e-6)
 
     def test_zero_target(self):
