@@ -3,15 +3,18 @@
 States on up to four modes are built by brute force: diagonal preparations
 (thermal mixtures, Fock states) followed by Gaussian gates (two-mode
 squeezers, beamsplitters, phase shifts, single-mode squeezers) applied as
-matrix exponentials on the truncated space.  Threshold-detector
+matrix exponentials of the truncated generators.  Because the preparation
+rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
+sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
+evolved, one-sided, and the weight they drop is counted in the capture
+check together with the thermal tail beyond the cutoff.  Threshold-detector
 expectations then use
 
     <n| :exp(-w a^dag a): |n> = (1 - w)^n,
 
-so <:exp(-sum w_i n_i):> is a weighted sum over the evolved density-matrix
-diagonal.  The same op list converts to (N, M) moments analytically, which
-is what the Gaussian engine consumes; agreement between the two paths
-validates both.
+so <:exp(-sum w_i n_i):> is a weighted sum over the evolved diagonal.  The
+same op list converts to (N, M) moments analytically, which is what the
+Gaussian engine consumes; agreement between the two paths validates both.
 """
 
 from __future__ import annotations
@@ -30,110 +33,92 @@ class FockOracleError(ValueError):
     """Raised when the truncation cannot represent the requested state."""
 
 
-def _ladder(cutoff):
-    a = np.zeros((cutoff, cutoff))
-    n = np.arange(1, cutoff)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def _apply_one_mode(rho, gate, mode, n_modes, cutoff):
-    dims = [cutoff] * n_modes
-    r = rho.reshape(dims + dims)
-    r = np.tensordot(gate, r, axes=([1], [mode]))
-    r = np.moveaxis(r, 0, mode)
-    r = np.tensordot(r, gate.conj().T, axes=([n_modes + mode], [0]))
-    r = np.moveaxis(r, -1, n_modes + mode)
-    return r.reshape(cutoff**n_modes, cutoff**n_modes)
-
-
-def _apply_two_mode(rho, gate, pair, n_modes, cutoff):
-    i, j = pair
-    dims = [cutoff] * n_modes
-    g = gate.reshape(cutoff, cutoff, cutoff, cutoff)
-    r = rho.reshape(dims + dims)
-    r = np.tensordot(g, r, axes=([2, 3], [i, j]))
-    r = np.moveaxis(r, [0, 1], [i, j])
-    gd = gate.conj().T.reshape(cutoff, cutoff, cutoff, cutoff)
-    r = np.tensordot(r, gd, axes=([n_modes + i, n_modes + j], [0, 1]))
-    r = np.moveaxis(r, [-2, -1], [n_modes + i, n_modes + j])
-    return r.reshape(cutoff**n_modes, cutoff**n_modes)
-
-
-def _prepare_diagonal(spec, n_modes, cutoff):
-    """Initial density matrix from thermal/fock entries (others start vacuum)."""
+def _initial_weights(spec, n_modes, cutoff):
+    """Joint Fock weights p_n of the diagonal preparation (others vacuum)."""
     ns = np.arange(cutoff)
-    parts = []
-    for mode in range(n_modes):
-        p = np.zeros((cutoff, cutoff))
-        p[0, 0] = 1.0
-        parts.append(p)
+    parts = [np.eye(cutoff)[0] for _ in range(n_modes)]
     for op in spec:
         if op[0] == "thermal":
             _, mode, nbar = op
-            w = (nbar / (1 + nbar)) ** ns / (1 + nbar)
-            parts[mode] = np.diag(w)
+            parts[mode] = (nbar / (1 + nbar)) ** ns / (1 + nbar)
         elif op[0] == "fock":
             _, mode, n_ph = op
             if n_ph >= cutoff:
                 raise FockOracleError("Fock state above the cutoff")
-            parts[mode] = np.zeros((cutoff, cutoff))
-            parts[mode][n_ph, n_ph] = 1.0
-    rho = parts[0]
-    for p in parts[1:]:
-        rho = np.kron(rho, p)
-    return rho.astype(complex)
+            parts[mode] = np.eye(cutoff)[n_ph]
+    p = parts[0]
+    for part in parts[1:]:
+        p = np.kron(p, part)
+    return p
 
 
-def _evolve(rho, spec, n_modes, cutoff):
-    a = _ladder(cutoff)
+def _gates(spec, cutoff):
+    """(unitary, modes) per gate op: expm of the truncated generator."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    ad = a.T
     for op in spec:
         kind = op[0]
         if kind == "tmsv":
-            _, (i, j), nbar = op
+            _, pair, nbar = op
             r = np.arcsinh(np.sqrt(nbar))
-            gen = r * (np.kron(a.conj().T, a.conj().T) - np.kron(a, a))
-            rho = _apply_two_mode(rho, expm(gen), (i, j), n_modes, cutoff)
+            yield expm(r * (np.kron(ad, ad) - np.kron(a, a))), pair
         elif kind == "bs":
-            _, (i, j), theta, phi = op
-            gen = theta * (np.exp(1j * phi) * np.kron(a.conj().T, a)
-                           - np.exp(-1j * phi) * np.kron(a, a.conj().T))
-            rho = _apply_two_mode(rho, expm(gen), (i, j), n_modes, cutoff)
+            _, pair, theta, phi = op
+            gen = theta * (np.exp(1j * phi) * np.kron(ad, a)
+                           - np.exp(-1j * phi) * np.kron(a, ad))
+            yield expm(gen), pair
         elif kind == "phase":
             _, mode, theta = op
-            gate = np.diag(np.exp(1j * theta * np.arange(cutoff)))
-            rho = _apply_one_mode(rho, gate, mode, n_modes, cutoff)
+            yield np.diag(np.exp(1j * theta * np.arange(cutoff))), (mode,)
         elif kind == "squeeze":
             _, mode, r, phi = op
-            ad2 = a.conj().T @ a.conj().T
-            gen = 0.5 * r * (np.exp(1j * phi) * ad2 - np.exp(-1j * phi) * ad2.conj().T)
-            rho = _apply_one_mode(rho, expm(gen), mode, n_modes, cutoff)
-        elif kind in ("thermal", "fock"):
-            continue
-        else:
+            ad2 = ad @ ad
+            gen = 0.5 * r * (np.exp(1j * phi) * ad2 - np.exp(-1j * phi) * ad2.T)
+            yield expm(gen), (mode,)
+        elif kind not in ("thermal", "fock"):
             raise FockOracleError(f"unknown state op {kind!r}")
-    return rho
 
 
 def fock_state_diagonal(spec, n_modes, cutoff):
-    """Diagonal of the evolved density matrix in the joint Fock basis.
+    """Diagonal of U rho_0 U^dag in the joint Fock basis.
 
-    Rejects truncations capturing less than 1 - 1e-9 of the trace.
+    rho_0 = sum_n p_n |n><n| is diagonal, so the diagonal is
+    sum_n p_n |U e_n|^2: the basis kets with p_n > eps * max(p) are evolved
+    as one (d, K) block, each gate applied one-sided to its modes' axes.
+
+    Rejects truncations capturing less than 1 - 1e-9 of the trace before
+    evolution; the lost weight counts the thermal tail beyond the cutoff
+    and the kets below the eps floor (at most d * eps).  The truncated
+    generators are anti-Hermitian, so their expm is exactly unitary and the
+    trace is conserved: no trace check can catch weight pushed against the
+    cutoff during evolution.
     """
     if n_modes > MAX_MODES:
         raise FockOracleError(f"oracle supports at most {MAX_MODES} modes")
     if cutoff > MAX_CUTOFF:
         raise FockOracleError(f"oracle cutoff capped at {MAX_CUTOFF}")
-    rho = _prepare_diagonal(spec, n_modes, cutoff)
-    if float(np.trace(rho).real) < TRACE_CAPTURE:
-        raise FockOracleError("truncation loses the initial thermal tail")
-    rho = _evolve(rho, spec, n_modes, cutoff)
-    captured = float(np.trace(rho).real)
+    p = _initial_weights(spec, n_modes, cutoff)
+    kept = np.flatnonzero(p > np.finfo(float).eps * p.max())
+    p_kept = p[kept]
+    if p_kept.sum() < TRACE_CAPTURE:
+        raise FockOracleError(
+            f"truncation loses {1 - p_kept.sum():.3e} of the initial weight "
+            "(thermal tail beyond the cutoff)")
+    psi = np.zeros((p.size, kept.size), dtype=complex)
+    psi[kept, np.arange(kept.size)] = 1.0
+    psi = psi.reshape((cutoff,) * n_modes + (kept.size,))
+    for gate, modes in _gates(spec, cutoff):
+        k = len(modes)
+        g = gate.reshape((cutoff,) * (2 * k))
+        psi = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), list(modes)))
+        psi = np.moveaxis(psi, list(range(k)), list(modes))
+    diag = (np.abs(psi.reshape(p.size, kept.size)) ** 2) @ p_kept
+    captured = float(diag.sum())
     if captured < TRACE_CAPTURE:
         raise FockOracleError(
             f"truncation captures only {captured:.12f} of the trace; "
             "raise the cutoff or lower the occupations")
-    return np.real(np.diag(rho)).copy()
+    return diag
 
 
 def _occupations(n_modes, cutoff):

@@ -244,9 +244,6 @@ def schmidt_decompose(kernel):
         vecs = vecs.astype(complex)
     else:
         vals, vecs = np.linalg.eigh(scaled)
-        # kernel decomposition kappa = sum chi conj(phi) phi' puts conj(phi)
-        # on the eigenvector side of the operator
-        vecs = vecs.conj()
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     if vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:

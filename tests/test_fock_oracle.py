@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from homsim.detection import ClickQuery, no_click_expectation, coincidence_probability
 from homsim.fock import (
@@ -9,7 +10,57 @@ from homsim.fock import (
     fock_oracle_expectation,
     fock_state_diagonal,
     moments_from_state_spec,
+    random_equivalence_comparison,
 )
+
+
+def _dense_diagonal(spec, n_modes, cutoff):
+    """diag(U rho_0 U^dag) with every gate built on the full joint space.
+
+    Ladder operators are embedded by kron with identities, so a gate on any
+    mode pair, in either order, needs no axis bookkeeping.
+    """
+    eye = np.eye(cutoff)
+    lower = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+
+    def embed(single, mode):
+        out = np.ones((1, 1))
+        for k in range(n_modes):
+            out = np.kron(out, single if k == mode else eye)
+        return out
+
+    a = [embed(lower, k) for k in range(n_modes)]
+    ad = [x.T for x in a]
+    p = np.ones(1)
+    for k in range(n_modes):
+        w = eye[0]
+        for op in spec:
+            if op[0] == "thermal" and op[1] == k:
+                q = op[2] / (1 + op[2])
+                w = (1 - q) * q ** np.arange(cutoff)
+            elif op[0] == "fock" and op[1] == k:
+                w = eye[op[2]]
+        p = np.kron(p, w)
+    rho = np.diag(p).astype(complex)
+    for op in spec:
+        kind = op[0]
+        if kind == "tmsv":
+            _, (i, j), nbar = op
+            gen = np.arcsinh(np.sqrt(nbar)) * (ad[i] @ ad[j] - a[i] @ a[j])
+        elif kind == "bs":
+            _, (i, j), theta, phi = op
+            gen = theta * (np.exp(1j * phi) * ad[i] @ a[j] - np.exp(-1j * phi) * a[i] @ ad[j])
+        elif kind == "phase":
+            _, k, theta = op
+            gen = 1j * theta * ad[k] @ a[k]
+        elif kind == "squeeze":
+            _, k, r, phi = op
+            gen = 0.5 * r * (np.exp(1j * phi) * ad[k] @ ad[k] - np.exp(-1j * phi) * a[k] @ a[k])
+        else:
+            continue
+        u = expm(gen)
+        rho = u @ rho @ u.conj().T
+    return np.real(np.diag(rho))
 
 
 class TestOracleBasics:
@@ -30,6 +81,15 @@ class TestOracleBasics:
     def test_truncation_rejected(self):
         with pytest.raises(FockOracleError, match="truncation"):
             fock_state_diagonal([("thermal", 0, 5.0)], 1, 6)
+
+    def test_kets_match_dense_density_matrix(self):
+        # gates on (0, 2) and on the reversed pair (2, 0) catch an axis slip
+        spec = [("thermal", 0, 0.02), ("fock", 1, 1), ("tmsv", (0, 2), 0.05),
+                ("bs", (2, 0), 0.7, 0.4), ("phase", 1, 0.9),
+                ("squeeze", 2, 0.15, 1.3), ("bs", (0, 1), 0.5, -0.6),
+                ("phase", 2, -1.7)]
+        diag = fock_state_diagonal(spec, 3, 6)
+        np.testing.assert_allclose(diag, _dense_diagonal(spec, 3, 6), rtol=0, atol=1e-14)
 
     def test_hom_null_single_photons(self):
         # two ideal single photons on a 50:50 splitter never coincide
@@ -98,3 +158,11 @@ class TestEngineOracleEquivalence:
         oracle = fock_oracle_click_probability(spec, weight_sets, 3,
                                                ("A", "B", "C"), cutoff=12)
         assert engine == pytest.approx(oracle, abs=1e-7)
+
+    def test_sweep_deviation_is_oracle_truncation(self):
+        # the sweep's worst deviation shrinks with the oracle's cutoff, so
+        # acceptance criterion 4 measures the oracle's truncation error
+        coarse, checked = random_equivalence_comparison(16, seed=0, cutoff=12)
+        fine, checked_fine = random_equivalence_comparison(16, seed=0, cutoff=14)
+        assert checked == checked_fine == 80
+        assert fine * 5 <= coarse

@@ -3,6 +3,7 @@ import pytest
 
 from homsim.grids import FrequencyGrid, TWO_PI
 from homsim.modes import (
+    FilterProfile,
     KernelMatrix,
     ModeAnalysisError,
     build_kernel,
@@ -194,6 +195,19 @@ class TestSchmidt:
         assert np.sum(np.abs(np.diff(np.sign(phi1)))) == 2  # exactly one crossing
         # phi_0 even under reflection
         assert np.max(np.abs(phi0 - phi0[::-1])) < 1e-6 * np.max(np.abs(phi0))
+
+    def test_complex_kernel_modes_diagonalize_kernel(self):
+        # a spectral phase makes the kernel complex; the stored modes must
+        # satisfy K = psi chi psi^dag, the convention every consumer assumes
+        grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
+        gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
+        filt = FilterProfile(grid=grid, amplitude=gauss.amplitude * np.exp(0.7j * grid.points))
+        kern = build_kernel(filt, 3.0)
+        basis = schmidt_decompose(kern)
+        k = basis.retained()
+        psi = basis.unit_vectors[:, :k]
+        residual = psi.conj().T @ kern.scaled @ psi - np.diag(basis.eigenvalues[:k])
+        assert np.linalg.norm(residual) <= 1e-12
 
     def test_eigenvalue_above_one_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)
