@@ -68,7 +68,7 @@ def _doubled(normal, anomalous):
     return 0.5 * (dbl + dbl.conj().T)
 
 
-def _validate_moments(normal, anomalous, psd=False):
+def _validate_moments(normal, anomalous):
     n = normal.shape[0]
     if anomalous.shape != (n, n):
         raise DetectionError("normal and anomalous moment shapes differ")
@@ -77,19 +77,18 @@ def _validate_moments(normal, anomalous, psd=False):
         raise DetectionError("normal moments are not Hermitian")
     if np.max(np.abs(anomalous - anomalous.T)) > 1e-10 * max(1.0, float(np.max(np.abs(anomalous)))):
         raise DetectionError("anomalous moments are not symmetric")
-    if psd:
-        # a Cholesky factor of the shifted matrix exists iff its smallest
-        # eigenvalue exceeds -PSD_TOLERANCE * scale; the eigenvalue itself
-        # is only needed for the message
-        shifted = _doubled(normal, anomalous) + PSD_TOLERANCE * scale * np.eye(2 * n)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            minimum = physicality_min_eig(normal, anomalous)
-            if minimum < -PSD_TOLERANCE * scale:
-                raise DetectionError(
-                    f"moments violate physicality (min doubled eigenvalue {minimum:.2e})"
-                ) from None
+    # a Cholesky factor of the shifted matrix exists iff its smallest
+    # eigenvalue exceeds -PSD_TOLERANCE * scale; the eigenvalue itself is
+    # only needed for the message
+    shifted = _doubled(normal, anomalous) + PSD_TOLERANCE * scale * np.eye(2 * n)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        minimum = physicality_min_eig(normal, anomalous)
+        if minimum < -PSD_TOLERANCE * scale:
+            raise DetectionError(
+                f"moments violate physicality (min doubled eigenvalue {minimum:.2e})"
+            ) from None
 
 
 def physicality_min_eig(normal, anomalous):
@@ -111,7 +110,7 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     n = normal.shape[0]
     mu = query.dark_sum(subset)
     if check and subset:
-        _validate_moments(normal, anomalous, psd=True)
+        _validate_moments(normal, anomalous)
     log_e = -mu
     if subset:
         q = query.total_form(subset, n)
@@ -140,7 +139,7 @@ def coincidence_probability(normal, anomalous, query, subset):
     Tiny negative results above -1e-12 are clamped to zero; anything lower
     signals a model bug and raises.
     """
-    _validate_moments(normal, anomalous, psd=True)
+    _validate_moments(normal, anomalous)
     subset = tuple(subset)
     terms = []
     for r in range(len(subset) + 1):

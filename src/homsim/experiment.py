@@ -1,7 +1,7 @@
 """Scenario assembly, delay scans, visibility fits, and expected counts.
 
-A scenario bundles the pump, the fiber-source parameters, the per-arm
-gate+filter chains, and the four detectors.  The built-in presets encode
+A scenario bundles the pump, the fiber-source parameters, the signal and
+idler gate+filter chains, and the four detectors.  The built-in presets encode
 the two published configurations of the experiment this simulator models:
 
 ``multimode``
@@ -29,7 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
@@ -229,10 +229,11 @@ class Scenario:
 
     @cached_property
     def bases(self):
-        duration = self.gate_duration
-        basis_s = schmidt_decompose(build_kernel(self.filters["signal"], duration))
-        basis_a = schmidt_decompose(build_kernel(self.filters["idler"], duration))
-        return {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+        """One Schmidt basis per band, keyed like `filters`: both signal arms
+        pass the signal filter before the coupler, both heralds the idler
+        filter."""
+        return {band: schmidt_decompose(build_kernel(filt, self.gate_duration))
+                for band, filt in self.filters.items()}
 
     @cached_property
     def pair_modes(self):
@@ -250,23 +251,19 @@ class Scenario:
             gain = default_raman_gain()
         if cp.has_option("source", "raman_scale"):
             gain = gain.rescaled(cp.getfloat("source", "raman_scale"))
-        base = SourceParams(gamma=1e-6,
-                            length=cp.getfloat("source", "length_m"),
-                            temperature=cp.getfloat("source", "temperature_k"),
-                            raman_gain=gain,
-                            pump_center=self.pump_center,
-                            stokes_center=self.grids[STOKES].center,
-                            antistokes_center=self.grids[ANTISTOKES].center)
         target = cp.getfloat("source", "pair_probability")
-        gl = calibrate_gain(target, self.pair_modes, self.filters["signal"])
-        return replace(base, gamma=gl / base.length)
+        return SourceParams(
+            gamma_length=calibrate_gain(target, self.pair_modes, self.filters["signal"]),
+            length=cp.getfloat("source", "length_m"),
+            temperature=cp.getfloat("source", "temperature_k"),
+            raman_gain=gain)
 
     @cached_property
     def source(self):
-        """One spool's state on the retained registers of bases A and C;
+        """One spool's state on the retained registers of the two bands;
         both spools share pump, parameters and bases."""
-        psi_s, _ = retained_register(self.bases["A"])
-        psi_a, _ = retained_register(self.bases["C"])
+        psi_s, _ = retained_register(self.bases["signal"])
+        psi_a, _ = retained_register(self.bases["idler"])
         return source_moments(self.source_params, self.pair_modes, psi_s, psi_a)
 
     # -- detectors ------------------------------------------------------
@@ -285,8 +282,8 @@ class Scenario:
         (sinh r cosh r)^2 |vt conj(psi_a)|^2 and (sinh r cosh r)^2
         |u^T conj(psi_s)|^2.
         """
-        psi_s, chi_s = retained_register(self.bases["A"])
-        psi_a, chi_a = retained_register(self.bases["C"])
+        psi_s, chi_s = retained_register(self.bases["signal"])
+        psi_a, chi_a = retained_register(self.bases["idler"])
         modes = self.pair_modes
         r = self.source_params.gamma_length * modes.s
         pair = (np.sinh(r) * np.cosh(r)) ** 2
@@ -317,7 +314,7 @@ class Scenario:
     # -- scan plan ------------------------------------------------------
     @cached_property
     def dip_width(self):
-        return hom_dip_width_estimate(self.bases["A"], self.pump)
+        return hom_dip_width_estimate(self.filters["signal"], self.pump)
 
     @cached_property
     def tau_list(self):

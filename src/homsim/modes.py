@@ -196,18 +196,15 @@ class ModeBasis:
     """Transmission eigenvalues (descending) with eigenmode samples.
 
     ``eigenmodes[:, j]`` holds phi_j(w_m), normalized so that
-    sum_m |phi_j|^2 dw = 2*pi.  ``unit_vectors[:, j]`` are the same modes
-    with unit Euclidean norm, convenient for projections.
+    sum_m |phi_j|^2 dw = 2*pi (as ``homsim modes --eigenmodes`` prints
+    them); it is the basis's one grid-sized array.
+    Projections take the retained columns scaled to unit Euclidean norm
+    (`network.retained_register`).
     """
 
     grid: FrequencyGrid
     eigenvalues: np.ndarray
     eigenmodes: np.ndarray
-
-    @cached_property
-    def unit_vectors(self):
-        """Computed once per basis: every delay of a scan projects onto them."""
-        return self.eigenmodes * np.sqrt(self.grid.spacing / TWO_PI)
 
     def retained(self):
         """Number of leading modes with chi >= MODE_RETENTION_CUTOFF, at most

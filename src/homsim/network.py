@@ -5,7 +5,9 @@ The two spools' Stokes fields reach the coupler with a relative delay tau
 B, while each spool's anti-Stokes field goes directly to its herald (C for
 the right spool, D for the left).
 
-Every detector counts photons behind its own gate+filter chain.  With the
+Every detector counts photons behind a gate+filter chain, one per band:
+both signal arms pass the signal filter before the coupler and both
+heralds the idler filter, so one Schmidt basis serves each band.  With the
 chain's kernel written as K = t^dag t, the port-A number operator is the
 transmitted intensity of the retimed chain,
 
@@ -94,7 +96,8 @@ def retained_register(basis):
     k = basis.retained()
     if k == 0:
         raise NetworkError("no retained detection modes (all chi below cutoff)")
-    return basis.unit_vectors[:, :k], basis.eigenvalues[:k]
+    return (basis.eigenmodes[:, :k] * np.sqrt(basis.grid.spacing / TWO_PI),
+            basis.eigenvalues[:k])
 
 
 def detection_mode_projection(source_r, source_l, bases, tau):
@@ -103,34 +106,32 @@ def detection_mode_projection(source_r, source_l, bases, tau):
     Parameters
     ----------
     source_r, source_l : SpoolMoments of the right and left spool, already
-        on the retained registers of the arms: right on (A, C), left on
-        (B, D).  Identical spools are passed as the same state twice.  The
-        two are independent, so every block between them is zero.
-    bases : dict with per-arm ModeBasis entries "A", "B", "C", "D"; A and B
-        must share one signal basis (one physical coupler), C and D may
-        differ.
+        on the retained registers of the two bands.  Identical spools are
+        passed as the same state twice.  The two are independent, so every
+        block between them is zero.
+    bases : dict with the ModeBasis of each band, "signal" and "idler".
+        Both signal arms (A, B) pass the one signal chain before the
+        coupler and both heralds (C, D) the one idler chain, so the
+        register is (k_s right Stokes, k_s left Stokes, k_a right
+        anti-Stokes, k_a left anti-Stokes) modes.
     tau : relative Stokes delay in seconds (right leads by +tau/2).  Only
         the relative delay is observable: each spool's chain co-moves with
         its own arrival, so a common shift of both spools cancels exactly.
     """
-    basis_a, basis_b = bases["A"], bases["B"]
-    if basis_a is not basis_b and not np.array_equal(
-            basis_a.eigenmodes, basis_b.eigenmodes):
-        raise NetworkError("A and B must share the signal-arm Schmidt basis")
-    psi_s, chi_s = retained_register(basis_a)
-    _, chi_c = retained_register(bases["C"])
-    _, chi_d = retained_register(bases["D"])
-    k_s, k_c, k_d = len(chi_s), len(chi_c), len(chi_d)
-    for spool, k_a in ((source_r, k_c), (source_l, k_d)):
+    basis_s = bases["signal"]
+    psi_s, chi_s = retained_register(basis_s)
+    _, chi_a = retained_register(bases["idler"])
+    k_s, k_a = len(chi_s), len(chi_a)
+    for spool in (source_r, source_l):
         if (spool.normal_stokes.shape != (k_s, k_s)
                 or spool.normal_antistokes.shape != (k_a, k_a)
                 or spool.anomalous.shape != (k_s, k_a)):
             raise NetworkError("spool register does not match the detection register")
-    m_tot = 2 * k_s + k_c + k_d
+    m_tot = 2 * (k_s + k_a)
     sl_rs = slice(0, k_s)
     sl_ls = slice(k_s, 2 * k_s)
-    sl_ra = slice(2 * k_s, 2 * k_s + k_c)
-    sl_la = slice(2 * k_s + k_c, m_tot)
+    sl_ra = slice(2 * k_s, 2 * k_s + k_a)
+    sl_la = slice(2 * k_s + k_a, m_tot)
 
     # the spools' register blocks (exact: detection forms vanish outside the
     # retained span, so dropped directions contribute factors of 1)
@@ -143,7 +144,7 @@ def detection_mode_projection(source_r, source_l, bases, tau):
         anomalous[sl_a, sl_s] = spool.anomalous.T
 
     # port forms: overlap of the delayed and advanced Schmidt modes
-    phases = np.exp(-1j * tau * basis_a.grid.points)
+    phases = np.exp(-1j * tau * basis_s.grid.points)
     overlap = psi_s.conj().T @ (phases[:, None] * psi_s)
     sq = np.sqrt(chi_s)
     cross = 0.5 * (sq[:, None] * overlap * sq[None, :])
@@ -155,12 +156,10 @@ def detection_mode_projection(source_r, source_l, bases, tau):
         q[sl_rs, sl_ls] = sign * cross
         q[sl_ls, sl_rs] = sign * cross.conj().T
         forms[name] = q
-    q_c = np.zeros((m_tot, m_tot), dtype=complex)
-    q_c[sl_ra, sl_ra] = np.diag(chi_c)
-    forms["C"] = q_c
-    q_d = np.zeros((m_tot, m_tot), dtype=complex)
-    q_d[sl_la, sl_la] = np.diag(chi_d)
-    forms["D"] = q_d
+    for name, sl_a in (("C", sl_ra), ("D", sl_la)):
+        q = np.zeros((m_tot, m_tot), dtype=complex)
+        q[sl_a, sl_a] = np.diag(chi_a)
+        forms[name] = q
 
     return DetectionMoments(normal=normal, anomalous=anomalous, forms=forms)
 
@@ -174,19 +173,17 @@ def _fwhm(x, y):
     return float(above[-1] - above[0])
 
 
-def hom_dip_width_estimate(signal_basis, pump):
+def hom_dip_width_estimate(signal_filter, pump):
     """Rough temporal width of the coincidence dip, used for scan ranges.
 
     The interference survives over the coherence time of the slower of the
     two spectral scales in play, so the estimate is the reciprocal of the
     narrower of the signal-filter bandwidth and the pump-induced
     correlation bandwidth; it brackets the simulated dip width within a
-    factor of about two.
+    factor of about two.  The filter's width is the FWHM of the chain
+    kernel's diagonal, which for the rectangular gate is |h|^2 T exactly.
     """
-    chi = signal_basis.eigenvalues
-    modes = signal_basis.eigenmodes
-    kern_diag = (np.abs(modes) ** 2 @ chi) * signal_basis.grid.spacing / TWO_PI
-    b_filter = _fwhm(signal_basis.grid.points, kern_diag)
+    b_filter = _fwhm(signal_filter.grid.points, signal_filter.power)
     phi = pump.autoconvolution
     omega_sum = np.arange(len(phi)) * pump.grid.spacing
     b_corr = _fwhm(omega_sum, np.abs(phi) ** 2)

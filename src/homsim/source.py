@@ -97,25 +97,11 @@ class PumpPulse:
         return phi
 
 
-def _carved_field_envelope(t, duration, rise):
-    """Field amplitude of a carved pulse: flat top, cosine edges.
-
-    The intensity is a Tukey window of FWHM `duration`; the field is its
-    square root, i.e. cos(pi u / 2) over each edge of width `rise`.
-    """
-    flat = duration - rise
-    at = np.abs(t)
-    f = np.zeros_like(at)
-    f[at <= flat / 2] = 1.0
-    edge = (at > flat / 2) & (at <= flat / 2 + rise)
-    f[edge] = np.cos(np.pi * (at[edge] - flat / 2) / (2 * rise))
-    return f
-
-
 def pump_spectrum(shape, params, energy, grid):
     """Sample a transform-limited pump spectrum and normalize to `energy`.
 
-    shape: ``cw_carved_rect`` (params: duration, optional rise_time) or
+    shape: ``cw_carved_rect`` (params: duration, optional rise_time; the
+    closed-form transform of the carved field) or
     ``transform_limited_gaussian`` (params: power_fwhm, rad/s).  Rejects
     grids holding less than 99.9% of the pulse energy.
     """
@@ -128,24 +114,18 @@ def pump_spectrum(shape, params, energy, grid):
         rise = params.get("rise_time", 0.0)
         if not 0 <= rise < T:
             raise SourceModelError("rise_time must satisfy 0 <= rise < duration")
-        if rise == 0.0:
-            amp = T * np.sinc((w - wc) * T / 2 / np.pi)
-            total_time = T  # integral |f|^2 dt of the unit rectangle
-        else:
-            # FFT of the field envelope on the time lattice dual to the grid
-            window = TWO_PI / grid.spacing
-            n_fft = 1
-            while n_fft < max(4 * grid.n_points, 16 * window / min(rise, T)):
-                n_fft *= 2
-            dt = window / n_fft
-            t = (np.arange(n_fft) - n_fft // 2) * dt
-            if t[-1] < 0.75 * T:
-                raise SourceModelError("grid spacing too coarse to hold this pulse in time")
-            f = _carved_field_envelope(t, T, rise)
-            spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f))) * dt
-            freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=dt)) * TWO_PI
-            amp = np.interp(w - wc, freqs, spec.real) + 1j * np.interp(w - wc, freqs, spec.imag)
-            total_time = np.sum(f**2) * dt
+        # the lattice samples the spectrum of a pulse whose support T + rise
+        # fits in the dual window 2 pi / dw without aliasing
+        if TWO_PI / grid.spacing < T + rise:
+            raise SourceModelError("grid spacing too coarse to hold this pulse in time")
+        # transform of the field: flat over |t| <= (T - rise)/2, then a
+        # quarter cosine over each edge of width rise (a Tukey intensity of
+        # FWHM T); integral |f|^2 dt = T
+        x = (w - wc) / TWO_PI
+        half_phase = (w - wc) * T / 2
+        amp = (T - rise) * np.sinc(x * (T - rise)) + rise * (
+            np.cos(np.pi / 4 + half_phase) * np.sinc(0.25 + x * rise)
+            + np.cos(np.pi / 4 - half_phase) * np.sinc(0.25 - x * rise))
         duration = T
     elif shape == "transform_limited_gaussian":
         fw = params["power_fwhm"]
@@ -160,8 +140,8 @@ def pump_spectrum(shape, params, energy, grid):
     amp = np.asarray(amp, dtype=complex)
     sampled = grid.integrate(np.abs(amp) ** 2)
     if shape == "cw_carved_rect":
-        # Parseval: integral |A|^2 dw = 2 pi * integral |f|^2 dt
-        fraction = sampled / (TWO_PI * total_time)
+        # Parseval: integral |A|^2 dw = 2 pi * integral |f|^2 dt = 2 pi T
+        fraction = sampled / (TWO_PI * duration)
     else:
         # analytic Gaussian tail outside the grid; |A|^2 has std fw/(2 sqrt(2 ln 2))
         from scipy.special import erf
@@ -258,30 +238,16 @@ def default_raman_gain():
 class SourceParams:
     """Fiber spool parameters shared by both spools."""
 
-    gamma: float            # SFWM coefficient, 1/(W*m)
-    length: float           # effective spool length, m
+    gamma_length: float     # SFWM gain gamma*L, 1/W
+    length: float           # effective spool length (scales the Raman block), m
     temperature: float      # phonon bath, K
     raman_gain: RamanGain
-    pump_center: float      # rad/s
-    stokes_center: float
-    antistokes_center: float
 
     def __post_init__(self):
         if not self.length > 0:
             raise SourceModelError("length must be positive")
         if not self.temperature > 0:
             raise SourceModelError("temperature must be positive")
-
-    @property
-    def gamma_length(self):
-        return self.gamma * self.length
-
-    def check_energy_conservation(self, spacing):
-        gap = abs(self.stokes_center + self.antistokes_center - 2 * self.pump_center)
-        if gap > spacing * (1 + 1e-9):
-            raise SourceModelError(
-                f"band centers violate energy conservation by {gap:.3e} rad/s "
-                f"(> one grid spacing {spacing:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +263,11 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
         if not pump.grid.aligned_with(g):
             raise SourceModelError("signal/idler grids are not on the pump lattice")
     d = pump.grid.spacing
+    gap = abs(grid_s.center + grid_a.center - 2 * pump.grid.center)
+    if gap > d * (1 + 1e-9):
+        raise SourceModelError(
+            f"band centers violate energy conservation by {gap:.3e} rad/s "
+            f"(> one grid spacing {d:.3e})")
     phi = pump.autoconvolution
     om0 = 2 * pump.grid.center - (pump.grid.n_points - 1) * d
     total = grid_s.points[:, None] + grid_a.points[None, :]
@@ -407,7 +378,6 @@ def source_moments(params, modes, psi_s, psi_a):
     (`raman_moments` on conj(psi)).
     """
     grid_s, grid_a = modes.grids[STOKES], modes.grids[ANTISTOKES]
-    params.check_energy_conservation(grid_s.spacing)
     r = params.gamma_length * modes.s
     peak = float(np.sinh(r[0]) ** 2) if len(r) else 0.0
     if peak > MAX_MODE_OCCUPATION:

@@ -16,6 +16,7 @@ from homsim.experiment import (
     run_delay_scan,
 )
 from homsim.modes import MAX_RETAINED_MODES
+from homsim.network import retained_register
 
 CHEAP = """
 [scenario]
@@ -228,11 +229,10 @@ class TestScan:
         _, scan = cheap
         phased = load_scenario(CHEAP)
         rng = np.random.default_rng(7)
-        for arm in "AC":
-            basis = phased.bases[arm]
+        for band in ("signal", "idler"):
+            basis = phased.bases[band]
             phases = np.exp(2j * np.pi * rng.random(basis.eigenmodes.shape[1]))
-            phased.bases[arm] = replace(basis, eigenmodes=basis.eigenmodes * phases)
-        phased.bases["B"], phased.bases["D"] = phased.bases["A"], phased.bases["C"]
+            phased.bases[band] = replace(basis, eigenmodes=basis.eigenmodes * phases)
         got = run_delay_scan(phased)
         np.testing.assert_allclose(got.p4, scan.p4, rtol=1e-6, atol=0)
         np.testing.assert_allclose(got.p2_ab, scan.p2_ab, rtol=1e-10, atol=0)
@@ -291,11 +291,10 @@ class TestSetup:
         sc = load_scenario(CHEAP, overrides=["filters.idler_bandwidth_ghz=40"])
 
         def chain(basis):
-            k = basis.retained()
-            psi = basis.unit_vectors[:, :k]
-            return (psi * basis.eigenvalues[:k][None, :]) @ psi.conj().T
+            psi, chi = retained_register(basis)
+            return (psi * chi[None, :]) @ psi.conj().T
 
-        k_s, k_a = chain(sc.bases["A"]), chain(sc.bases["C"])
+        k_s, k_a = chain(sc.bases["signal"]), chain(sc.bases["idler"])
         # the pair block on the grid, from the Schmidt pairs at the calibrated gain
         modes = sc.pair_modes
         r = sc.source_params.gamma_length * modes.s
@@ -340,6 +339,35 @@ class TestSetup:
         assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
         np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))
 
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_one_grid_sized_array_per_band(self, preset):
+        # after set-up the scenario holds exactly one n x n array per band:
+        # that band's Schmidt eigenmodes
+        sc = preset_scenario(preset)
+        for stage in (*SETUP_STAGES, "pair_modes", "conditioned_transmissions",
+                      "dip_width"):
+            getattr(sc, stage)
+        n = sc.grids["stokes"].n_points
+        seen, square = set(), []
+        stack = [sc]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.shape == (n, n):
+                    square.append(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif type(obj).__module__.startswith("homsim"):
+                stack.extend(vars(obj).values())
+        assert len(square) == 2
+        assert {id(a) for a in square} == {id(sc.bases[band].eigenmodes)
+                                          for band in ("signal", "idler")}
+
     def test_mode_cap_warns_once_per_basis(self):
         # 40 GHz filters on the multimode chains leave 14 modes at chi >= 1e-3:
         # the cap keeps 12, and each of the two bases says so once
@@ -347,8 +375,8 @@ class TestSetup:
                                                      "filters.idler_bandwidth_ghz=40"])
         with pytest.warns(RuntimeWarning) as record:
             for _ in range(3):
-                counts = [sc.bases[arm].retained() for arm in "ABCD"]
-        assert counts == [MAX_RETAINED_MODES] * 4
+                counts = [sc.bases[band].retained() for band in ("signal", "idler")]
+        assert counts == [MAX_RETAINED_MODES] * 2
         messages = [str(w.message) for w in record]
         assert len(messages) == 2
         for message in messages:

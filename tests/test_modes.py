@@ -13,6 +13,7 @@ from homsim.modes import (
     rect_rect_basis,
     schmidt_decompose,
 )
+from homsim.network import retained_register
 
 
 def slepian_gauss_legendre(c, nodes=400):
@@ -205,7 +206,7 @@ class TestSchmidt:
         kern = build_kernel(filt, 3.0)
         basis = schmidt_decompose(kern)
         k = basis.retained()
-        psi = basis.unit_vectors[:, :k]
+        psi = retained_register(basis)[0]
         residual = psi.conj().T @ kern.scaled @ psi - np.diag(basis.eigenvalues[:k])
         assert np.linalg.norm(residual) <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 
 from homsim.detection import coincidence_probability, singles_probability
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import build_kernel, make_profile, schmidt_decompose
+from homsim.modes import FilterProfile, build_kernel, make_profile, schmidt_decompose
 from homsim.network import (
     DetectorModel,
     NetworkError,
@@ -42,20 +42,14 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
                          10e-12, pg)
     gain = RamanGain(detuning=np.array([0.0, 1e15]), gain=np.array([0.0, 0.0]))
     grids = {STOKES: gs, ANTISTOKES: ga}
-    params = SourceParams(gamma=1e-6, length=1e3, temperature=77.0,
-                          raman_gain=gain, pump_center=WP,
-                          stokes_center=gs.center, antistokes_center=ga.center)
     filt = make_profile("rectangular", {"bandwidth": bandwidth}, gs)
     modes = factor_pair_amplitude(pump, grids)
     gl = calibrate_gain(pair_prob, modes, filt)
-    params = SourceParams(gamma=gl / 1e3, length=1e3, temperature=77.0,
-                          raman_gain=gain, pump_center=WP,
-                          stokes_center=gs.center, antistokes_center=ga.center)
-    basis_s = schmidt_decompose(build_kernel(
-        make_profile("rectangular", {"bandwidth": bandwidth}, gs), gate_t))
+    params = SourceParams(gamma_length=gl, length=1e3, temperature=77.0, raman_gain=gain)
+    basis_s = schmidt_decompose(build_kernel(filt, gate_t))
     basis_a = schmidt_decompose(build_kernel(
         make_profile("rectangular", {"bandwidth": bandwidth}, ga), gate_t))
-    bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+    bases = {"signal": basis_s, "idler": basis_a}
     moments = source_moments(params, modes, retained_register(basis_s)[0],
                              retained_register(basis_a)[0])
     return pump, moments, bases
@@ -90,7 +84,7 @@ class TestProjection:
             dm = detection_mode_projection(right, left, bases, tau)
             total = dm.mean_photons("A") + dm.mean_photons("B")
             # equals the chain-transmitted flux of both spools at any delay
-            chi = bases["A"].eigenvalues[:bases["A"].retained()]
+            chi = retained_register(bases["signal"])[1]
             per_spool = np.real(np.diag(right.normal_stokes)) @ chi
             assert total == pytest.approx(2 * per_spool, rel=1e-10)
 
@@ -125,10 +119,9 @@ class TestProjection:
         modes = PairModes(pump=pump, grids={STOKES: gs, ANTISTOKES: ga},
                           u=np.eye(2, dtype=complex), s=np.array([r, r]),
                           vt=np.array([[0.0, 1.0], [1.0, 0.0]], complex))
-        params = SourceParams(gamma=1.0, length=1.0, temperature=77.0,
+        params = SourceParams(gamma_length=1.0, length=1.0, temperature=77.0,
                               raman_gain=RamanGain(detuning=np.array([0.0, 1.0]),
-                                                   gain=np.array([0.0, 0.0])),
-                              pump_center=5.0, stokes_center=0.0, antistokes_center=10.0)
+                                                   gain=np.array([0.0, 0.0])))
 
         class TinyBasis:
             grid = gs
@@ -136,19 +129,15 @@ class TestProjection:
             eigenmodes = (np.array([[1.0], [1.0]], complex)
                           / np.sqrt(2) * np.sqrt(TWO_PI / gs.spacing))
 
-            @property
-            def unit_vectors(self):
-                return self.eigenmodes * np.sqrt(gs.spacing / TWO_PI)
-
             def retained(self):
                 return 1
 
         class TinyBasisA(TinyBasis):
             grid = ga
 
-        bases = {"A": TinyBasis(), "B": TinyBasis(), "C": TinyBasisA(), "D": TinyBasisA()}
-        spool = source_moments(params, modes, bases["A"].unit_vectors,
-                               bases["C"].unit_vectors)
+        bases = {"signal": TinyBasis(), "idler": TinyBasisA()}
+        spool = source_moments(params, modes, retained_register(bases["signal"])[0],
+                               retained_register(bases["idler"])[0])
         dm = detection_mode_projection(spool, spool, bases, 0.0)
         # M between the right-stokes register mode and the right-idler mode:
         # psi^dag M psi* with psi = (1,1)/sqrt2 gives mean of all entries
@@ -228,16 +217,6 @@ class TestProjection:
         dd = np.diff(vals[201], 2)
         assert np.max(np.abs(dd)) < 0.2 * np.max(vals[201])
 
-    def test_mismatched_ab_bases_rejected(self):
-        pump, moments, bases = build_scene()
-        other = schmidt_decompose(build_kernel(
-            make_profile("rectangular", {"bandwidth": TWO_PI * 12e9}, bases["A"].grid),
-            1e-10))
-        bad = dict(bases)
-        bad["B"] = other
-        with pytest.raises(NetworkError):
-            detection_mode_projection(moments, moments, bad, 0.0)
-
     def test_grid_mismatch_rejected(self):
         # a spool on a register one mode short of the detection register
         pump, moments, bases = build_scene()
@@ -253,10 +232,14 @@ class TestProjection:
                 detection_mode_projection(moments, short, bases, 0.0)
 
 
+def signal_filter(bases, bandwidth=TWO_PI * 24.6e9):
+    return make_profile("rectangular", {"bandwidth": bandwidth}, bases["signal"].grid)
+
+
 class TestDipWidth:
     def test_reciprocal_of_narrowest_scale(self):
         pump, moments, bases = build_scene()
-        width = hom_dip_width_estimate(bases["A"], pump)
+        width = hom_dip_width_estimate(signal_filter(bases), pump)
         # carved 100 ps pump: correlation band ~9-13 GHz, narrower than the
         # 24.6 GHz filter, so the estimate tracks its reciprocal
         assert 1.0 / 24.6e9 < width < 4.0 / 24.6e9
@@ -265,19 +248,26 @@ class TestDipWidth:
         widths = []
         for bw in (TWO_PI * 15e9, TWO_PI * 24.6e9, TWO_PI * 40e9):
             pump, moments, bases = build_scene(bandwidth=bw)
-            widths.append(hom_dip_width_estimate(bases["A"], pump))
+            widths.append(hom_dip_width_estimate(signal_filter(bases, bw), pump))
         assert widths[0] >= widths[1] >= widths[2]
+
+    def test_filter_power_is_the_chain_kernel_diagonal(self):
+        # the rectangular gate's kernel diagonal is |h|^2 T exactly, and the
+        # full Schmidt basis rebuilds it as sum_j chi_j |phi_j|^2
+        pump, moments, bases = build_scene()
+        filt = signal_filter(bases)
+        kernel = build_kernel(filt, 1e-10)
+        np.testing.assert_array_equal(np.diag(kernel.entries).real, filt.power * 1e-10)
+        basis = bases["signal"]
+        rebuilt = np.abs(basis.eigenmodes) ** 2 @ basis.eigenvalues
+        np.testing.assert_allclose(rebuilt, filt.power * 1e-10, rtol=0, atol=1e-12 * 1e-10)
 
     def test_degenerate_input_rejected(self):
         pump, moments, bases = build_scene()
-
-        class ZeroBasis:
-            grid = bases["A"].grid
-            eigenvalues = np.zeros(3)
-            eigenmodes = np.zeros((bases["A"].grid.n_points, 3), complex)
-
+        grid = bases["signal"].grid
+        dark = FilterProfile(grid=grid, amplitude=np.zeros(grid.n_points))
         with pytest.raises(NetworkError):
-            hom_dip_width_estimate(ZeroBasis(), pump)
+            hom_dip_width_estimate(dark, pump)
 
 
 class TestEngineProperties:

@@ -54,14 +54,11 @@ def full_moments(params, modes):
                           identity(modes.grids[ANTISTOKES]))
 
 
-def simple_params(gamma_length=1e-3, g_zero=False, temperature=77.0,
-                  detune=TWO_PI * 1.2e12):
+def simple_params(gamma_length=1e-3, g_zero=False, temperature=77.0):
     gain = default_raman_gain() if not g_zero else RamanGain(
         detuning=np.array([0.0, 1e14]), gain=np.array([0.0, 0.0]))
-    return SourceParams(gamma=gamma_length / 1000.0, length=1000.0,
-                        temperature=temperature, raman_gain=gain,
-                        pump_center=WP, stokes_center=WP - detune,
-                        antistokes_center=WP + detune)
+    return SourceParams(gamma_length=gamma_length, length=1000.0,
+                        temperature=temperature, raman_gain=gain)
 
 
 class TestPump:
@@ -113,6 +110,39 @@ class TestPump:
         grid = pump_grid(TWO_PI * 1e9, TWO_PI * 0.5e12)
         with pytest.raises(SourceModelError):
             pump_spectrum("cw_carved_rect", {"duration": 1e-10}, 0.0, grid)
+
+    @pytest.mark.parametrize("rise_fraction", [0.0, 0.3])
+    def test_carved_spectrum_matches_quadrature(self, rise_fraction):
+        # brute-force trapezoid transform of the field, flat over
+        # |t| <= (T - r)/2 with quarter-cosine edges of width r, with the
+        # breakpoints on the time lattice
+        T = 100e-12
+        rise = rise_fraction * T
+        grid = pump_grid(TWO_PI * 2e9, TWO_PI * 1.05e12)
+        pump = pump_spectrum("cw_carved_rect", {"duration": T, "rise_time": rise},
+                             1e-12, grid)
+        flat = (T - rise) / 2
+        detuning = grid.points - WP
+        t_flat = np.linspace(0.0, flat, 20001)
+        t_edge = np.linspace(flat, flat + rise, 8001)
+        quad = np.zeros(grid.n_points)
+        for rows in np.array_split(np.arange(grid.n_points), 16):
+            dt = detuning[rows, None]
+            quad[rows] = 2 * np.trapezoid(np.cos(dt * t_flat), t_flat, axis=1)
+            if rise:
+                edge = np.cos(np.pi * (t_edge - flat) / (2 * rise))
+                quad[rows] += 2 * np.trapezoid(edge * np.cos(dt * t_edge), t_edge, axis=1)
+        # both normalized to the same energy on the lattice
+        quad *= np.sqrt(1e-12 / (TWO_PI * grid.integrate(quad**2)))
+        assert np.max(np.abs(pump.amplitude - quad)) <= 1e-6 * np.max(np.abs(quad))
+
+    def test_carved_pulse_must_fit_the_dual_window(self):
+        # 2 pi / dw = 125 ps holds the 100 ps rectangle but not 100 + 30 ps
+        grid = pump_grid(TWO_PI * 8e9, TWO_PI * 2e12)
+        pump_spectrum("cw_carved_rect", {"duration": 1e-10}, 1e-12, grid)
+        with pytest.raises(SourceModelError, match="too coarse"):
+            pump_spectrum("cw_carved_rect", {"duration": 1e-10, "rise_time": 3e-11},
+                          1e-12, grid)
 
 
 class TestThermalOccupation:
@@ -170,6 +200,20 @@ class TestJSA:
                              1e-12, pg)
         assert np.all(fwm_joint_amplitude(pump, 0.0, gs, ga) == 0)
 
+    def test_energy_nonconserving_band_pair_rejected(self):
+        # both bands on the pump lattice, but their centers sum two spacings
+        # away from twice the pump carrier
+        d = TWO_PI * 1e9
+        gs, ga = make_grids(d, n=51)
+        ga_far = FrequencyGrid(center=ga.center + 2 * d, span=ga.span, n_points=ga.n_points)
+        pg = pump_grid(d, TWO_PI * 0.5e12)
+        pump = pump_spectrum("cw_carved_rect", {"duration": 1e-10, "rise_time": 3e-11},
+                             1e-12, pg)
+        assert pg.aligned_with(ga_far)
+        fwm_joint_amplitude(pump, 1.0, gs, ga)
+        with pytest.raises(SourceModelError, match="energy conservation"):
+            fwm_joint_amplitude(pump, 1.0, gs, ga_far)
+
     def test_grid_mismatch_rejected(self):
         d = TWO_PI * 1e9
         gs, _ = make_grids(d, n=51)
@@ -204,10 +248,7 @@ class TestRaman:
         pump = self._pump()
         gs, _ = make_grids(pump.grid.spacing, n=101)
         p1 = simple_params()
-        p2 = SourceParams(gamma=p1.gamma, length=2 * p1.length,
-                          temperature=p1.temperature, raman_gain=p1.raman_gain,
-                          pump_center=p1.pump_center, stokes_center=p1.stokes_center,
-                          antistokes_center=p1.antistokes_center)
+        p2 = replace(p1, length=2 * p1.length)
         t1 = np.trace(raman_moments(pump, p1, gs, STOKES, identity(gs))).real
         t2 = np.trace(raman_moments(pump, p2, gs, STOKES, identity(gs))).real
         assert t2 / t1 == pytest.approx(2.0, rel=1e-10)
@@ -315,7 +356,7 @@ class TestRamanDenseReference:
         d = pump.grid.spacing
         gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
         grid = gs if band == STOKES else ga
-        params = simple_params(detune=round(TWO_PI * 1.2e12 / d) * d)
+        params = simple_params()
         block = raman_moments(pump, params, grid, band, identity(grid))
         ref = dense_raman_block(pump, params, grid)
         assert np.max(np.abs(ref)) > 0
@@ -359,7 +400,7 @@ class TestRegisterProjection:
         psi = {STOKES: random_register(gs, 5, seed=1),
                ANTISTOKES: random_register(ga, 4, seed=2)}
         modes = factor_pair_amplitude(pump, grids)
-        params = simple_params(gamma_length=0.3 / modes.s[0], detune=detune)
+        params = simple_params(gamma_length=0.3 / modes.s[0])
         for band, grid in grids.items():
             self.assert_projects(
                 raman_moments(pump, params, grid, band, psi[band]),
@@ -413,9 +454,8 @@ class TestSourceMoments:
         j = np.array([[0.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.2, 0.0, 0.0]]) * 1e-3
         u, s, vt = np.linalg.svd(1j * j)
         modes = PairModes(pump=pump, grids={STOKES: gs, ANTISTOKES: ga}, u=u, s=s, vt=vt)
-        params = SourceParams(gamma=1.0, length=1.0, temperature=77.0,
-                              raman_gain=default_raman_gain(), pump_center=0.0,
-                              stokes_center=gs.center, antistokes_center=ga.center)
+        params = SourceParams(gamma_length=1.0, length=1.0, temperature=77.0,
+                              raman_gain=default_raman_gain())
         spool = full_moments(params, modes)
         np.testing.assert_allclose(spool.anomalous, 1j * j, rtol=1e-6)
         np.testing.assert_allclose(spool.normal_stokes, (1j * j).conj() @ (1j * j).T,
@@ -429,7 +469,7 @@ class TestSourceMoments:
         basis_s, basis_a = (schmidt_decompose(build_kernel(make_profile(
             "rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[band]), 1e-10))
             for band in (STOKES, ANTISTOKES))
-        bases = {"A": basis_s, "B": basis_s, "C": basis_a, "D": basis_a}
+        bases = {"signal": basis_s, "idler": basis_a}
         spool = source_moments(params, factor_pair_amplitude(pump, grids),
                                retained_register(basis_s)[0], retained_register(basis_a)[0])
         dm = detection_mode_projection(spool, spool, bases, 13e-12)
@@ -487,12 +527,7 @@ class TestSourceMoments:
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         modes = factor_pair_amplitude(pump, grids)
         gl = calibrate_gain(0.125, modes, filt)
-        tuned = SourceParams(gamma=gl / params.length, length=params.length,
-                             temperature=params.temperature,
-                             raman_gain=params.raman_gain,
-                             pump_center=params.pump_center,
-                             stokes_center=params.stokes_center,
-                             antistokes_center=params.antistokes_center)
+        tuned = replace(params, gamma_length=gl)
         rho = pair_production_probability(modes, gl, filt)
         resid = commutator_residual(pump, tuned, grids[STOKES])
         assert resid <= 10 * rho**2
@@ -527,12 +562,7 @@ class TestPairProbability:
         modes = factor_pair_amplitude(pump, grids)
         for target in (0.125, 0.039, 0.003):
             gl = calibrate_gain(target, modes, filt)
-            tuned = SourceParams(gamma=gl / params.length, length=params.length,
-                                 temperature=params.temperature,
-                                 raman_gain=params.raman_gain,
-                                 pump_center=params.pump_center,
-                                 stokes_center=params.stokes_center,
-                                 antistokes_center=params.antistokes_center)
+            tuned = replace(params, gamma_length=gl)
             assert pair_production_probability(modes, gl, filt) == pytest.approx(
                 target, rel=2e-6)
             # independent of the Schmidt-pair sum: the filtered diagonal of
