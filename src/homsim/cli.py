@@ -8,8 +8,13 @@ scan          delay scan of a scenario, written as CSV
 fit           Gaussian dip fit of a scan CSV
 oracle-check  Gaussian-engine vs Fock-oracle equivalence sweep
 
-Exit codes: 0 success, 2 configuration/parse failure, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 on success.  On failure `main` writes
+``error: <Type>: <message>`` to stderr and returns the code of the error's
+type, from one table (`EXIT_CODES`):
+
+  2  ExperimentError: a bad scenario, override, scan CSV or argument
+  4  OSError: an input that cannot be read or an output that cannot be written
+  3  any other error: a numerical failure or a physical range error
 """
 
 from __future__ import annotations
@@ -19,24 +24,19 @@ import sys
 
 import numpy as np
 
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_IO = 4
+from .experiment import ExperimentError
 
-
-class _CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
+EXIT_OTHER = 3
 
 
 def _parse_c_range(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise _CliError(f"--c-range wants start:stop:step, got {text!r}", EXIT_CONFIG)
+        raise ExperimentError(f"--c-range wants start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if step <= 0 or stop < start:
-        raise _CliError("empty c range", EXIT_CONFIG)
+        raise ExperimentError("empty c range")
     return np.arange(start, stop + step / 2, step)
 
 
@@ -44,40 +44,28 @@ def _write_or_print(text, path):
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _CliError(f"cannot write {path!r}: {exc}", EXIT_IO) from exc
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _load_scenario(args):
-    from .experiment import ExperimentError, load_scenario, preset_scenario
+    from .experiment import load_scenario, preset_scenario
 
     overrides = args.set or []
-    try:
-        if args.preset:
-            return preset_scenario(args.preset, overrides=overrides)
-        if not args.config:
-            raise _CliError("need --preset or --config", EXIT_CONFIG)
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _CliError(f"cannot read {args.config!r}: {exc}", EXIT_IO) from exc
-        return load_scenario(text, overrides=overrides)
-    except ExperimentError as exc:
-        raise _CliError(str(exc), EXIT_CONFIG) from exc
+    if args.preset:
+        return preset_scenario(args.preset, overrides=overrides)
+    if not args.config:
+        raise ExperimentError("need --preset or --config")
+    with open(args.config) as fh:
+        text = fh.read()
+    return load_scenario(text, overrides=overrides)
 
 
 def cmd_modes(args):
-    from .modes import ModeAnalysisError, eigenvalue_curve, rect_rect_basis
+    from .modes import eigenvalue_curve, rect_rect_basis
 
     c_values = _parse_c_range(args.c_range)
-    try:
-        rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
-    except ModeAnalysisError as exc:
-        raise _CliError(str(exc), EXIT_NUMERICAL) from exc
+    rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
     head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
     lines = [head]
     for row in rows:
@@ -97,65 +85,48 @@ def cmd_modes(args):
 
 
 def cmd_calibrate(args):
-    from .source import SourceModelError, pair_production_probability
+    from .source import pair_production_probability
 
     scenario = _load_scenario(args)
-    try:
-        params = scenario.source_params
-        prob = pair_production_probability(scenario.pair_modes, params.gamma_length,
-                                           scenario.filters["signal"])
-    except SourceModelError as exc:
-        raise _CliError(str(exc), EXIT_NUMERICAL) from exc
+    params = scenario.source_params
+    prob = pair_production_probability(scenario.pair_modes, params.gamma_length,
+                                       scenario.filters["signal"])
     sys.stdout.write(f"gammaL_per_W = {params.gamma_length:.9e}\n"
                      f"pair_probability = {prob:.9f}\n")
     return 0
 
 
 def cmd_scan(args):
-    from .experiment import ExperimentError, run_delay_scan
+    from .experiment import run_delay_scan
 
     scenario = _load_scenario(args)
-    try:
-        scan = run_delay_scan(scenario)
-    except ExperimentError as exc:
-        raise _CliError(str(exc), EXIT_NUMERICAL) from exc
+    scan = run_delay_scan(scenario)
     _write_or_print(scan.to_csv(), args.output)
     return 0
 
 
 def cmd_fit(args):
-    from .experiment import DelayScan, ExperimentError, FitError, fit_visibility
+    from .experiment import DelayScan, fit_visibility
 
-    try:
-        with open(args.input) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.input!r}: {exc}", EXIT_IO) from exc
-    try:
-        scan = DelayScan.from_csv(text)
-    except ExperimentError as exc:
-        raise _CliError(str(exc), EXIT_CONFIG) from exc
-    try:
-        fit = fit_visibility(scan, observable=args.observable)
-    except FitError as exc:
-        raise _CliError(str(exc), EXIT_NUMERICAL) from exc
+    with open(args.input) as fh:
+        text = fh.read()
+    scan = DelayScan.from_csv(text)
+    fit = fit_visibility(scan, observable=args.observable)
     _write_or_print(fit.summary(), args.output)
     return 0
 
 
 def cmd_oracle_check(args):
-    from .fock import FockOracleError, random_equivalence_comparison
+    from .fock import random_equivalence_comparison
 
-    try:
-        worst, checked = random_equivalence_comparison(n_states=args.states,
-                                                       seed=args.seed)
-    except FockOracleError as exc:
-        raise _CliError(str(exc), EXIT_NUMERICAL) from exc
+    worst, checked = random_equivalence_comparison(n_states=args.states,
+                                                   seed=args.seed)
     sys.stdout.write(f"states = {args.states}\ncomparisons = {checked}\n"
                      f"max_deviation = {worst:.3e}\n")
     if worst > args.tolerance:
-        raise _CliError(f"max deviation {worst:.3e} exceeds {args.tolerance:.1e}",
-                        EXIT_NUMERICAL)
+        sys.stderr.write(f"error: max deviation {worst:.3e} exceeds "
+                         f"{args.tolerance:.1e}\n")
+        return EXIT_OTHER
     return 0
 
 
@@ -202,16 +173,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except Exception as exc:  # anything unexpected counts as numerical failure
+    except Exception as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_NUMERICAL
+        for kind, code in EXIT_CODES:
+            if isinstance(exc, kind):
+                return code
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ from .network import (
 from .source import (
     ANTISTOKES,
     STOKES,
+    RamanGain,
     SourceParams,
     calibrate_gain,
     default_raman_gain,
@@ -69,7 +70,9 @@ DEFAULT_SCAN_HALFWIDTHS = 3.0
 
 
 class ExperimentError(ValueError):
-    """Raised for invalid scenario configurations or unusable scans."""
+    """Raised for a bad scenario, override, scan CSV or command-line argument:
+    input the user can correct (the CLI exits 2).  Failures of the physics
+    and numerics keep their own types."""
 
 
 class FitError(RuntimeError):
@@ -250,7 +253,8 @@ class Scenario:
         else:
             gain = default_raman_gain()
         if cp.has_option("source", "raman_scale"):
-            gain = gain.rescaled(cp.getfloat("source", "raman_scale"))
+            gain = RamanGain(gain.detuning,
+                             gain.gain * cp.getfloat("source", "raman_scale"))
         target = cp.getfloat("source", "pair_probability")
         return SourceParams(
             gamma_length=calibrate_gain(target, self.pair_modes, self.filters["signal"]),
@@ -340,7 +344,6 @@ class Scenario:
 class DelayScan:
     """Delay-resolved coincidence and singles probabilities."""
 
-    label: str
     tau: np.ndarray
     p4: np.ndarray
     p2_ab: np.ndarray
@@ -368,7 +371,7 @@ class DelayScan:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text, label="from_csv"):
+    def from_csv(cls, text):
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ExperimentError("empty scan CSV")
@@ -379,7 +382,7 @@ class DelayScan:
         data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
         if data.size == 0:
             raise ExperimentError("scan CSV has no rows")
-        return cls(label=label, tau=data[:, 0] * 1e-12, p4=data[:, 1],
+        return cls(tau=data[:, 0] * 1e-12, p4=data[:, 1],
                    p2_ab=data[:, 2], p2_acc=data[:, 3],
                    singles={"A": data[:, 4], "B": data[:, 5],
                             "C": data[:, 6], "D": data[:, 7]})
@@ -387,7 +390,8 @@ class DelayScan:
 
 def run_delay_scan(scenario):
     """Sweep the delay list; the source moments are computed once and
-    serve both spools."""
+    serve both spools.  Network and click-engine failures reach the caller
+    with their own types."""
     spool = scenario.source
     bases = scenario.bases
     detectors = scenario.detectors
@@ -397,19 +401,16 @@ def run_delay_scan(scenario):
     acc = np.empty(len(taus))
     singles = {name: np.empty(len(taus)) for name in "ABCD"}
     for i, tau in enumerate(taus):
-        try:
-            dm = detection_mode_projection(spool, spool, bases, tau)
-            query = dm.click_query(detectors)
-            p4[i] = coincidence_probability(dm.normal, dm.anomalous, query,
-                                            ("A", "B", "C", "D"))
-            p2[i] = coincidence_probability(dm.normal, dm.anomalous, query, ("A", "B"))
-            for name in "ABCD":
-                singles[name][i] = singles_probability(dm.normal, dm.anomalous,
-                                                       query, name)
-            acc[i] = singles["A"][i] * singles["B"][i]
-        except Exception as exc:
-            raise ExperimentError(f"scan failed at tau = {tau * 1e12:.3f} ps: {exc}") from exc
-    return DelayScan(label=scenario.label, tau=taus, p4=p4, p2_ab=p2, p2_acc=acc,
+        dm = detection_mode_projection(spool, spool, bases, tau)
+        query = dm.click_query(detectors)
+        p4[i] = coincidence_probability(dm.normal, dm.anomalous, query,
+                                        ("A", "B", "C", "D"))
+        p2[i] = coincidence_probability(dm.normal, dm.anomalous, query, ("A", "B"))
+        for name in "ABCD":
+            singles[name][i] = singles_probability(dm.normal, dm.anomalous,
+                                                   query, name)
+        acc[i] = singles["A"][i] * singles["B"][i]
+    return DelayScan(tau=taus, p4=p4, p2_ab=p2, p2_acc=acc,
                      singles=singles, dip_width=scenario.dip_width)
 
 

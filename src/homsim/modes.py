@@ -87,21 +87,12 @@ def load_tabulated_spectrum(path):
     converted to amplitude via 10^(dB/20).  Lines starting with '#' are
     comments.
     """
-    wl, db = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ModeAnalysisError(f"bad row in {path!r}: {line!r}")
-            wl.append(float(cols[0]))
-            db.append(float(cols[1]))
-    if len(wl) < 2:
-        raise ModeAnalysisError(f"tabulated spectrum {path!r} needs at least two rows")
-    omega = angular_from_nm(np.asarray(wl))
-    amp = 10.0 ** (np.asarray(db) / 20.0)
+    table = np.loadtxt(path, comments="#", ndmin=2)
+    if table.shape[1] != 2 or table.shape[0] < 2:
+        raise ModeAnalysisError(
+            f"tabulated spectrum {path!r} needs two columns and at least two rows")
+    omega = angular_from_nm(table[:, 0])
+    amp = 10.0 ** (table[:, 1] / 20.0)
     order = np.argsort(omega)
     return omega[order], amp[order]
 

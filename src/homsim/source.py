@@ -190,7 +190,6 @@ class RamanGain:
 
     detuning: np.ndarray  # rad/s, ascending, non-negative
     gain: np.ndarray      # 1/(W*m)
-    scale: float = 1.0
 
     def __post_init__(self):
         if np.any(np.asarray(self.gain) < 0):
@@ -201,29 +200,17 @@ class RamanGain:
         if np.any(a > self.detuning[-1] + 1e-6 * self.detuning[-1]):
             warnings.warn("Raman gain queried outside the tabulated range; using 0",
                           RuntimeWarning, stacklevel=2)
-        return self.scale * np.interp(a, self.detuning, self.gain, left=self.gain[0], right=0.0)
-
-    def rescaled(self, factor):
-        return RamanGain(detuning=self.detuning, gain=self.gain, scale=self.scale * factor)
+        return np.interp(a, self.detuning, self.gain, left=self.gain[0], right=0.0)
 
 
 def load_raman_gain(path):
     """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed)."""
-    nu, g = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise SourceModelError(f"bad row in Raman gain file {path!r}: {line!r}")
-            nu.append(float(cols[0]))
-            g.append(float(cols[1]))
-    if len(nu) < 2:
-        raise SourceModelError("Raman gain table needs at least two rows")
-    nu = np.asarray(nu) * TWO_PI * 1e12
-    g = np.asarray(g)
+    table = np.loadtxt(path, comments="#", ndmin=2)
+    if table.shape[1] != 2 or table.shape[0] < 2:
+        raise SourceModelError(
+            f"Raman gain file {path!r} needs two columns and at least two rows")
+    nu = table[:, 0] * TWO_PI * 1e12
+    g = table[:, 1]
     order = np.argsort(nu)
     return RamanGain(detuning=nu[order], gain=g[order])
 
@@ -278,21 +265,20 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
     return 1j * gamma_length * jsa
 
 
-def raman_moments(pump, params, grid, band, modes):
+def raman_moments(pump, params, grid, modes):
     """Hermitian PSD Raman occupation block of one band on the register
     `modes` (unit vectors on `grid`, one per column), in discrete units.
 
     The full block is N[m,n] = L dw dnu sum_k w_k conj(A_p(w_m - nu_k))
     A_p(w_n - nu_k), with w = g(nu) n_T(nu) and the detuning measured from
-    the pump carrier.  On the register it is L dw^2 c^dag diag(w) c, where
+    the pump carrier, so the band's side of the pump follows from `grid`.
+    On the register it is L dw^2 c^dag diag(w) c, where
     c[k, j] = sum_n A_p(w_n - nu_k) modes[n, j] is the linear convolution
     of mode j with the reversed pump amplitude: one FFT per mode.  Pump
     samples outside the pump's support add nothing and are left out, with
     the detunings they pair with.  The identity register gives the full
     block.
     """
-    if band not in (STOKES, ANTISTOKES):
-        raise SourceModelError(f"unknown band {band!r}")
     k = modes.shape[1]
     support = pump.support
     reversed_pump = pump.amplitude[support][::-1]
@@ -389,10 +375,9 @@ def source_moments(params, modes, psi_s, psi_a):
     antistokes = modes.vt @ psi_a.conj()    # (pairs, k_a)
     return SpoolMoments(
         normal_stokes=(stokes.conj().T @ (sh**2 * stokes)
-                       + raman_moments(modes.pump, params, grid_s, STOKES, psi_s.conj())),
+                       + raman_moments(modes.pump, params, grid_s, psi_s.conj())),
         normal_antistokes=(antistokes.conj().T @ (sh**2 * antistokes)
-                           + raman_moments(modes.pump, params, grid_a, ANTISTOKES,
-                                           psi_a.conj())),
+                           + raman_moments(modes.pump, params, grid_a, psi_a.conj())),
         anomalous=stokes.T @ (sh * ch * antistokes))
 
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from homsim import experiment
 from homsim.cli import main
 
 CHEAP = """
@@ -124,3 +127,64 @@ class TestOracleCheck:
         assert "max_deviation" in out
         worst = float(out.strip().splitlines()[-1].split("=")[1])
         assert worst < 1e-6
+
+
+class TestExitCodes:
+    """Each failure keeps its type; `main` maps the type to the exit code."""
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, code, kind", [
+        ("scan", ["filters.signal_shape=foo"], 2, "ExperimentError"),
+        ("calibrate", ["filters.signal_shape=foo"], 2, "ExperimentError"),
+        ("scan", ["pump.shape=foo"], 2, "ExperimentError"),
+        ("scan", ["scan.tau_min_ps=5", "scan.tau_max_ps=1"], 2, "ExperimentError"),
+        ("scan", ["source.raman_file={tmp}/missing.txt"], 4, "FileNotFoundError"),
+        ("calibrate", ["pump.rise_time_ps=200"], 3, "SourceModelError"),
+    ])
+    def test_scenario_failures(self, tmp_path, capsys, command, overrides, code, kind):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(CHEAP)
+        argv = [command, "--config", str(cfg)]
+        for ov in overrides:
+            argv += ["--set", ov.format(tmp=tmp_path)]
+        got, err = self.run(capsys, argv)
+        assert got == code
+        assert err.startswith(f"error: {kind}: ")
+
+    def test_missing_files(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        for argv in (["scan", "--config", str(missing / "scenario.ini")],
+                     ["fit", "--input", str(missing / "scan.csv")],
+                     ["modes", "--c-range", "0.7:0.7:1", "--output",
+                      str(missing / "table.csv")]):
+            code, err = self.run(capsys, argv)
+            assert code == 4
+            assert err.startswith("error: FileNotFoundError: ")
+
+    def test_argument_errors(self, capsys):
+        for argv in (["modes", "--c-range", "5:1:0.1"], ["modes", "--c-range", "1:2"],
+                     ["scan"]):
+            code, err = self.run(capsys, argv)
+            assert code == 2
+            assert err.startswith("error: ExperimentError: ")
+
+    def test_engine_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a spool whose pair block carries no photons is unphysical, so the
+        # click engine rejects it in the first delay of the scan
+        source_moments = experiment.source_moments
+
+        def without_photons(*args):
+            spool = source_moments(*args)
+            return replace(spool, normal_stokes=0 * spool.normal_stokes,
+                           normal_antistokes=0 * spool.normal_antistokes)
+
+        monkeypatch.setattr(experiment, "source_moments", without_photons)
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(CHEAP)
+        code, err = self.run(capsys, ["scan", "--config", str(cfg)])
+        assert code == 3
+        assert err.startswith("error: DetectionError: ")

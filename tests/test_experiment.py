@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from homsim.detection import DetectionError
 from homsim.experiment import (
     CSV_HEADER,
     DelayScan,
@@ -17,6 +18,7 @@ from homsim.experiment import (
 )
 from homsim.modes import MAX_RETAINED_MODES
 from homsim.network import retained_register
+from homsim.source import SourceModelError, default_raman_gain
 
 CHEAP = """
 [scenario]
@@ -57,11 +59,11 @@ points = 11
 """
 
 
-def synthetic_scan(vis, sigma_ps=20.0, base=1e-9, n=41, span_ps=120.0, label="syn"):
+def synthetic_scan(vis, sigma_ps=20.0, base=1e-9, n=41, span_ps=120.0):
     tau = np.linspace(-span_ps, span_ps, n) * 1e-12
     p4 = base * (1 - vis * np.exp(-(tau**2) / (2 * (sigma_ps * 1e-12) ** 2)))
     z = np.zeros_like(tau)
-    return DelayScan(label=label, tau=tau, p4=p4, p2_ab=z + base, p2_acc=z,
+    return DelayScan(tau=tau, p4=p4, p2_ab=z + base, p2_acc=z,
                      singles={k: z for k in "ABCD"}, dip_width=sigma_ps * 2e-12)
 
 
@@ -119,7 +121,7 @@ class TestFit:
         pulses = 5e12
         clean = synthetic_scan(0.5, base=2e-9)
         counts = rng.poisson(clean.p4 * pulses)
-        noisy = DelayScan(label="mc", tau=clean.tau, p4=counts / pulses,
+        noisy = DelayScan(tau=clean.tau, p4=counts / pulses,
                           p2_ab=clean.p2_ab, p2_acc=clean.p2_acc,
                           singles=clean.singles, dip_width=clean.dip_width)
         errors = np.sqrt(np.maximum(counts, 1)) / pulses
@@ -241,6 +243,16 @@ class TestScan:
                                        rtol=1e-12, atol=0)
 
 
+class TestScanErrors:
+    def test_engine_error_keeps_its_type(self):
+        # a pair block with no photons in either band is unphysical
+        sc = load_scenario(CHEAP)
+        sc.source = replace(sc.source, normal_stokes=0 * sc.source.normal_stokes,
+                            normal_antistokes=0 * sc.source.normal_antistokes)
+        with pytest.raises(DetectionError, match="physicality"):
+            run_delay_scan(sc)
+
+
 class TestConfigPaths:
     def test_custom_raman_file(self, tmp_path):
         gain_file = tmp_path / "gain.txt"
@@ -251,6 +263,18 @@ class TestConfigPaths:
         ref = default.source_params.raman_gain(2 * np.pi * 1.2e12)
         assert got == pytest.approx(2.4e-5, rel=1e-6)
         assert got != pytest.approx(ref)
+
+    def test_raman_scale_multiplies_the_gain_table(self):
+        sc = load_scenario(CHEAP, overrides=["source.raman_scale=2.5"])
+        gain = sc.source_params.raman_gain
+        default = default_raman_gain()
+        np.testing.assert_array_equal(gain.detuning, default.detuning)
+        np.testing.assert_array_equal(gain.gain, 2.5 * default.gain)
+
+    def test_negative_raman_scale_rejected(self):
+        sc = load_scenario(CHEAP, overrides=["source.raman_scale=-1"])
+        with pytest.raises(SourceModelError, match="non-negative"):
+            sc.source_params
 
     def test_tabulated_filter_in_scenario(self, tmp_path):
         from homsim.grids import nm_from_angular

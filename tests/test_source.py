@@ -235,13 +235,13 @@ class TestRaman:
         pump = self._pump()
         gs, _ = make_grids(pump.grid.spacing, n=101)
         params = simple_params(g_zero=True)
-        assert np.all(raman_moments(pump, params, gs, STOKES, identity(gs)) == 0)
+        assert np.all(raman_moments(pump, params, gs, identity(gs)) == 0)
 
     def test_cold_antistokes_vanishes(self):
         pump = self._pump()
         _, ga = make_grids(pump.grid.spacing, n=101)
         params = simple_params(temperature=1e-3)
-        block = raman_moments(pump, params, ga, ANTISTOKES, identity(ga))
+        block = raman_moments(pump, params, ga, identity(ga))
         assert np.max(np.abs(block)) < 1e-30
 
     def test_trace_linear_in_length(self):
@@ -249,22 +249,22 @@ class TestRaman:
         gs, _ = make_grids(pump.grid.spacing, n=101)
         p1 = simple_params()
         p2 = replace(p1, length=2 * p1.length)
-        t1 = np.trace(raman_moments(pump, p1, gs, STOKES, identity(gs))).real
-        t2 = np.trace(raman_moments(pump, p2, gs, STOKES, identity(gs))).real
+        t1 = np.trace(raman_moments(pump, p1, gs, identity(gs))).real
+        t2 = np.trace(raman_moments(pump, p2, gs, identity(gs))).real
         assert t2 / t1 == pytest.approx(2.0, rel=1e-10)
 
     def test_stokes_exceeds_antistokes_at_77k(self):
         pump = self._pump()
         gs, ga = make_grids(pump.grid.spacing, n=101)
         params = simple_params()
-        ts = np.trace(raman_moments(pump, params, gs, STOKES, identity(gs))).real
-        ta = np.trace(raman_moments(pump, params, ga, ANTISTOKES, identity(ga))).real
+        ts = np.trace(raman_moments(pump, params, gs, identity(gs))).real
+        ta = np.trace(raman_moments(pump, params, ga, identity(ga))).real
         assert ts > ta > 0
 
     def test_psd(self):
         pump = self._pump()
         gs, _ = make_grids(pump.grid.spacing, n=101)
-        block = raman_moments(pump, simple_params(), gs, STOKES, identity(gs))
+        block = raman_moments(pump, simple_params(), gs, identity(gs))
         eigs = np.linalg.eigvalsh(block)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
@@ -357,7 +357,7 @@ class TestRamanDenseReference:
         gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
         grid = gs if band == STOKES else ga
         params = simple_params()
-        block = raman_moments(pump, params, grid, band, identity(grid))
+        block = raman_moments(pump, params, grid, identity(grid))
         ref = dense_raman_block(pump, params, grid)
         assert np.max(np.abs(ref)) > 0
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -370,7 +370,7 @@ class TestRamanDenseReference:
                              pump_grid(d, 40 * d))
         gs, _ = make_grids(d, n=201)
         params = simple_params()
-        block = raman_moments(pump, params, gs, STOKES, identity(gs))
+        block = raman_moments(pump, params, gs, identity(gs))
         ref = dense_raman_block(pump, params, gs)
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -403,7 +403,7 @@ class TestRegisterProjection:
         params = simple_params(gamma_length=0.3 / modes.s[0])
         for band, grid in grids.items():
             self.assert_projects(
-                raman_moments(pump, params, grid, band, psi[band]),
+                raman_moments(pump, params, grid, psi[band]),
                 psi[band].conj().T @ dense_raman_block(pump, params, grid) @ psi[band])
         # the register modes are b_j = sum_m conj(psi_mj) a_m
         spool = source_moments(params, modes, psi[STOKES], psi[ANTISTOKES])
@@ -515,7 +515,7 @@ class TestSourceMoments:
             pump = pump_spectrum("cw_carved_rect",
                                  {"duration": 1e-10, "rise_time": 3e-11}, energy, pg)
             spool = full_moments(dark, factor_pair_amplitude(pump, grids))
-            raman = raman_moments(pump, params, gs, STOKES, identity(gs))
+            raman = raman_moments(pump, params, gs, identity(gs))
             out.append((np.trace(spool.normal_stokes).real, np.trace(raman).real))
         assert out[1][0] / out[0][0] == pytest.approx(4.0, rel=1e-3)
         assert out[1][1] / out[0][1] == pytest.approx(2.0, rel=1e-10)
@@ -532,7 +532,7 @@ class TestSourceMoments:
         resid = commutator_residual(pump, tuned, grids[STOKES])
         assert resid <= 10 * rho**2
         # the correction must beat the uncorrected defect by a wide margin
-        raman_flux = np.trace(raman_moments(pump, tuned, grids[STOKES], STOKES,
+        raman_flux = np.trace(raman_moments(pump, tuned, grids[STOKES],
                                             identity(grids[STOKES]))).real
         assert resid < 0.1 * raman_flux
 
