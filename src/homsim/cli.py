@@ -13,6 +13,7 @@ Exit codes: 0 on success.  On failure `main` writes
 type, from one table (`EXIT_CODES`):
 
   2  ExperimentError: a bad scenario, override, scan CSV or argument
+  2  configparser.Error: a key the chosen pump or filter shape needs is missing
   4  OSError: an input that cannot be read or an output that cannot be written
   3  any other error: a numerical failure or a physical range error
 """
@@ -20,13 +21,15 @@ type, from one table (`EXIT_CODES`):
 from __future__ import annotations
 
 import argparse
+import configparser
+import contextlib
 import sys
 
 import numpy as np
 
 from .experiment import ExperimentError
 
-EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
+EXIT_CODES = ((ExperimentError, 2), (configparser.Error, 2), (OSError, 4))
 EXIT_OTHER = 3
 
 
@@ -40,12 +43,12 @@ def _parse_c_range(text):
     return np.arange(start, stop + step / 2, step)
 
 
-def _write_or_print(text, path):
+def _output(path):
+    """The stream a command writes to: the file at `path`, opened before the
+    work starts so that a bad path fails at once, or stdout."""
     if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _load_scenario(args):
@@ -65,22 +68,24 @@ def cmd_modes(args):
     from .modes import eigenvalue_curve, rect_rect_basis
 
     c_values = _parse_c_range(args.c_range)
-    rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
-    head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
-    lines = [head]
-    for row in rows:
-        lines.append(", ".join(format(v, ".8f") for v in row))
-    out = "\n".join(lines) + "\n"
-    if args.eigenmodes is not None:
-        basis = rect_rect_basis(args.eigenmodes)
-        out += f"\n# eigenmodes at c = {args.eigenmodes} (omega/B, phi_0, phi_1, phi_2)\n"
-        b = 4.0 * args.eigenmodes
-        sel = np.abs(basis.grid.points) <= 0.75 * b
-        pts = basis.grid.points[sel]
-        for i in range(0, len(pts), max(1, len(pts) // 64)):
-            vals = [pts[i] / b] + [basis.eigenmodes[sel, j][i].real for j in range(3)]
-            out += ", ".join(format(v, ".6f") for v in vals) + "\n"
-    _write_or_print(out, args.output)
+    with _output(args.output) as out:
+        rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
+        head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
+        lines = [head]
+        for row in rows:
+            lines.append(", ".join(format(v, ".8f") for v in row))
+        text = "\n".join(lines) + "\n"
+        if args.eigenmodes is not None:
+            basis = rect_rect_basis(args.eigenmodes)
+            text += (f"\n# eigenmodes at c = {args.eigenmodes} "
+                     "(omega/B, phi_0, phi_1, phi_2)\n")
+            b = 4.0 * args.eigenmodes
+            sel = np.abs(basis.grid.points) <= 0.75 * b
+            pts = basis.grid.points[sel]
+            for i in range(0, len(pts), max(1, len(pts) // 64)):
+                vals = [pts[i] / b] + [basis.eigenmodes[sel, j][i].real for j in range(3)]
+                text += ", ".join(format(v, ".6f") for v in vals) + "\n"
+        out.write(text)
     return 0
 
 
@@ -100,8 +105,8 @@ def cmd_scan(args):
     from .experiment import run_delay_scan
 
     scenario = _load_scenario(args)
-    scan = run_delay_scan(scenario)
-    _write_or_print(scan.to_csv(), args.output)
+    with _output(args.output) as out:
+        out.write(run_delay_scan(scenario).to_csv())
     return 0
 
 
@@ -111,8 +116,8 @@ def cmd_fit(args):
     with open(args.input) as fh:
         text = fh.read()
     scan = DelayScan.from_csv(text)
-    fit = fit_visibility(scan, observable=args.observable)
-    _write_or_print(fit.summary(), args.output)
+    with _output(args.output) as out:
+        out.write(fit_visibility(scan, observable=args.observable).summary())
     return 0
 
 

@@ -84,7 +84,7 @@ class FitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _REQUIRED = {
-    "scenario": ["label", "pulses"],
+    "scenario": ["pulses"],
     "pump": ["shape", "center_nm", "energy_pj"],
     "source": ["detuning_thz", "length_m", "temperature_k", "pair_probability"],
     "filters": ["signal_shape", "idler_shape", "signal_bandwidth_ghz"],
@@ -160,26 +160,12 @@ class Scenario:
 
     # -- raw accessors ------------------------------------------------
     @property
-    def label(self):
-        return self.config.get("scenario", "label")
-
-    @property
     def pulses(self):
         return self.config.getfloat("scenario", "pulses")
 
     @property
     def pump_center(self):
         return angular_from_nm(self.config.getfloat("pump", "center_nm"))
-
-    @property
-    def pump_duration(self):
-        return self.pump.duration
-
-    @property
-    def gate_duration(self):
-        if self.config.has_option("filters", "gate_duration_ps"):
-            return self.config.getfloat("filters", "gate_duration_ps") * 1e-12
-        return self.pump_duration
 
     # -- lattice ------------------------------------------------------
     @cached_property
@@ -235,7 +221,7 @@ class Scenario:
         """One Schmidt basis per band, keyed like `filters`: both signal arms
         pass the signal filter before the coupler, both heralds the idler
         filter."""
-        return {band: schmidt_decompose(build_kernel(filt, self.gate_duration))
+        return {band: schmidt_decompose(build_kernel(filt, self.pump.duration))
                 for band, filt in self.filters.items()}
 
     @cached_property

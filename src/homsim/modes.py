@@ -17,9 +17,7 @@ problem), with a single dominant mode for c < 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .grids import TWO_PI, FrequencyGrid, angular_from_nm
 
 # Modes with chi below this are dropped from detection projections.
 MODE_RETENTION_CUTOFF = 1e-3
-MAX_RETAINED_MODES = 12
 
 EIGENVALUE_FLOOR = 1e-12
 EIGENVALUE_CEILING_TOL = 1e-6
@@ -198,23 +195,8 @@ class ModeBasis:
     eigenmodes: np.ndarray
 
     def retained(self):
-        """Number of leading modes with chi >= MODE_RETENTION_CUTOFF, at most
-        MAX_RETAINED_MODES."""
-        return self._retained_count
-
-    @cached_property
-    def _retained_count(self):
-        """Counted once per basis, so the cap warns once, not per delay."""
-        above = int(np.sum(self.eigenvalues >= MODE_RETENTION_CUTOFF))
-        if above > MAX_RETAINED_MODES:
-            dropped = self.eigenvalues[MAX_RETAINED_MODES:above]
-            kept = self.eigenvalues[:MAX_RETAINED_MODES]
-            warnings.warn(
-                f"the {MAX_RETAINED_MODES}-mode cap drops {len(dropped)} modes with "
-                f"chi >= {MODE_RETENTION_CUTOFF:g} (chi weight {np.sum(dropped):.3g}, "
-                f"{np.sum(dropped) / np.sum(kept):.2%} of the retained chi sum)",
-                RuntimeWarning, stacklevel=4)  # the caller of retained()
-        return min(above, MAX_RETAINED_MODES)
+        """Number of leading modes with chi >= MODE_RETENTION_CUTOFF."""
+        return int(np.sum(self.eigenvalues >= MODE_RETENTION_CUTOFF))
 
     def orthonormality_residual(self):
         g = self.eigenmodes.conj().T @ self.eigenmodes * self.grid.spacing

@@ -313,3 +313,49 @@ def test_criterion_9_plateau_counts(preset_results):
         ok = ok and slope < 1e-2
         details.append(f"tail slope {slope:.1e}")
     report(9, ok, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# 10. heralded visibility equals heralded purity
+# ---------------------------------------------------------------------------
+
+# The presets' pumps behind other filters.  tau_far lies far beyond the dip
+# and inside half the band grid's alias period 2 pi / dw (320 ps for 100 GHz
+# filters on 257 points).
+@pytest.mark.parametrize("preset, shape, ghz, tau_far_ps", [
+    ("single_mode", "rectangular", 69.9, 60),  # c = 0.71
+    ("single_mode", "gaussian", 40.0, 60),     # c = 0.41
+    ("multimode", "rectangular", 24.6, 300),   # c = 3.9
+    ("multimode", "gaussian", 24.6, 300),      # c = 3.9
+    ("multimode", "gaussian", 100.0, 200),     # c = 15.7, 33 modes per band
+])
+def test_criterion_10_heralded_purity(preset, shape, ghz, tau_far_ps):
+    # At low gain, with no noise and no loss, the HOM visibility of two
+    # heralded photons is the purity Tr sigma^2 of the heralded state
+    # (Mosley et al., PRL 100, 133601 (2008)), up to O(p) multi-pair terms.
+    p = 1e-4
+    overrides = ["source.raman_scale=0", f"source.pair_probability={p}",
+                 "detectors.dark_count_probability=0", "detectors.quantum_efficiency=1",
+                 "detectors.signal_transmission=1", "detectors.idler_transmission=1",
+                 "detectors.flux_calibration=false", "filters.grid_points=257",
+                 "scan.points=2", "scan.tau_min_ps=0", f"scan.tau_max_ps={tau_far_ps}"]
+    for arm in ("signal", "idler"):
+        overrides += [f"filters.{arm}_shape={shape}", f"filters.{arm}_bandwidth_ghz={ghz}"]
+    scenario = preset_scenario(preset, overrides=overrides)
+    scan = run_delay_scan(scenario)
+    vis = 1.0 - scan.p4[0] / scan.p4[1]
+    # the oracle reads the chain kernels and the unit-gain pair amplitude
+    # J = u diag(s) vt only: sigma ~ K_s^(1/2) J K_a* J^dag K_s^(1/2)
+    k_s, k_a = (build_kernel(scenario.filters[band], scenario.pump.duration).scaled
+                for band in ("signal", "idler"))
+    modes = scenario.pair_modes
+    pair = (modes.u * modes.s) @ modes.vt
+    chi, vecs = np.linalg.eigh(k_s)
+    root = (vecs * np.sqrt(np.clip(chi, 0.0, None))) @ vecs.conj().T
+    sigma = root @ pair @ k_a.conj() @ pair.conj().T @ root
+    purity = np.trace(sigma @ sigma).real / np.trace(sigma).real ** 2
+    gap = vis - purity
+    ok = abs(gap) <= 20 * p
+    report(10, ok, f"{preset} pump, {shape} {ghz} GHz: V = {vis:.6f}, "
+                   f"purity = {purity:.6f}, V - purity = {gap:+.1e} (bound 20 p) "
+                   f"({scenario.bases['signal'].retained()} modes per band)")

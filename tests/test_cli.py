@@ -144,6 +144,9 @@ class TestExitCodes:
         ("scan", ["scan.tau_min_ps=5", "scan.tau_max_ps=1"], 2, "ExperimentError"),
         ("scan", ["source.raman_file={tmp}/missing.txt"], 4, "FileNotFoundError"),
         ("calibrate", ["pump.rise_time_ps=200"], 3, "SourceModelError"),
+        # a key that the chosen shape needs is missing
+        ("calibrate", ["pump.shape=transform_limited_gaussian"], 2, "NoOptionError"),
+        ("scan", ["filters.signal_shape=tabulated"], 2, "NoOptionError"),
     ])
     def test_scenario_failures(self, tmp_path, capsys, command, overrides, code, kind):
         cfg = tmp_path / "scenario.ini"
@@ -164,6 +167,15 @@ class TestExitCodes:
             code, err = self.run(capsys, argv)
             assert code == 4
             assert err.startswith("error: FileNotFoundError: ")
+
+    def test_bad_output_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr(experiment, "run_delay_scan", scans.append)
+        code, err = self.run(capsys, ["scan", "--preset", "multimode", "--output",
+                                      str(tmp_path / "missing" / "scan.csv")])
+        assert code == 4
+        assert err.startswith("error: FileNotFoundError: ")
+        assert scans == []
 
     def test_argument_errors(self, capsys):
         for argv in (["modes", "--c-range", "5:1:0.1"], ["modes", "--c-range", "1:2"],

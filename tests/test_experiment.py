@@ -16,7 +16,7 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
-from homsim.modes import MAX_RETAINED_MODES
+from homsim.modes import MODE_RETENTION_CUTOFF
 from homsim.network import retained_register
 from homsim.source import SourceModelError, default_raman_gain
 
@@ -70,7 +70,7 @@ def synthetic_scan(vis, sigma_ps=20.0, base=1e-9, n=41, span_ps=120.0):
 class TestPresets:
     def test_multimode_fields(self):
         sc = preset_scenario("multimode")
-        assert sc.pump_duration == pytest.approx(100e-12)
+        assert sc.pump.duration == pytest.approx(100e-12)
         assert sc.config.getfloat("filters", "signal_bandwidth_ghz") == 24.6
         assert sc.config.getfloat("detectors", "signal_transmission") == 0.034
         assert sc.config.getfloat("detectors", "idler_transmission") == 0.050
@@ -81,7 +81,7 @@ class TestPresets:
 
     def test_single_mode_fields(self):
         sc = preset_scenario("single_mode")
-        assert sc.pump_duration == pytest.approx(6.46e-12, rel=0.01)
+        assert sc.pump.duration == pytest.approx(6.46e-12, rel=0.01)
         assert sc.config.getfloat("filters", "signal_bandwidth_ghz") == pytest.approx(69.9)
         assert sc.config.getfloat("detectors", "signal_transmission") == 0.055
         assert sc.config.getfloat("detectors", "idler_transmission") == 0.070
@@ -92,7 +92,7 @@ class TestPresets:
         with pytest.raises(ExperimentError) as err:
             load_scenario("")
         msg = str(err.value)
-        assert "scenario.label" in msg and "pump.shape" in msg
+        assert "scenario.pulses" in msg and "pump.shape" in msg
         assert "detectors.dark_count_probability" in msg
 
     def test_unknown_preset(self):
@@ -392,23 +392,21 @@ class TestSetup:
         assert {id(a) for a in square} == {id(sc.bases[band].eigenmodes)
                                           for band in ("signal", "idler")}
 
-    def test_mode_cap_warns_once_per_basis(self):
-        # 40 GHz filters on the multimode chains leave 14 modes at chi >= 1e-3:
-        # the cap keeps 12, and each of the two bases says so once
+    def test_register_keeps_every_mode_above_cutoff(self):
+        # 40 GHz filters on the multimode chains leave 14 modes at chi >= 1e-3,
+        # and the register keeps all of them without a warning
         sc = preset_scenario("multimode", overrides=["filters.signal_bandwidth_ghz=40",
                                                      "filters.idler_bandwidth_ghz=40"])
-        with pytest.warns(RuntimeWarning) as record:
-            for _ in range(3):
-                counts = [sc.bases[band].retained() for band in ("signal", "idler")]
-        assert counts == [MAX_RETAINED_MODES] * 2
-        messages = [str(w.message) for w in record]
-        assert len(messages) == 2
-        for message in messages:
-            assert "drops 2 modes" in message and "chi weight 0.00517" in message
-        # the presets keep every mode above the cutoff
-        for preset in ("single_mode", "multimode"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = [sc.bases[band].retained() for band in ("signal", "idler")]
+        assert counts == [14, 14]
+        for basis in sc.bases.values():
+            assert basis.eigenvalues[13] >= MODE_RETENTION_CUTOFF > basis.eigenvalues[14]
+        # the presets keep every mode above the cutoff: 2 and 9 per band
+        for preset, kept in (("single_mode", 2), ("multimode", 9)):
             bases = preset_scenario(preset).bases
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for basis in bases.values():
-                    basis.retained()
+                    assert basis.retained() == kept
