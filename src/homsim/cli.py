@@ -13,7 +13,6 @@ Exit codes: 0 on success.  On failure `main` writes
 type, from one table (`EXIT_CODES`):
 
   2  ExperimentError: a bad scenario, override, scan CSV or argument
-  2  configparser.Error: a key the chosen pump or filter shape needs is missing
   4  OSError: an input that cannot be read or an output that cannot be written
   3  any other error: a numerical failure or a physical range error
 """
@@ -21,7 +20,6 @@ type, from one table (`EXIT_CODES`):
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import sys
 
@@ -29,7 +27,7 @@ import numpy as np
 
 from .experiment import ExperimentError
 
-EXIT_CODES = ((ExperimentError, 2), (configparser.Error, 2), (OSError, 4))
+EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
 EXIT_OTHER = 3
 
 

@@ -65,7 +65,6 @@ from .source import (
 )
 
 CSV_HEADER = "tau_ps, p4, p2_ab, p2_acc, pA, pB, pC, pD"
-DEFAULT_SCAN_POINTS = 41
 DEFAULT_SCAN_HALFWIDTHS = 3.0
 
 
@@ -92,6 +91,29 @@ _REQUIRED = {
                   "quantum_efficiency", "dark_count_probability"],
 }
 
+# Written into the parser before the scenario, so `Scenario` reads each one.
+_DEFAULTS = {"pump": {"rise_time_ps": 0.0}, "source": {"raman_scale": 1.0},
+             "filters": {"grid_points": DEFAULT_GRID_POINTS,
+                         "grid_span_factor": DEFAULT_SPAN_FACTOR},
+             "detectors": {"flux_calibration": True}, "scan": {"points": 41}}
+
+# The keys each pump and filter shape reads, under the key that names it.
+_SHAPE_KEYS = {("pump", "shape"): {"cw_carved_rect": ["duration_ps"],
+                                   "transform_limited_gaussian": ["power_fwhm_ghz"]},
+               **{("filters", f"{arm}_shape"): {"rectangular": [f"{arm}_bandwidth_ghz"],
+                                                "gaussian": [f"{arm}_bandwidth_ghz"],
+                                                "tabulated": [f"{arm}_files"]}
+                  for arm in ("signal", "idler")}}
+
+# The getter of each key that is not a float, by name (no name is in two sections).
+_GETTERS = {"grid_points": "getint", "points": "getint", "flux_calibration": "getboolean",
+            **dict.fromkeys(["shape", "signal_shape", "idler_shape", "signal_files",
+                             "idler_files", "raman_file"], "get")}
+
+# Ranges no physics layer sees: flux calibration clamps efficiencies at 1.
+_RANGES = {"detectors.quantum_efficiency": (0, 1), "detectors.signal_transmission": (0, 1),
+           "detectors.idler_transmission": (0, 1), "scan.points": (1, np.inf)}
+
 PRESET_NAMES = ("multimode", "single_mode")
 
 
@@ -106,9 +128,10 @@ def load_scenario(config_text, overrides=None):
     """Parse a scenario from INI-style text (see the shipped preset files).
 
     `overrides` is an optional list of "section.key=value" strings applied
-    after parsing, last one wins.
+    after parsing, last one wins.  Every key is checked against the tables above.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    cp.read_dict(_DEFAULTS)
     try:
         cp.read_string(config_text)
     except configparser.Error as exc:
@@ -118,19 +141,37 @@ def load_scenario(config_text, overrides=None):
             raise ExperimentError(f"override {ov!r} is not section.key=value")
         target, value = ov.split("=", 1)
         section, key = target.split(".", 1)
-        if not cp.has_section(section.strip()):
-            cp.add_section(section.strip())
-        cp.set(section.strip(), key.strip(), value.strip())
-    missing = []
-    for section, keys in _REQUIRED.items():
-        if not cp.has_section(section):
-            missing.extend(f"{section}.{key}" for key in keys)
-            continue
-        for key in keys:
-            if not cp.has_option(section, key):
-                missing.append(f"{section}.{key}")
+        cp.read_dict({section.strip(): {key.strip(): value.strip()}})
+    known = {(s, k) for table in (_REQUIRED, _DEFAULTS) for s, keys in table.items() for k in keys}
+    known |= {("source", "raman_file"), ("scan", "tau_min_ps"), ("scan", "tau_max_ps")}
+    missing = [f"{section}.{key}" for section, keys in _REQUIRED.items()
+               for key in keys if not cp.has_option(section, key)]
+    problems = []
+    for (section, key), shapes in _SHAPE_KEYS.items():
+        known.update((section, k) for keys in shapes.values() for k in keys)
+        shape = cp.get(section, key, fallback=None)
+        if shape is not None and shape not in shapes:
+            problems.append(f"{section}.{key}: unknown shape {shape!r}, not one of {list(shapes)}")
+        missing += [f"{section}.{k}" for k in shapes.get(shape, [])
+                    if not cp.has_option(section, k)]
     if missing:
-        raise ExperimentError("missing required fields: " + ", ".join(missing))
+        problems.append("missing required fields: " + ", ".join(dict.fromkeys(missing)))
+    if cp.has_option("scan", "tau_min_ps") != cp.has_option("scan", "tau_max_ps"):
+        problems.append("scan.tau_min_ps, scan.tau_max_ps: set both or neither")
+    for section, key in [(s, k) for s in cp.sections() for k in cp.options(s)]:
+        name = f"{section}.{key}"
+        if (section, key) not in known:
+            problems.append(f"{name}: unknown key")
+            continue
+        try:
+            value = getattr(cp, _GETTERS.get(key, "getfloat"))(section, key)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+            continue
+        if name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
+            problems.append(f"{name} = {value} is outside {list(_RANGES[name])}")
+    if problems:
+        raise ExperimentError("; ".join(problems))
     return Scenario(config=cp)
 
 
@@ -138,18 +179,14 @@ def preset_scenario(name, overrides=None):
     return load_scenario(_preset_text(name), overrides=overrides)
 
 
-def _filter_spec(cp, arm, grid, center):
+def _filter_spec(cp, arm, grid):
     shape = cp.get("filters", f"{arm}_shape")
-    if shape == "rectangular":
-        bw = TWO_PI * 1e9 * cp.getfloat("filters", f"{arm}_bandwidth_ghz")
-        return make_profile("rectangular", {"bandwidth": bw, "center": center}, grid)
-    if shape == "gaussian":
-        bw = TWO_PI * 1e9 * cp.getfloat("filters", f"{arm}_bandwidth_ghz")
-        return make_profile("gaussian", {"fwhm": bw, "center": center}, grid)
     if shape == "tabulated":
         files = [f.strip() for f in cp.get("filters", f"{arm}_files").split(",")]
         return make_profile("tabulated", {"files": files}, grid)
-    raise ExperimentError(f"unknown filter shape {shape!r}")
+    bw = TWO_PI * 1e9 * cp.getfloat("filters", f"{arm}_bandwidth_ghz")
+    width = "bandwidth" if shape == "rectangular" else "fwhm"
+    return make_profile(shape, {width: bw}, grid)
 
 
 @dataclass
@@ -171,23 +208,16 @@ class Scenario:
     @cached_property
     def grids(self):
         cp = self.config
-        n_points = (cp.getint("filters", "grid_points")
-                    if cp.has_option("filters", "grid_points") else DEFAULT_GRID_POINTS)
-        span_factor = (cp.getfloat("filters", "grid_span_factor")
-                       if cp.has_option("filters", "grid_span_factor")
-                       else DEFAULT_SPAN_FACTOR)
+        n_points = cp.getint("filters", "grid_points")
         bw = TWO_PI * 1e9 * cp.getfloat("filters", "signal_bandwidth_ghz")
-        span = span_factor * bw
+        span = cp.getfloat("filters", "grid_span_factor") * bw
         spacing = span / (n_points - 1)
         wp = self.pump_center
         detune = TWO_PI * 1e12 * cp.getfloat("source", "detuning_thz")
         offset = round(detune / spacing) * spacing
         grid_s = FrequencyGrid(center=wp - offset, span=span, n_points=n_points)
         grid_a = FrequencyGrid(center=wp + offset, span=span, n_points=n_points)
-        if cp.has_option("pump", "grid_half_span_thz"):
-            half = TWO_PI * 1e12 * cp.getfloat("pump", "grid_half_span_thz")
-        else:
-            half = max(8.0 * span, TWO_PI * 0.5e12)
+        half = max(8.0 * span, TWO_PI * 0.5e12)
         n_pump = int(2 * half / spacing) // 2 * 2 + 1
         grid_p = FrequencyGrid(center=wp, span=spacing * (n_pump - 1), n_points=n_pump)
         return {STOKES: grid_s, ANTISTOKES: grid_a, "pump": grid_p}
@@ -199,22 +229,15 @@ class Scenario:
         energy = cp.getfloat("pump", "energy_pj") * 1e-12
         if shape == "cw_carved_rect":
             params = {"duration": cp.getfloat("pump", "duration_ps") * 1e-12,
-                      "rise_time": (cp.getfloat("pump", "rise_time_ps") * 1e-12
-                                    if cp.has_option("pump", "rise_time_ps") else 0.0)}
-        elif shape == "transform_limited_gaussian":
-            params = {"power_fwhm": TWO_PI * 1e9 * cp.getfloat("pump", "power_fwhm_ghz")}
+                      "rise_time": cp.getfloat("pump", "rise_time_ps") * 1e-12}
         else:
-            raise ExperimentError(f"unknown pump shape {shape!r}")
+            params = {"power_fwhm": TWO_PI * 1e9 * cp.getfloat("pump", "power_fwhm_ghz")}
         return pump_spectrum(shape, params, energy, self.grids["pump"])
 
     @cached_property
     def filters(self):
-        return {
-            "signal": _filter_spec(self.config, "signal", self.grids[STOKES],
-                                   self.grids[STOKES].center),
-            "idler": _filter_spec(self.config, "idler", self.grids[ANTISTOKES],
-                                  self.grids[ANTISTOKES].center),
-        }
+        return {"signal": _filter_spec(self.config, "signal", self.grids[STOKES]),
+                "idler": _filter_spec(self.config, "idler", self.grids[ANTISTOKES])}
 
     @cached_property
     def bases(self):
@@ -238,9 +261,7 @@ class Scenario:
             gain = load_raman_gain(cp.get("source", "raman_file"))
         else:
             gain = default_raman_gain()
-        if cp.has_option("source", "raman_scale"):
-            gain = RamanGain(gain.detuning,
-                             gain.gain * cp.getfloat("source", "raman_scale"))
+        gain = RamanGain(gain.detuning, gain.gain * cp.getfloat("source", "raman_scale"))
         target = cp.getfloat("source", "pair_probability")
         return SourceParams(
             gamma_length=calibrate_gain(target, self.pair_modes, self.filters["signal"]),
@@ -289,9 +310,7 @@ class Scenario:
         mu = cp.getfloat("detectors", "dark_count_probability")
         t_s = cp.getfloat("detectors", "signal_transmission")
         t_i = cp.getfloat("detectors", "idler_transmission")
-        flux_cal = (cp.getboolean("detectors", "flux_calibration")
-                    if cp.has_option("detectors", "flux_calibration") else True)
-        if flux_cal:
+        if cp.getboolean("detectors", "flux_calibration"):
             chi_s, chi_i = self.conditioned_transmissions
             eta_s = min(1.0, 2.0 * t_s * qe / chi_s)
             eta_i = min(1.0, t_i * qe / chi_i)
@@ -309,9 +328,7 @@ class Scenario:
     @cached_property
     def tau_list(self):
         cp = self.config
-        points = (cp.getint("scan", "points")
-                  if cp.has_option("scan", "points") else DEFAULT_SCAN_POINTS)
-        if cp.has_option("scan", "tau_min_ps") and cp.has_option("scan", "tau_max_ps"):
+        if cp.has_option("scan", "tau_min_ps"):
             lo = cp.getfloat("scan", "tau_min_ps") * 1e-12
             hi = cp.getfloat("scan", "tau_max_ps") * 1e-12
         else:
@@ -319,7 +336,7 @@ class Scenario:
             lo, hi = -half, half
         if not hi > lo:
             raise ExperimentError("scan range is empty")
-        return np.linspace(lo, hi, points)
+        return np.linspace(lo, hi, cp.getint("scan", "points"))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,10 @@ def load_tabulated_spectrum(path):
     converted to amplitude via 10^(dB/20).  Lines starting with '#' are
     comments.
     """
-    table = np.loadtxt(path, comments="#", ndmin=2)
+    try:
+        table = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ModeAnalysisError(f"tabulated spectrum {path!r}: {exc}") from exc
     if table.shape[1] != 2 or table.shape[0] < 2:
         raise ModeAnalysisError(
             f"tabulated spectrum {path!r} needs two columns and at least two rows")

@@ -205,7 +205,10 @@ class RamanGain:
 
 def load_raman_gain(path):
     """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed)."""
-    table = np.loadtxt(path, comments="#", ndmin=2)
+    try:
+        table = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise SourceModelError(f"Raman gain file {path!r}: {exc}") from exc
     if table.shape[1] != 2 or table.shape[0] < 2:
         raise SourceModelError(
             f"Raman gain file {path!r} needs two columns and at least two rows")

@@ -115,7 +115,6 @@ def test_criterion_4_engine_oracle_equivalence():
 
 IDEAL = """
 [scenario]
-label = ideal
 pulses = 1e10
 
 [pump]
@@ -233,7 +232,6 @@ def test_criterion_7_preset_visibilities(preset_results):
 
 CHEAP = """
 [scenario]
-label = cheap
 pulses = 1e10
 
 [pump]

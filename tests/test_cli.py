@@ -8,7 +8,6 @@ from homsim.cli import main
 
 CHEAP = """
 [scenario]
-label = custom
 pulses = 1e10
 
 [pump]
@@ -145,8 +144,8 @@ class TestExitCodes:
         ("scan", ["source.raman_file={tmp}/missing.txt"], 4, "FileNotFoundError"),
         ("calibrate", ["pump.rise_time_ps=200"], 3, "SourceModelError"),
         # a key that the chosen shape needs is missing
-        ("calibrate", ["pump.shape=transform_limited_gaussian"], 2, "NoOptionError"),
-        ("scan", ["filters.signal_shape=tabulated"], 2, "NoOptionError"),
+        ("calibrate", ["pump.shape=transform_limited_gaussian"], 2, "ExperimentError"),
+        ("scan", ["filters.signal_shape=tabulated"], 2, "ExperimentError"),
     ])
     def test_scenario_failures(self, tmp_path, capsys, command, overrides, code, kind):
         cfg = tmp_path / "scenario.ini"
@@ -157,6 +156,23 @@ class TestExitCodes:
         got, err = self.run(capsys, argv)
         assert got == code
         assert err.startswith(f"error: {kind}: ")
+
+    @pytest.mark.parametrize("override, key", [
+        ("scan.point=5", "scan.point"),
+        ("pump.grid_half_span_thz=1", "pump.grid_half_span_thz"),
+        ("source.length_m=abc", "source.length_m"),
+        ("scan.points=5%", "scan.points"),
+        ("scan.points=0", "scan.points"),
+        ("detectors.quantum_efficiency=1.5", "detectors.quantum_efficiency"),
+        ("scan.tau_min_ps=-5", "scan.tau_min_ps"),
+    ])
+    def test_bad_key_is_named(self, tmp_path, capsys, override, key):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(CHEAP)
+        code, err = self.run(capsys, ["scan", "--config", str(cfg), "--set", override])
+        assert code == 2
+        assert err.startswith("error: ExperimentError: ")
+        assert key in err
 
     def test_missing_files(self, tmp_path, capsys):
         missing = tmp_path / "missing"

@@ -8,6 +8,7 @@ from homsim.detection import DetectionError
 from homsim.experiment import (
     CSV_HEADER,
     DelayScan,
+    _DEFAULTS,
     ExperimentError,
     FitError,
     expected_counts,
@@ -22,7 +23,6 @@ from homsim.source import SourceModelError, default_raman_gain
 
 CHEAP = """
 [scenario]
-label = custom
 pulses = 1e10
 
 [pump]
@@ -94,6 +94,12 @@ class TestPresets:
         msg = str(err.value)
         assert "scenario.pulses" in msg and "pump.shape" in msg
         assert "detectors.dark_count_probability" in msg
+
+    def test_config_holds_every_default(self):
+        config = preset_scenario("single_mode").config
+        for section, keys in _DEFAULTS.items():
+            for key in keys:
+                assert config.has_option(section, key), f"{section}.{key}"
 
     def test_unknown_preset(self):
         with pytest.raises(ExperimentError, match="unknown preset"):

@@ -9,6 +9,7 @@ from homsim.modes import (
     build_kernel,
     effective_c,
     eigenvalue_curve,
+    load_tabulated_spectrum,
     make_profile,
     rect_rect_basis,
     schmidt_decompose,
@@ -74,6 +75,12 @@ class TestProfiles:
         narrow.write_text("1549.999 -1.0\n1550.001 -1.0\n")
         with pytest.raises(ModeAnalysisError, match="extrapolation"):
             make_profile("tabulated", {"files": [narrow]}, grid)
+
+    def test_ragged_table_names_its_path(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("1549.0 -3.0\n1550.0 -3.0 -1.0\n1551.0 -3.0\n")
+        with pytest.raises(ModeAnalysisError, match="ragged.txt"):
+            load_tabulated_spectrum(path)
 
 
 class TestKernel:

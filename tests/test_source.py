@@ -277,6 +277,12 @@ class TestRaman:
         with pytest.warns(RuntimeWarning):
             assert gain(TWO_PI * 5e12) == 0.0
 
+    def test_ragged_gain_file_names_its_path(self, tmp_path):
+        path = tmp_path / "gain.txt"
+        path.write_text("0.0 0.0\n1.0 2e-5 7\n2.0 4e-5\n")
+        with pytest.raises(SourceModelError, match="gain.txt"):
+            load_raman_gain(path)
+
 
 def dense_raman_block(pump, params, grid, weight=None):
     """Brute-force reference for the Raman block.
