@@ -112,7 +112,8 @@ _GETTERS = {"grid_points": "getint", "points": "getint", "flux_calibration": "ge
 
 # Ranges no physics layer sees: flux calibration clamps efficiencies at 1.
 _RANGES = {"detectors.quantum_efficiency": (0, 1), "detectors.signal_transmission": (0, 1),
-           "detectors.idler_transmission": (0, 1), "scan.points": (1, np.inf)}
+           "detectors.idler_transmission": (0, 1), "detectors.dark_count_probability": (0, 1),
+           "scan.points": (1, np.inf), "scenario.pulses": (1, np.inf)}
 
 PRESET_NAMES = ("multimode", "single_mode")
 
@@ -168,7 +169,9 @@ def load_scenario(config_text, overrides=None):
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
             continue
-        if name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
+        if isinstance(value, float) and not np.isfinite(value):
+            problems.append(f"{name} = {value} is not finite")
+        elif name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
             problems.append(f"{name} = {value} is outside {list(_RANGES[name])}")
     if problems:
         raise ExperimentError("; ".join(problems))

@@ -3,7 +3,13 @@
 States on up to four modes are built by brute force: diagonal preparations
 (thermal mixtures, Fock states) followed by Gaussian gates (two-mode
 squeezers, beamsplitters, phase shifts, single-mode squeezers) applied as
-matrix exponentials of the truncated generators.  Because the preparation
+matrix exponentials of the truncated generators.  Each generator conserves a
+quantum number of its modes: n1 + n2 for a beamsplitter, n1 - n2 for a
+two-mode squeezer, n mod 2 for a single-mode squeezer.  It couples no two
+Fock indices of different label, so its expm is exactly the direct sum of
+the expm of its blocks, each of size <= cutoff; the oracle exponentiates and
+applies the gates block by block, still by brute force and with no closed
+form shared with the Gaussian engine.  Because the preparation
 rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
 sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
 evolved, one-sided, and the weight they drop is counted in the capture
@@ -19,6 +25,7 @@ Gaussian engine consumes; agreement between the two paths validates both.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -52,29 +59,58 @@ def _initial_weights(spec, n_modes, cutoff):
     return p
 
 
-def _gates(spec, cutoff):
-    """(unitary, modes) per gate op: expm of the truncated generator."""
+@lru_cache
+def _generator_blocks(cutoff):
+    """Per gate kind, its generator's pieces cut into conserved blocks.
+
+    A list of (index sets (m, b), pieces (m, b, b)) per kind, one entry per
+    block size b, the m blocks of that size stacked.  An index is the joint
+    Fock index n1 * cutoff + n2 of the gate's modes (n for one mode); the
+    pieces are the ladder-operator products the gate's generator combines.
+    """
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     ad = a.T
+    ad2 = ad @ ad
+    n1, n2 = np.divmod(np.arange(cutoff ** 2), cutoff)
+    kinds = {"tmsv": (n1 - n2, [np.kron(ad, ad) - np.kron(a, a)]),
+             "bs": (n1 + n2, [np.kron(ad, a), np.kron(a, ad)]),
+             "squeeze": (np.arange(cutoff) % 2, [ad2, ad2.T])}
+    out = {}
+    for kind, (labels, pieces) in kinds.items():
+        sets = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+        stacks = [np.array([i for i in sets if i.size == size])
+                  for size in sorted({i.size for i in sets})]
+        out[kind] = [(idx, [g[idx[:, :, None], idx[:, None, :]] for g in pieces])
+                     for idx in stacks]
+    return out
+
+
+def _gates(spec, cutoff):
+    """(modes, gate) per gate op, over the joint Fock index of its modes.
+
+    A phase gate is its diagonal.  Any other gate is a list of (index sets
+    (m, b), unitary blocks (m, b, b)): the brute-force expm of each block of
+    its truncated generator, built from the pieces of `_generator_blocks`.
+    """
+    blocks = _generator_blocks(cutoff)
     for op in spec:
         kind = op[0]
-        if kind == "tmsv":
+        if kind == "phase":
+            _, mode, theta = op
+            yield (mode,), np.exp(1j * theta * np.arange(cutoff))
+        elif kind == "tmsv":
             _, pair, nbar = op
             r = np.arcsinh(np.sqrt(nbar))
-            yield expm(r * (np.kron(ad, ad) - np.kron(a, a))), pair
+            yield pair, [(idx, expm(r * gen)) for idx, (gen,) in blocks[kind]]
         elif kind == "bs":
             _, pair, theta, phi = op
-            gen = theta * (np.exp(1j * phi) * np.kron(ad, a)
-                           - np.exp(-1j * phi) * np.kron(a, ad))
-            yield expm(gen), pair
-        elif kind == "phase":
-            _, mode, theta = op
-            yield np.diag(np.exp(1j * theta * np.arange(cutoff))), (mode,)
+            yield pair, [(idx, expm(theta * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
+                         for idx, (up, down) in blocks[kind]]
         elif kind == "squeeze":
             _, mode, r, phi = op
-            ad2 = ad @ ad
-            gen = 0.5 * r * (np.exp(1j * phi) * ad2 - np.exp(-1j * phi) * ad2.T)
-            yield expm(gen), (mode,)
+            yield (mode,), [(idx, expm(0.5 * r * (np.exp(1j * phi) * up
+                                                  - np.exp(-1j * phi) * down)))
+                            for idx, (up, down) in blocks[kind]]
         elif kind not in ("thermal", "fock"):
             raise FockOracleError(f"unknown state op {kind!r}")
 
@@ -84,7 +120,10 @@ def fock_state_diagonal(spec, n_modes, cutoff):
 
     rho_0 = sum_n p_n |n><n| is diagonal, so the diagonal is
     sum_n p_n |U e_n|^2: the basis kets with p_n > eps * max(p) are evolved
-    as one (d, K) block, each gate applied one-sided to its modes' axes.
+    as one (d, K) array, each gate applied one-sided and block by block.  A
+    block mixes, for each occupation of the other modes, only the joint rows
+    its index set picks, and no other block of the gate reads or writes
+    them, so each block updates its rows in place.
 
     Rejects truncations capturing less than 1 - 1e-9 of the trace before
     evolution; the lost weight counts the thermal tail beyond the cutoff
@@ -106,13 +145,21 @@ def fock_state_diagonal(spec, n_modes, cutoff):
             "(thermal tail beyond the cutoff)")
     psi = np.zeros((p.size, kept.size), dtype=complex)
     psi[kept, np.arange(kept.size)] = 1.0
-    psi = psi.reshape((cutoff,) * n_modes + (kept.size,))
-    for gate, modes in _gates(spec, cutoff):
-        k = len(modes)
-        g = gate.reshape((cutoff,) * (2 * k))
-        psi = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), list(modes)))
-        psi = np.moveaxis(psi, list(range(k)), list(modes))
-    diag = (np.abs(psi.reshape(p.size, kept.size)) ** 2) @ p_kept
+    digits = _occupations(n_modes, cutoff)
+    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
+    for modes, gate in _gates(spec, cutoff):
+        modes = list(modes)
+        if isinstance(gate, np.ndarray):
+            psi *= gate[digits[modes[0]]][:, None]
+            continue
+        # joint rows with the gate's modes in vacuum, and each local index's offset
+        base = np.flatnonzero(~digits[modes].any(axis=0))
+        offset = strides[modes] @ _occupations(len(modes), cutoff)
+        for idx, block in gate:
+            rows = offset[idx][..., None] + base
+            moved = block @ np.take(psi, rows, axis=0).reshape(idx.shape + (-1,))
+            psi[rows] = moved.reshape(rows.shape + (-1,))
+    diag = (np.abs(psi) ** 2) @ p_kept
     captured = float(diag.sum())
     if captured < TRACE_CAPTURE:
         raise FockOracleError(

@@ -165,6 +165,8 @@ class TestExitCodes:
         ("scan.points=0", "scan.points"),
         ("detectors.quantum_efficiency=1.5", "detectors.quantum_efficiency"),
         ("scan.tau_min_ps=-5", "scan.tau_min_ps"),
+        ("detectors.dark_count_probability=nan", "detectors.dark_count_probability"),
+        ("scenario.pulses=-1", "scenario.pulses"),
     ])
     def test_bad_key_is_named(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "scenario.ini"

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -100,6 +101,19 @@ class TestPresets:
         for section, keys in _DEFAULTS.items():
             for key in keys:
                 assert config.has_option(section, key), f"{section}.{key}"
+
+    @pytest.mark.parametrize("override, problem", [
+        ("detectors.dark_count_probability=nan", "is not finite"),
+        ("source.length_m=inf", "is not finite"),
+        ("pump.energy_pj=-inf", "is not finite"),
+        ("detectors.dark_count_probability=1.5", "is outside [0, 1]"),
+        ("detectors.dark_count_probability=-1e-6", "is outside [0, 1]"),
+        ("scenario.pulses=0.5", "is outside [1, inf]"),
+    ])
+    def test_bad_float_is_named(self, override, problem):
+        key = override.split("=")[0]
+        with pytest.raises(ExperimentError, match=f"^{key} = .* {re.escape(problem)}$"):
+            load_scenario(CHEAP, overrides=[override])
 
     def test_unknown_preset(self):
         with pytest.raises(ExperimentError, match="unknown preset"):

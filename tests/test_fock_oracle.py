@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from homsim import fock
 from homsim.detection import ClickQuery, no_click_expectation, coincidence_probability
 from homsim.fock import (
     FockOracleError,
@@ -91,6 +92,14 @@ class TestOracleBasics:
         diag = fock_state_diagonal(spec, 3, 6)
         np.testing.assert_allclose(diag, _dense_diagonal(spec, 3, 6), rtol=0, atol=1e-14)
 
+    def test_phase_inside_an_interferometer(self):
+        # between two splitters the phase's sign reaches the diagonal; on a
+        # Fock or two-mode-squeezed input alone it is a global phase
+        spec = [("thermal", 0, 0.2), ("fock", 1, 1), ("bs", (0, 1), 0.6, 0.2),
+                ("phase", 0, 0.8), ("bs", (1, 0), 0.9, 1.3)]
+        diag = fock_state_diagonal(spec, 2, 14)
+        np.testing.assert_allclose(diag, _dense_diagonal(spec, 2, 14), rtol=0, atol=1e-14)
+
     def test_hom_null_single_photons(self):
         # two ideal single photons on a 50:50 splitter never coincide
         spec = [("fock", 0, 1), ("fock", 1, 1), ("bs", (0, 1), np.pi / 4, 0.0)]
@@ -109,6 +118,46 @@ class TestOracleBasics:
         p = fock_oracle_click_probability(
             spec, {"A": [1.0, 0.0], "C": [0.0, 1.0]}, 2, ("A", "C"), cutoff=8)
         assert p == pytest.approx(nbar, rel=2e-3)
+
+
+def _dense_generator(op, cutoff):
+    """The truncated generator of one gate op on its modes' joint Fock space."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    ad = a.T
+    kind = op[0]
+    if kind == "tmsv":
+        return np.arcsinh(np.sqrt(op[2])) * (np.kron(ad, ad) - np.kron(a, a))
+    if kind == "bs":
+        _, _, theta, phi = op
+        return theta * (np.exp(1j * phi) * np.kron(ad, a) - np.exp(-1j * phi) * np.kron(a, ad))
+    if kind == "squeeze":
+        _, _, r, phi = op
+        return 0.5 * r * (np.exp(1j * phi) * ad @ ad - np.exp(-1j * phi) * a @ a)
+    return 1j * op[2] * np.diag(np.arange(cutoff))
+
+
+class TestBlockGates:
+    @pytest.mark.parametrize("op", [("tmsv", (0, 1), 0.35), ("bs", (0, 1), 0.7, 0.4),
+                                    ("squeeze", 0, 0.3, 1.1), ("phase", 0, 0.9)],
+                             ids=lambda op: op[0])
+    def test_blocks_assemble_the_dense_gate(self, op):
+        # the blocks must partition the joint index and hold every entry of
+        # the dense generator: a wrong conserved label drops couplings and
+        # fails here rather than silently losing amplitude
+        for cutoff in range(6, 17):
+            gen = _dense_generator(op, cutoff)
+            ((_, gate),) = fock._gates([op], cutoff)
+            if isinstance(gate, np.ndarray):
+                gate = [(np.arange(cutoff)[:, None], gate[:, None, None])]
+            full = np.zeros_like(gen, dtype=complex)
+            inside = np.zeros(gen.shape, dtype=int)
+            for idx, blocks in gate:
+                for i, block in zip(idx, blocks):
+                    full[np.ix_(i, i)] = block
+                    inside[np.ix_(i, i)] += 1
+            assert np.array_equal(np.diag(inside), np.ones(len(gen), int)), cutoff
+            assert not np.any(gen[inside == 0]), cutoff
+            assert np.abs(full - expm(gen)).max() <= 1e-13, cutoff
 
 
 class TestEngineOracleEquivalence:
@@ -132,6 +181,11 @@ class TestEngineOracleEquivalence:
         spec = [("thermal", 0, 0.12), ("tmsv", (1, 2), 0.08),
                 ("bs", (0, 1), 0.6, 0.3), ("phase", 2, 1.1), ("bs", (1, 2), 0.4, -0.7)]
         self._compare(spec, {"A": [0.7, 0, 0], "B": [0, 0.5, 0], "C": [0, 0, 0.9]}, 3)
+
+    def test_phase_inside_an_interferometer(self):
+        spec = [("thermal", 0, 0.1), ("thermal", 1, 0.02), ("bs", (0, 1), np.pi / 4, 0.0),
+                ("phase", 1, 1.0), ("bs", (0, 1), np.pi / 4, 0.5)]
+        self._compare(spec, {"A": [0.9, 0], "B": [0, 0.7]}, 2)
 
     def test_single_mode_squeezer(self):
         spec = [("squeeze", 0, 0.25, 0.9), ("bs", (0, 1), np.pi / 4, 0.0)]
