@@ -147,14 +147,16 @@ def load_scenario(config_text, overrides=None):
     known |= {("source", "raman_file"), ("scan", "tau_min_ps"), ("scan", "tau_max_ps")}
     missing = [f"{section}.{key}" for section, keys in _REQUIRED.items()
                for key in keys if not cp.has_option(section, key)]
-    problems = []
+    problems, unread = [], {}
     for (section, key), shapes in _SHAPE_KEYS.items():
-        known.update((section, k) for keys in shapes.values() for k in keys)
         shape = cp.get(section, key, fallback=None)
         if shape is not None and shape not in shapes:
             problems.append(f"{section}.{key}: unknown shape {shape!r}, not one of {list(shapes)}")
-        missing += [f"{section}.{k}" for k in shapes.get(shape, [])
-                    if not cp.has_option(section, k)]
+        read = shapes.get(shape, [])
+        known.update((section, k) for k in read)
+        unread.update({(section, k): f"not read when {section}.{key} = {shape}"
+                       for keys in shapes.values() for k in keys if k not in read})
+        missing += [f"{section}.{k}" for k in read if not cp.has_option(section, k)]
     if missing:
         problems.append("missing required fields: " + ", ".join(dict.fromkeys(missing)))
     if cp.has_option("scan", "tau_min_ps") != cp.has_option("scan", "tau_max_ps"):
@@ -162,7 +164,7 @@ def load_scenario(config_text, overrides=None):
     for section, key in [(s, k) for s in cp.sections() for k in cp.options(s)]:
         name = f"{section}.{key}"
         if (section, key) not in known:
-            problems.append(f"{name}: unknown key")
+            problems.append(f"{name}: {unread.get((section, key), 'unknown key')}")
             continue
         try:
             value = getattr(cp, _GETTERS.get(key, "getfloat"))(section, key)

@@ -1,20 +1,20 @@
 """Truncated-Fock-space oracle for validating the Gaussian click engine.
 
 States on up to four modes are built by brute force: diagonal preparations
-(thermal mixtures, Fock states) followed by Gaussian gates (two-mode
-squeezers, beamsplitters, phase shifts, single-mode squeezers) applied as
-matrix exponentials of the truncated generators.  Each generator conserves a
-quantum number of its modes: n1 + n2 for a beamsplitter, n1 - n2 for a
-two-mode squeezer, n mod 2 for a single-mode squeezer.  It couples no two
-Fock indices of different label, so its expm is exactly the direct sum of
-the expm of its blocks, each of size <= cutoff; the oracle exponentiates and
-applies the gates block by block, still by brute force and with no closed
-form shared with the Gaussian engine.  Because the preparation
-rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
-sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
-evolved, one-sided, and the weight they drop is counted in the capture
-check together with the thermal tail beyond the cutoff.  Threshold-detector
-expectations then use
+(thermal mixtures, Fock states; at most one per mode, before any gate acts
+on it) followed by Gaussian gates (two-mode squeezers, beamsplitters, phase
+shifts, single-mode squeezers) applied as matrix exponentials of the
+truncated generators.  Each generator conserves a quantum number of its
+modes: n1 + n2 for a beamsplitter, n1 - n2 for a two-mode squeezer, n mod 2
+for a single-mode squeezer.  It couples no two Fock indices of different
+label, so its expm is exactly the direct sum of the expm of its blocks, each
+of size <= cutoff; the oracle exponentiates and applies the gates block by
+block, still by brute force and with no closed form shared with the Gaussian
+engine.  Because the preparation rho_0 = sum_n p_n |n><n| is diagonal, the
+evolved diagonal is sum_n p_n |U e_n|^2: only the basis kets with p_n above
+eps * max(p) are evolved, one-sided, and the weight they drop is counted in
+the capture check together with the thermal tail beyond the cutoff.
+Threshold-detector expectations then use
 
     <n| :exp(-w a^dag a): |n> = (1 - w)^n,
 
@@ -38,6 +38,16 @@ MAX_CUTOFF = 40
 
 class FockOracleError(ValueError):
     """Raised when the truncation cannot represent the requested state."""
+
+
+def _check_preparations(spec):
+    """Prepare each mode at most once, before any gate acts on it: the Fock
+    path prepares before all gates, the moments path in list order."""
+    touched = set()
+    for op in spec:
+        if op[0] in ("thermal", "fock") and op[1] in touched:
+            raise FockOracleError(f"{op!r}: mode {op[1]} is already prepared or gated")
+        touched.update(np.ravel(op[1]).tolist())
 
 
 def _initial_weights(spec, n_modes, cutoff):
@@ -136,6 +146,7 @@ def fock_state_diagonal(spec, n_modes, cutoff):
         raise FockOracleError(f"oracle supports at most {MAX_MODES} modes")
     if cutoff > MAX_CUTOFF:
         raise FockOracleError(f"oracle cutoff capped at {MAX_CUTOFF}")
+    _check_preparations(spec)
     p = _initial_weights(spec, n_modes, cutoff)
     kept = np.flatnonzero(p > np.finfo(float).eps * p.max())
     p_kept = p[kept]
@@ -212,6 +223,7 @@ def moments_from_state_spec(spec, n_modes):
              + conj(V) (N^T + I) V^T
         M' = U M U^T + U (N^T + I) V^T + V N U^T + V conj(M) V^T
     """
+    _check_preparations(spec)
     n = np.zeros((n_modes, n_modes), dtype=complex)
     m = np.zeros((n_modes, n_modes), dtype=complex)
     eye = np.eye(n_modes)
@@ -227,41 +239,34 @@ def moments_from_state_spec(spec, n_modes):
 
     for op in spec:
         kind = op[0]
+        u = eye.astype(complex)
+        v = np.zeros((n_modes, n_modes), dtype=complex)
         if kind == "thermal":
             _, mode, nbar = op
             n[mode, mode] += nbar
+            continue
         elif kind == "fock":
             raise FockOracleError("Fock preparations are not Gaussian")
         elif kind == "tmsv":
             _, (i, j), nbar = op
             r = np.arcsinh(np.sqrt(nbar))
-            u = eye.astype(complex).copy()
-            v = np.zeros((n_modes, n_modes), dtype=complex)
             u[i, i] = u[j, j] = np.cosh(r)
             v[i, j] = v[j, i] = np.sinh(r)
-            apply(u, v)
         elif kind == "bs":
             _, (i, j), theta, phi = op
-            u = eye.astype(complex).copy()
-            v = np.zeros((n_modes, n_modes), dtype=complex)
             u[i, i] = u[j, j] = np.cos(theta)
             u[i, j] = np.exp(1j * phi) * np.sin(theta)
             u[j, i] = -np.exp(-1j * phi) * np.sin(theta)
-            apply(u, v)
         elif kind == "phase":
             _, mode, theta = op
-            u = eye.astype(complex).copy()
             u[mode, mode] = np.exp(1j * theta)
-            apply(u, np.zeros((n_modes, n_modes), dtype=complex))
         elif kind == "squeeze":
             _, mode, r, phi = op
-            u = eye.astype(complex).copy()
-            v = np.zeros((n_modes, n_modes), dtype=complex)
             u[mode, mode] = np.cosh(r)
             v[mode, mode] = np.exp(1j * phi) * np.sinh(r)
-            apply(u, v)
         else:
             raise FockOracleError(f"unknown state op {kind!r}")
+        apply(u, v)
     return n, m
 
 

@@ -43,13 +43,13 @@ class ModeAnalysisError(ValueError):
 
 @dataclass(frozen=True)
 class FilterProfile:
-    """Spectral amplitude h(w) sampled on a grid, |h| <= 1."""
+    """Spectral amplitude h(w) sampled on a grid, |h| <= 1, real or complex as given."""
 
     grid: FrequencyGrid
     amplitude: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=complex)
+        amp = np.asarray(self.amplitude)
         if amp.shape != (self.grid.n_points,):
             raise ModeAnalysisError("amplitude length does not match grid")
         if np.max(np.abs(amp)) > 1.0 + 1e-12:
@@ -132,7 +132,7 @@ def make_profile(kind, params, grid):
             amp = amp / np.max(amp)
     else:
         raise ModeAnalysisError(f"unknown filter kind {kind!r}")
-    return FilterProfile(grid=grid, amplitude=amp.astype(complex))
+    return FilterProfile(grid=grid, amplitude=amp)
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +212,20 @@ def schmidt_decompose(kernel):
     herm_defect = np.max(np.abs(scaled - scaled.conj().T))
     if herm_defect > 1e-10 * max(1.0, np.max(np.abs(scaled))):
         raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
-    if np.max(np.abs(scaled.imag)) < 1e-14 * max(1.0, np.max(np.abs(scaled.real))):
-        vals, vecs = np.linalg.eigh(scaled.real)
-        vecs = vecs.astype(complex)
-    else:
-        vals, vecs = np.linalg.eigh(scaled)
+    vals, vecs = np.linalg.eigh(scaled)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    # complex for every kernel: real modes change how `raman_moments`' FFT rounds
+    vecs = vecs[:, ::-1].astype(complex)
     if vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
             f"leading eigenvalue {vals[0]:.8f} exceeds 1; check |h|, |f| <= 1 "
             "or refine the grid")
     vals[vals < EIGENVALUE_FLOOR] = 0.0
     # fix the free global phase: largest-|phi| sample made real positive
-    scale = np.sqrt(TWO_PI / kernel.grid.spacing)
-    for j in range(vecs.shape[1]):
-        m = np.argmax(np.abs(vecs[:, j]))
-        ref = vecs[m, j]
-        if abs(ref) > 0:
-            vecs[:, j] *= np.conj(ref) / abs(ref)
-    return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs * scale)
+    ref = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.conj(ref) / np.hypot(ref.real, ref.imag)
+    vecs *= np.sqrt(TWO_PI / kernel.grid.spacing)
+    return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs)
 
 
 def effective_c(bandwidth, duration):

@@ -148,12 +148,8 @@ def pump_spectrum(shape, params, energy, grid):
         sig_pow = fw / (2 * np.sqrt(2 * np.log(2)))
         fraction = float(erf(grid.span / 2 / (np.sqrt(2) * sig_pow)))
     if fraction < PUMP_CONTAINMENT:
-        missing = max(1e-12, 1.0 - fraction)
-        needed = grid.span * max(2.0, np.sqrt(missing / (1.0 - PUMP_CONTAINMENT)))
-        raise SourceModelError(
-            f"grid holds only {fraction:.4%} of the pump energy "
-            f"(needs >= {PUMP_CONTAINMENT:.1%}); widen the pump grid span "
-            f"to roughly {needed:.3e} rad/s")
+        raise SourceModelError(f"grid holds only {fraction:.4%} of the pump energy (needs >= "
+                               f"{PUMP_CONTAINMENT:.1%}); raise filters.grid_span_factor")
     amp *= np.sqrt(energy / (TWO_PI * sampled))
     return PumpPulse(grid=grid, amplitude=amp, duration=duration)
 
@@ -349,7 +345,7 @@ def factor_pair_amplitude(pump, grids):
     u, s, vt = np.linalg.svd(jsa, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
     return PairModes(pump=pump, grids={STOKES: grid_s, ANTISTOKES: grid_a},
-                     u=u[:, :rank], s=s[:rank], vt=vt[:rank])
+                     u=u[:, :rank].copy(), s=s[:rank], vt=vt[:rank].copy())
 
 
 def source_moments(params, modes, psi_s, psi_a):

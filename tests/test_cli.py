@@ -167,6 +167,9 @@ class TestExitCodes:
         ("scan.tau_min_ps=-5", "scan.tau_min_ps"),
         ("detectors.dark_count_probability=nan", "detectors.dark_count_probability"),
         ("scenario.pulses=-1", "scenario.pulses"),
+        # read only by another pump or filter shape
+        ("pump.power_fwhm_ghz=68.3", "pump.power_fwhm_ghz"),
+        ("filters.signal_files=x.txt", "filters.signal_files"),
     ])
     def test_bad_key_is_named(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "scenario.ini"
@@ -175,6 +178,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ExperimentError: ")
         assert key in err
+
+    def test_uncontained_pump_names_the_span_key(self, capsys):
+        code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
+                                      "--set", "pump.power_fwhm_ghz=3000"])
+        assert code == 3
+        assert err.startswith("error: SourceModelError: ")
+        assert "filters.grid_span_factor" in err
 
     def test_missing_files(self, tmp_path, capsys):
         missing = tmp_path / "missing"

@@ -115,6 +115,26 @@ class TestPresets:
         with pytest.raises(ExperimentError, match=f"^{key} = .* {re.escape(problem)}$"):
             load_scenario(CHEAP, overrides=[override])
 
+    @pytest.mark.parametrize("override, shape", [
+        ("pump.duration_ps=100", "pump.shape = transform_limited_gaussian"),
+        ("filters.signal_files=x.txt", "filters.signal_shape = rectangular"),
+        ("filters.idler_files=x.txt", "filters.idler_shape = rectangular"),
+    ])
+    def test_key_of_another_shape_is_named(self, override, shape):
+        key = override.split("=")[0]
+        with pytest.raises(ExperimentError, match=f"^{key}: not read when {shape}$"):
+            preset_scenario("single_mode", overrides=[override])
+
+    def test_keys_something_reads_stay_accepted(self):
+        # the signal bandwidth sizes the grids whatever the signal shape, and
+        # the rise time has a default under either pump shape
+        preset_scenario("single_mode", overrides=["filters.signal_shape=tabulated",
+                                                  "filters.signal_files=x.txt",
+                                                  "pump.rise_time_ps=0"])
+        with pytest.raises(ExperimentError, match="^filters.idler_bandwidth_ghz: not read"):
+            preset_scenario("single_mode", overrides=["filters.idler_shape=tabulated",
+                                                      "filters.idler_files=x.txt"])
+
     def test_unknown_preset(self):
         with pytest.raises(ExperimentError, match="unknown preset"):
             preset_scenario("nope")
@@ -296,6 +316,14 @@ class TestConfigPaths:
         with pytest.raises(SourceModelError, match="non-negative"):
             sc.source_params
 
+    def test_pump_containment_names_the_span_key(self):
+        # the pump grid scales with filters.grid_span_factor, and raising it
+        # is what the error asks for
+        wide = ["pump.power_fwhm_ghz=3000"]
+        with pytest.raises(SourceModelError, match="raise filters.grid_span_factor$"):
+            preset_scenario("single_mode", overrides=wide).pump
+        preset_scenario("single_mode", overrides=wide + ["filters.grid_span_factor=10"]).pump
+
     def test_tabulated_filter_in_scenario(self, tmp_path):
         from homsim.grids import nm_from_angular
         sc0 = load_scenario(CHEAP)
@@ -386,7 +414,8 @@ class TestSetup:
     @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
     def test_one_grid_sized_array_per_band(self, preset):
         # after set-up the scenario holds exactly one n x n array per band:
-        # that band's Schmidt eigenmodes
+        # that band's Schmidt eigenmodes; a view keeps its base alive, so
+        # each array's base is walked too
         sc = preset_scenario(preset)
         for stage in (*SETUP_STAGES, "pair_modes", "conditioned_transmissions",
                       "dip_width"):
@@ -402,6 +431,7 @@ class TestSetup:
             if isinstance(obj, np.ndarray):
                 if obj.shape == (n, n):
                     square.append(obj)
+                stack.append(obj.base)
             elif isinstance(obj, dict):
                 stack.extend(obj.values())
             elif isinstance(obj, (list, tuple)):

@@ -83,6 +83,21 @@ class TestOracleBasics:
         with pytest.raises(FockOracleError, match="truncation"):
             fock_state_diagonal([("thermal", 0, 5.0)], 1, 6)
 
+    @pytest.mark.parametrize("spec", [
+        [("tmsv", (0, 1), 0.05), ("thermal", 0, 0.05)],
+        [("bs", (0, 1), 0.6, 0.3), ("thermal", 0, 0.2)],
+        [("thermal", 0, 0.05), ("thermal", 0, 0.05)],
+        [("phase", 1, 0.4), ("thermal", 1, 0.1)],
+        [("squeeze", 0, 0.1, 0.2), ("thermal", 0, 0.1)],
+    ])
+    def test_preparation_after_gate_or_twice_rejected(self, spec):
+        # the Fock path prepares before all gates, the moments path in list
+        # order: both refuse a spec on which they would disagree
+        with pytest.raises(FockOracleError, match="already prepared or gated"):
+            fock_state_diagonal(spec, 2, 14)
+        with pytest.raises(FockOracleError, match="already prepared or gated"):
+            moments_from_state_spec(spec, 2)
+
     def test_kets_match_dense_density_matrix(self):
         # gates on (0, 2) and on the reversed pair (2, 0) catch an axis slip
         spec = [("thermal", 0, 0.02), ("fock", 1, 1), ("tmsv", (0, 2), 0.05),

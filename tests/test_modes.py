@@ -217,6 +217,41 @@ class TestSchmidt:
         residual = psi.conj().T @ kern.scaled @ psi - np.diag(basis.eigenvalues[:k])
         assert np.linalg.norm(residual) <= 1e-12
 
+    @pytest.mark.parametrize("kind, params", [("rectangular", {"bandwidth": 2.0}),
+                                              ("gaussian", {"fwhm": 2.0})])
+    def test_real_filter_gives_real_kernel(self, kind, params):
+        # a real filter's kernel is real symmetric and takes a real eigh; the
+        # same filter passed as complex takes the Hermitian one
+        grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
+        filt = make_profile(kind, params, grid)
+        kern = build_kernel(filt, 3.0)
+        assert filt.amplitude.dtype == kern.entries.dtype == np.float64
+        as_complex = FilterProfile(grid=grid, amplitude=filt.amplitude.astype(complex))
+        assert build_kernel(as_complex, 3.0).entries.dtype == np.complex128
+        real, herm = (schmidt_decompose(build_kernel(f, 3.0)) for f in (filt, as_complex))
+        assert real.eigenmodes.dtype == herm.eigenmodes.dtype == np.complex128
+        assert np.max(np.abs(real.eigenvalues - herm.eigenvalues)) <= 1e-12
+        # an odd mode peaks at two mirror samples and the phase convention may
+        # pick either, so the modes agree up to one phase each
+        k = real.retained()
+        a, b = real.eigenmodes[:, :k], herm.eigenmodes[:, :k]
+        overlap = np.sum(np.conj(b) * a, axis=0)
+        assert np.max(np.abs(a - b * overlap / np.abs(overlap))) <= 1e-12
+
+    def test_phase_fix_matches_per_column_reference(self):
+        # reference: each column's largest-|phi| sample made real positive,
+        # one column at a time, on a kernel with a spectral phase
+        grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
+        phase = np.exp(1j * np.random.default_rng(5).normal(size=grid.n_points))
+        gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
+        kern = build_kernel(FilterProfile(grid=grid, amplitude=gauss.amplitude * phase), 3.0)
+        vecs = np.linalg.eigh(kern.scaled)[1][:, ::-1].copy()
+        for j in range(vecs.shape[1]):
+            ref = vecs[np.argmax(np.abs(vecs[:, j])), j]
+            vecs[:, j] *= np.conj(ref) / abs(ref)
+        np.testing.assert_array_equal(schmidt_decompose(kern).eigenmodes,
+                                      vecs * np.sqrt(TWO_PI / grid.spacing))
+
     def test_eigenvalue_above_one_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)
         bad = KernelMatrix(grid=grid, entries=np.eye(21) * (3 * TWO_PI / grid.spacing))
