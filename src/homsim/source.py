@@ -81,19 +81,25 @@ class PumpPulse:
     @cached_property
     def autoconvolution(self):
         """Phi = (A_p * A_p) dw in seconds, sampled at the pair sums
-        2 w_0 + k dw (k = 0 .. 2n - 2); computed once, by FFT.
+        2 w_0 + k dw (k = 0 .. 2n - 2); computed once, by FFT, in the
+        amplitude's dtype: a real amplitude (every shipped pump shape) gives
+        a real Phi through rfft/irfft, a complex one a complex Phi.
 
         Only the support is transformed, so Phi stays exactly zero where
         no pair of pump samples sums.
         """
-        phi = np.zeros(2 * self.grid.n_points - 1, dtype=complex)
+        real = not np.iscomplexobj(self.amplitude)
+        forward, inverse = ((scipy.fft.rfft, scipy.fft.irfft) if real
+                            else (scipy.fft.fft, scipy.fft.ifft))
+        phi = np.zeros(2 * self.grid.n_points - 1, dtype=float if real else complex)
         support = self.support
         a = self.amplitude[support]
         if a.size:
             n = 2 * len(a) - 1
-            spectrum = scipy.fft.fft(a, scipy.fft.next_fast_len(n))
+            size = scipy.fft.next_fast_len(n, real=real)
+            spectrum = forward(a, size)
             phi[2 * support.start:2 * support.start + n] = (
-                scipy.fft.ifft(spectrum * spectrum)[:n] * self.grid.spacing)
+                inverse(spectrum * spectrum, size)[:n] * self.grid.spacing)
         return phi
 
 
@@ -116,8 +122,14 @@ def pump_spectrum(shape, params, energy, grid):
             raise SourceModelError("rise_time must satisfy 0 <= rise < duration")
         # the lattice samples the spectrum of a pulse whose support T + rise
         # fits in the dual window 2 pi / dw without aliasing
-        if TWO_PI / grid.spacing < T + rise:
-            raise SourceModelError("grid spacing too coarse to hold this pulse in time")
+        window = TWO_PI / grid.spacing
+        if window < T + rise:
+            raise SourceModelError(
+                "grid spacing too coarse to hold this pulse in time: "
+                f"pump.duration_ps + pump.rise_time_ps = {(T + rise) * 1e12:.6g} ps exceeds "
+                f"the dual window 2 pi / dw = {window * 1e12:.6g} ps; shorten the pulse, or "
+                "shrink dw / 2 pi = filters.grid_span_factor * filters.signal_bandwidth_ghz"
+                " / (filters.grid_points - 1), e.g. by raising filters.grid_points")
         # transform of the field: flat over |t| <= (T - rise)/2, then a
         # quarter cosine over each edge of width rise (a Tukey intensity of
         # FWHM T); integral |f|^2 dt = T
@@ -137,7 +149,6 @@ def pump_spectrum(shape, params, energy, grid):
     else:
         raise SourceModelError(f"unknown pump shape {shape!r}")
 
-    amp = np.asarray(amp, dtype=complex)
     sampled = grid.integrate(np.abs(amp) ** 2)
     if shape == "cw_carved_rect":
         # Parseval: integral |A|^2 dw = 2 pi * integral |f|^2 dt = 2 pi T
@@ -240,9 +251,9 @@ class SourceParams:
 # FWM and Raman moment blocks
 # ---------------------------------------------------------------------------
 
-def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
-    """Joint spectral amplitude JSA(w_s, w_a) = i * gammaL * Phi(w_s + w_a),
-    with Phi the discrete pump autoconvolution, in seconds (continuum units)."""
+def _pair_sum_matrix(pump, grid_s, grid_a):
+    """Phi(w_s + w_a) on the (Stokes, anti-Stokes) grids, in Phi's dtype and
+    zero where the pair sum leaves Phi's lattice."""
     for g in (grid_s, grid_a):
         if not pump.grid.compatible(g):
             raise SourceModelError("signal, idler and pump grids must share one spacing")
@@ -259,9 +270,15 @@ def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
     total = grid_s.points[:, None] + grid_a.points[None, :]
     idx = np.rint((total - om0) / d).astype(int)
     inside = (idx >= 0) & (idx < len(phi))
-    jsa = np.zeros(total.shape, dtype=complex)
-    jsa[inside] = phi[idx[inside]]
-    return 1j * gamma_length * jsa
+    matrix = np.zeros(total.shape, dtype=phi.dtype)
+    matrix[inside] = phi[idx[inside]]
+    return matrix
+
+
+def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
+    """Joint spectral amplitude JSA(w_s, w_a) = i * gammaL * Phi(w_s + w_a),
+    with Phi the discrete pump autoconvolution, in seconds (continuum units)."""
+    return 1j * gamma_length * _pair_sum_matrix(pump, grid_s, grid_a)
 
 
 def raman_moments(pump, params, grid, modes):
@@ -326,9 +343,11 @@ class PairModes:
     """Schmidt pairs of the unit-gain discrete pair amplitude.
 
     J = i Phi(w_s + w_a) dw = u diag(s) vt over the Stokes and anti-Stokes
-    grids, keeping singular values above 1e-12 s[0].  The amplitude at gain
-    gammaL is gammaL * J, so one factorisation serves the gain calibration
-    and the moments at the calibrated gain.
+    grids, keeping singular values above 1e-12 s[0].  The SVD is of
+    Phi dw in the pump's dtype, real for every shipped pump shape, and the
+    factor i is carried by `u` alone.  The amplitude at gain gammaL is
+    gammaL * J, so one factorisation serves the gain calibration and the
+    moments at the calibrated gain.
     """
 
     pump: PumpPulse
@@ -339,13 +358,19 @@ class PairModes:
 
 
 def factor_pair_amplitude(pump, grids):
-    """SVD of the unit-gain pair amplitude on the (Stokes, anti-Stokes) grids."""
+    """SVD of the unit-gain pair amplitude on the (Stokes, anti-Stokes) grids.
+
+    One `np.linalg.svd` of Phi(w_s + w_a) dw in Phi's dtype (a real matrix
+    for a real pump amplitude); the i of J = i Phi dw then multiplies the
+    kept columns of u.
+    """
     grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
-    jsa = fwm_joint_amplitude(pump, 1.0, grid_s, grid_a) * grid_s.spacing
-    u, s, vt = np.linalg.svd(jsa, full_matrices=False)
+    amplitude = _pair_sum_matrix(pump, grid_s, grid_a)
+    amplitude *= grid_s.spacing
+    u, s, vt = np.linalg.svd(amplitude, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
     return PairModes(pump=pump, grids={STOKES: grid_s, ANTISTOKES: grid_a},
-                     u=u[:, :rank].copy(), s=s[:rank], vt=vt[:rank].copy())
+                     u=1j * u[:, :rank], s=s[:rank], vt=vt[:rank].copy())
 
 
 def source_moments(params, modes, psi_s, psi_a):

@@ -186,6 +186,16 @@ class TestExitCodes:
         assert err.startswith("error: SourceModelError: ")
         assert "filters.grid_span_factor" in err
 
+    def test_coarse_pump_grid_names_its_keys(self, capsys):
+        # multimode's dual window 2 pi / dw is 5.2 ns: a 6 ns pulse does not fit
+        code, err = self.run(capsys, ["calibrate", "--preset", "multimode",
+                                      "--set", "pump.duration_ps=6000"])
+        assert code == 3
+        assert err.startswith("error: SourceModelError: grid spacing too coarse")
+        for key in ("pump.duration_ps", "pump.rise_time_ps", "filters.grid_points",
+                    "filters.grid_span_factor", "filters.signal_bandwidth_ghz"):
+            assert key in err
+
     def test_missing_files(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         for argv in (["scan", "--config", str(missing / "scenario.ini")],

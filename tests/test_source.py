@@ -10,6 +10,7 @@ from homsim.modes import build_kernel, make_profile, schmidt_decompose
 from homsim.network import detection_mode_projection, retained_register
 from homsim.source import (
     ANTISTOKES,
+    CALIBRATION_RTOL,
     STOKES,
     PairModes,
     PumpPulse,
@@ -419,6 +420,63 @@ class TestRegisterProjection:
         self.assert_projects(spool.normal_antistokes,
                              psi_a.T @ full.normal_antistokes @ psi_a.conj())
         self.assert_projects(spool.anomalous, psi_s.conj().T @ full.anomalous @ psi_a.conj())
+
+
+class TestPumpDtype:
+    """The pump amplitude keeps its dtype: real for the shipped shapes, and a
+    complex one (a spectral phase) goes through the same calls."""
+
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
+    def test_shipped_shapes_stay_real(self, make_pump):
+        pump = make_test_pump(make_pump)
+        assert pump.amplitude.dtype == np.float64
+        assert pump.autoconvolution.dtype == np.float64
+        # a window inside the grid, so that the support ends short of both edges
+        x = np.abs(pump.grid.points - pump.center) / (pump.grid.span / 2)
+        for amp in (pump.amplitude, np.where(x < 0.4, pump.amplitude, 0.0)):
+            windowed = replace(pump, amplitude=amp)
+            phi, support = windowed.autoconvolution, windowed.support
+            lo, hi = 2 * support.start, 2 * support.stop - 1
+            assert np.all(phi[:lo] == 0.0) and np.all(phi[hi:] == 0.0)
+            a = amp[support]
+            direct = np.convolve(a, a) * pump.grid.spacing
+            assert np.max(np.abs(phi[lo:hi] - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert lo > 0 and hi < len(phi)
+
+    @staticmethod
+    def _time_shifted(pump, shift=20e-12):
+        return replace(pump, amplitude=pump.amplitude
+                       * np.exp(1j * (pump.grid.points - pump.center) * shift))
+
+    def test_complex_pump_rebuilds_the_pair_amplitude(self):
+        # a linear spectral phase delays the pulse: a complex Phi and a complex SVD
+        pump = self._time_shifted(make_test_pump("carved"))
+        gs, ga = make_grids(pump.grid.spacing, n=101)
+        modes = factor_pair_amplitude(pump, {STOKES: gs, ANTISTOKES: ga})
+        assert pump.autoconvolution.dtype == modes.vt.dtype == np.complex128
+        # the i of J = i Phi dw is carried by u
+        jsa = fwm_joint_amplitude(pump, 1.0, gs, ga) * gs.spacing
+        assert np.max(np.abs((modes.u * modes.s) @ modes.vt - jsa)) <= 1e-13 * modes.s[0]
+
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
+    def test_real_and_complex_pump_agree(self, make_pump):
+        pump = make_test_pump(make_pump)
+        as_complex = replace(pump, amplitude=pump.amplitude.astype(complex))
+        d = pump.grid.spacing
+        gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
+        grids = {STOKES: gs, ANTISTOKES: ga}
+        psi_s, psi_a = random_register(gs, 5, seed=1), random_register(ga, 4, seed=2)
+        filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, gs)
+        spools, gains = [], []
+        for p in (pump, as_complex):
+            modes = factor_pair_amplitude(p, grids)
+            gains.append(calibrate_gain(0.03, modes, filt))
+            params = simple_params(gamma_length=gains[0])
+            spools.append(source_moments(params, modes, psi_s, psi_a))
+        assert abs(gains[1] - gains[0]) <= CALIBRATION_RTOL * gains[0]
+        for f in ("normal_stokes", "normal_antistokes", "anomalous"):
+            ref, got = getattr(spools[0], f), getattr(spools[1], f)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSourceMoments:
