@@ -34,7 +34,6 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .detection import coincidence_probability, singles_probability
 from .grids import TWO_PI, FrequencyGrid, angular_from_nm
@@ -475,6 +474,8 @@ def fit_visibility(scan, observable="fourfold", sigma=None):
     bounds = ([0.0, 0.0, -1.0, 1e-3], [np.inf, 1.5, 2.0, 10.0])
     if sigma is not None:
         sigma = np.asarray(sigma, float) / base0
+    from scipy.optimize import curve_fit
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

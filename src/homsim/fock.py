@@ -8,12 +8,15 @@ truncated generators.  Each generator conserves a quantum number of its
 modes: n1 + n2 for a beamsplitter, n1 - n2 for a two-mode squeezer, n mod 2
 for a single-mode squeezer.  It couples no two Fock indices of different
 label, so its expm is exactly the direct sum of the expm of its blocks, each
-of size <= cutoff; the oracle exponentiates and applies the gates block by
-block, still by brute force and with no closed form shared with the Gaussian
-engine.  Because the preparation rho_0 = sum_n p_n |n><n| is diagonal, the
-evolved diagonal is sum_n p_n |U e_n|^2: only the basis kets with p_n above
-eps * max(p) are evolved, one-sided, and the weight they drop is counted in
-the capture check together with the thermal tail beyond the cutoff.
+of size <= cutoff.  Every truncated generator G is anti-Hermitian, so the
+oracle exponentiates a block from the eigendecomposition of the Hermitian
+iG = V diag(lambda) V^dag as exp(G) = V diag(exp(-i lambda)) V^dag, and
+applies the gates block by block: still brute force, with no closed form
+shared with the Gaussian engine.  Because the preparation
+rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
+sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
+evolved, one-sided, and the weight they drop is counted in the capture
+check together with the thermal tail beyond the cutoff.
 Threshold-detector expectations then use
 
     <n| :exp(-w a^dag a): |n> = (1 - w)^n,
@@ -29,7 +32,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
 
 TRACE_CAPTURE = 1.0 - 1e-9
 MAX_MODES = 4
@@ -95,12 +97,20 @@ def _generator_blocks(cutoff):
     return out
 
 
+def _expm_anti_hermitian(gen):
+    """exp(G) for a stack (m, b, b) of anti-Hermitian G, from one batched
+    `eigh` of the Hermitian iG: exp(G) = V diag(exp(-i lambda)) V^dag."""
+    lam, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 def _gates(spec, cutoff):
     """(modes, gate) per gate op, over the joint Fock index of its modes.
 
     A phase gate is its diagonal.  Any other gate is a list of (index sets
-    (m, b), unitary blocks (m, b, b)): the brute-force expm of each block of
-    its truncated generator, built from the pieces of `_generator_blocks`.
+    (m, b), unitary blocks (m, b, b)): the brute-force exponential of each
+    block of its truncated generator, built from the pieces of
+    `_generator_blocks`, by the `eigh` of the block's Hermitian iG.
     """
     blocks = _generator_blocks(cutoff)
     for op in spec:
@@ -111,15 +121,16 @@ def _gates(spec, cutoff):
         elif kind == "tmsv":
             _, pair, nbar = op
             r = np.arcsinh(np.sqrt(nbar))
-            yield pair, [(idx, expm(r * gen)) for idx, (gen,) in blocks[kind]]
+            yield pair, [(idx, _expm_anti_hermitian(r * gen)) for idx, (gen,) in blocks[kind]]
         elif kind == "bs":
             _, pair, theta, phi = op
-            yield pair, [(idx, expm(theta * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
+            yield pair, [(idx, _expm_anti_hermitian(
+                              theta * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
                          for idx, (up, down) in blocks[kind]]
         elif kind == "squeeze":
             _, mode, r, phi = op
-            yield (mode,), [(idx, expm(0.5 * r * (np.exp(1j * phi) * up
-                                                  - np.exp(-1j * phi) * down)))
+            yield (mode,), [(idx, _expm_anti_hermitian(
+                                 0.5 * r * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
                             for idx, (up, down) in blocks[kind]]
         elif kind not in ("thermal", "fock"):
             raise FockOracleError(f"unknown state op {kind!r}")
@@ -138,7 +149,7 @@ def fock_state_diagonal(spec, n_modes, cutoff):
     Rejects truncations capturing less than 1 - 1e-9 of the trace before
     evolution; the lost weight counts the thermal tail beyond the cutoff
     and the kets below the eps floor (at most d * eps).  The truncated
-    generators are anti-Hermitian, so their expm is exactly unitary and the
+    generators are anti-Hermitian, so their exponentials are unitary and the
     trace is conserved: no trace check can catch weight pushed against the
     cutoff during evolution.
     """

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 TWO_PI = 2.0 * np.pi
+# speed of light in vacuum, m/s (exact in SI since 2019; equals scipy.constants.c)
+C_LIGHT = 299792458.0
 # relative spacing mismatch below which two grids contract safely
 SPACING_RTOL = 1e-9
 # offset between two grid lattices, in spacings, below which they coincide

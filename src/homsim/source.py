@@ -31,10 +31,13 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-import scipy.fft
-from scipy.constants import hbar, k as k_B
 
 from .grids import TWO_PI, FrequencyGrid
+
+# reduced Planck and Boltzmann constants in SI units, from the exact SI-2019
+# h and k_B; bit-equal to scipy.constants.hbar and scipy.constants.k
+hbar = 6.62607015e-34 / TWO_PI  # J s
+k_B = 1.380649e-23  # J/K
 
 THERMAL_OCCUPATION_CAP = 1e12
 PUMP_CONTAINMENT = 0.999
@@ -88,6 +91,8 @@ class PumpPulse:
         Only the support is transformed, so Phi stays exactly zero where
         no pair of pump samples sums.
         """
+        import scipy.fft
+
         real = not np.iscomplexobj(self.amplitude)
         forward, inverse = ((scipy.fft.rfft, scipy.fft.irfft) if real
                             else (scipy.fft.fft, scipy.fft.ifft))
@@ -253,7 +258,11 @@ class SourceParams:
 
 def _pair_sum_matrix(pump, grid_s, grid_a):
     """Phi(w_s + w_a) on the (Stokes, anti-Stokes) grids, in Phi's dtype and
-    zero where the pair sum leaves Phi's lattice."""
+    zero where the pair sum leaves Phi's lattice.
+
+    The grids share one spacing and lattice, so entry (i, j) reads Phi at
+    the integer index i + j + k0, with k0 fixed by the grid starts: a
+    Hankel matrix, filled from a sliding window of the padded Phi."""
     for g in (grid_s, grid_a):
         if not pump.grid.compatible(g):
             raise SourceModelError("signal, idler and pump grids must share one spacing")
@@ -267,12 +276,14 @@ def _pair_sum_matrix(pump, grid_s, grid_a):
             f"(> one grid spacing {d:.3e})")
     phi = pump.autoconvolution
     om0 = 2 * pump.grid.center - (pump.grid.n_points - 1) * d
-    total = grid_s.points[:, None] + grid_a.points[None, :]
-    idx = np.rint((total - om0) / d).astype(int)
-    inside = (idx >= 0) & (idx < len(phi))
-    matrix = np.zeros(total.shape, dtype=phi.dtype)
-    matrix[inside] = phi[idx[inside]]
-    return matrix
+    k0 = int(np.rint((grid_s.points[0] + grid_a.points[0] - om0) / d))
+    n_s, n_a = grid_s.n_points, grid_a.n_points
+    # padded[k] = Phi[k + k0] for the n_s + n_a - 1 sums, zero off the lattice
+    padded = np.zeros(n_s + n_a - 1, dtype=phi.dtype)
+    lo, hi = max(0, -k0), min(padded.size, len(phi) - k0)
+    if lo < hi:
+        padded[lo:hi] = phi[lo + k0:hi + k0]
+    return np.lib.stride_tricks.sliding_window_view(padded, n_a)[:n_s].copy()
 
 
 def fwm_joint_amplitude(pump, gamma_length, grid_s, grid_a):
@@ -295,6 +306,8 @@ def raman_moments(pump, params, grid, modes):
     the detunings they pair with.  The identity register gives the full
     block.
     """
+    import scipy.fft
+
     k = modes.shape[1]
     support = pump.support
     reversed_pump = pump.amplitude[support][::-1]

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsim
 from homsim import experiment
 from homsim.cli import main
 
@@ -117,6 +122,29 @@ class TestScanFit:
         assert "gammaL_per_W" in out
         pair = float(out.splitlines()[1].split("=")[1])
         assert pair == pytest.approx(0.10, rel=1e-4)
+
+
+class TestColdImport:
+    """`import homsim` is numpy-only: scipy is imported inside the functions
+    that fit, transform or take a special function, so the commands that do
+    none of these (`oracle-check`, `modes`) load no scipy module."""
+
+    @pytest.mark.parametrize("argv", [None, ["oracle-check", "--states", "2"],
+                                      ["modes", "--c-range", "0.7:0.7:1.0",
+                                       "--eigenmodes", "0.785"]],
+                             ids=["import", "oracle-check", "modes"])
+    def test_no_scipy_module_loaded(self, argv):
+        code = "import sys\nimport homsim\n"
+        if argv:
+            code += f"from homsim.cli import main\nassert main({argv!r}) == 0\n"
+        code += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        # a fresh interpreter that imports this same homsim package
+        path = [str(Path(homsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestOracleCheck:

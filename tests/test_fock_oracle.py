@@ -151,19 +151,27 @@ def _dense_generator(op, cutoff):
     return 1j * op[2] * np.diag(np.arange(cutoff))
 
 
+GATE_OPS = [("tmsv", (0, 1), 0.35), ("bs", (0, 1), 0.7, 0.4),
+            ("squeeze", 0, 0.3, 1.1), ("phase", 0, 0.9)]
+
+
+def _gate_blocks(op, cutoff):
+    """One gate's list of (index sets, blocks); a phase gate as 1x1 blocks."""
+    ((_, gate),) = fock._gates([op], cutoff)
+    if isinstance(gate, np.ndarray):
+        return [(np.arange(cutoff)[:, None], gate[:, None, None])]
+    return gate
+
+
 class TestBlockGates:
-    @pytest.mark.parametrize("op", [("tmsv", (0, 1), 0.35), ("bs", (0, 1), 0.7, 0.4),
-                                    ("squeeze", 0, 0.3, 1.1), ("phase", 0, 0.9)],
-                             ids=lambda op: op[0])
+    @pytest.mark.parametrize("op", GATE_OPS, ids=lambda op: op[0])
     def test_blocks_assemble_the_dense_gate(self, op):
         # the blocks must partition the joint index and hold every entry of
         # the dense generator: a wrong conserved label drops couplings and
         # fails here rather than silently losing amplitude
         for cutoff in range(6, 17):
             gen = _dense_generator(op, cutoff)
-            ((_, gate),) = fock._gates([op], cutoff)
-            if isinstance(gate, np.ndarray):
-                gate = [(np.arange(cutoff)[:, None], gate[:, None, None])]
+            gate = _gate_blocks(op, cutoff)
             full = np.zeros_like(gen, dtype=complex)
             inside = np.zeros(gen.shape, dtype=int)
             for idx, blocks in gate:
@@ -173,6 +181,19 @@ class TestBlockGates:
             assert np.array_equal(np.diag(inside), np.ones(len(gen), int)), cutoff
             assert not np.any(gen[inside == 0]), cutoff
             assert np.abs(full - expm(gen)).max() <= 1e-13, cutoff
+
+    @pytest.mark.parametrize("op", GATE_OPS, ids=lambda op: op[0])
+    def test_blocks_are_unitary(self, op):
+        # exp(G) of the anti-Hermitian truncated generator, taken from the eigh
+        # of iG, is unitary to rounding; scipy's Pade expm of the mid-sized
+        # tmsv blocks is off by ~1e-13, so this bound holds only for the eigh
+        for cutoff in range(6, 19):
+            gate = _gate_blocks(op, cutoff)
+            for _, blocks in gate:
+                eye = np.eye(blocks.shape[-1])
+                for product in (blocks @ blocks.conj().transpose(0, 2, 1),
+                                blocks.conj().transpose(0, 2, 1) @ blocks):
+                    assert np.abs(product - eye).max() <= 1e-14, cutoff
 
 
 class TestEngineOracleEquivalence:

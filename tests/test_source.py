@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar, k as k_B
 
+from homsim import grids, source
 from homsim.detection import physicality_min_eig
+from homsim.experiment import preset_scenario
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import build_kernel, make_profile, schmidt_decompose
 from homsim.network import detection_mode_projection, retained_register
@@ -17,6 +20,7 @@ from homsim.source import (
     RamanGain,
     SourceModelError,
     SourceParams,
+    _pair_sum_matrix,
     calibrate_gain,
     default_raman_gain,
     factor_pair_amplitude,
@@ -146,6 +150,13 @@ class TestPump:
                           1e-12, grid)
 
 
+def test_si_constants_equal_scipy():
+    # exact SI-2019 literals, so no scipy import is needed to define them
+    assert grids.C_LIGHT == scipy.constants.c
+    assert source.hbar == scipy.constants.hbar
+    assert source.k_B == scipy.constants.k
+
+
 class TestThermalOccupation:
     def test_zero_temperature_limits(self):
         assert thermal_occupation(1e12, 1e-6) == pytest.approx(0.0, abs=1e-30)
@@ -214,6 +225,44 @@ class TestJSA:
         fwm_joint_amplitude(pump, 1.0, gs, ga)
         with pytest.raises(SourceModelError, match="energy conservation"):
             fwm_joint_amplitude(pump, 1.0, gs, ga_far)
+
+    @staticmethod
+    def _float_index_fill(pump, gs, ga):
+        """The pair-sum fill through a float sum grid and a rounded index."""
+        phi = pump.autoconvolution
+        d = pump.grid.spacing
+        om0 = 2 * pump.grid.center - (pump.grid.n_points - 1) * d
+        total = gs.points[:, None] + ga.points[None, :]
+        idx = np.rint((total - om0) / d).astype(int)
+        inside = (idx >= 0) & (idx < len(phi))
+        matrix = np.zeros(total.shape, dtype=phi.dtype)
+        matrix[inside] = phi[idx[inside]]
+        return matrix
+
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_pair_sum_matrix_on_the_presets(self, preset):
+        scenario = preset_scenario(preset)
+        pump, gs, ga = scenario.pump, scenario.grids[STOKES], scenario.grids[ANTISTOKES]
+        fill = _pair_sum_matrix(pump, gs, ga)
+        assert fill.dtype == np.float64 and fill.flags.writeable
+        assert np.array_equal(fill, self._float_index_fill(pump, gs, ga))
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_pair_sum_matrix_off_the_lattice(self, shift):
+        # a pump grid narrower than the pair sums, and a Stokes grid of a
+        # different size whose centre moves by a spacing: most entries fall
+        # off Phi's lattice on both ends and must stay exactly zero
+        d = TWO_PI * 1e9
+        gs, ga = make_grids(d, n=61)
+        gs = FrequencyGrid(center=gs.center + shift * d, span=40 * d, n_points=41)
+        pg = pump_grid(d, 15 * d)
+        amp = np.exp(-(((pg.points - pg.center) / (6 * d)) ** 2))
+        pump = PumpPulse(grid=pg, amplitude=amp, duration=0.0)
+        fill = _pair_sum_matrix(pump, gs, ga)
+        assert fill.shape == (41, 61)
+        assert np.array_equal(fill, self._float_index_fill(pump, gs, ga))
+        assert np.all(fill[0, :15] == 0) and np.all(fill[-1, -15:] == 0)
+        assert np.all(fill[0, 25:] != 0)
 
     def test_grid_mismatch_rejected(self):
         d = TWO_PI * 1e9
