@@ -41,6 +41,12 @@ def _parse_c_range(text):
     return np.arange(start, stop + step / 2, step)
 
 
+def _fixed(value, digits):
+    """`value` rounded to `digits` decimals, with a rounded-off sign dropped:
+    -1e-17 and -0.0 print as 0.000000, whatever their sign."""
+    return format(round(float(value), digits) + 0.0, f".{digits}f")
+
+
 def _output(path):
     """The stream a command writes to: the file at `path`, opened before the
     work starts so that a bad path fails at once, or stdout."""
@@ -71,7 +77,7 @@ def cmd_modes(args):
         head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
         lines = [head]
         for row in rows:
-            lines.append(", ".join(format(v, ".8f") for v in row))
+            lines.append(", ".join(_fixed(v, 8) for v in row))
         text = "\n".join(lines) + "\n"
         if args.eigenmodes is not None:
             basis = rect_rect_basis(args.eigenmodes)
@@ -82,7 +88,7 @@ def cmd_modes(args):
             pts = basis.grid.points[sel]
             for i in range(0, len(pts), max(1, len(pts) // 64)):
                 vals = [pts[i] / b] + [basis.eigenmodes[sel, j][i].real for j in range(3)]
-                text += ", ".join(format(v, ".6f") for v in vals) + "\n"
+                text += ", ".join(_fixed(v, 6) for v in vals) + "\n"
         out.write(text)
     return 0
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 
@@ -247,9 +247,20 @@ class Scenario:
     def bases(self):
         """One Schmidt basis per band, keyed like `filters`: both signal arms
         pass the signal filter before the coupler, both heralds the idler
-        filter."""
-        return {band: schmidt_decompose(build_kernel(filt, self.pump.duration))
-                for band, filt in self.filters.items()}
+        filter.
+
+        A kernel depends on its band grid only through the spacing, which
+        the two band grids share (`grids`).  So when the idler filter has
+        the signal's amplitude (both presets), its kernel is the signal's,
+        and the idler basis holds the signal basis's eigenvalues and
+        eigenmodes on the idler grid.
+        """
+        signal, idler = self.filters["signal"], self.filters["idler"]
+        basis = schmidt_decompose(build_kernel(signal, self.pump.duration))
+        if np.array_equal(idler.amplitude, signal.amplitude):
+            return {"signal": basis, "idler": replace(basis, grid=idler.grid)}
+        return {"signal": basis,
+                "idler": schmidt_decompose(build_kernel(idler, self.pump.duration))}
 
     @cached_property
     def pair_modes(self):

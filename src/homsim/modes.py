@@ -28,6 +28,11 @@ MODE_RETENTION_CUTOFF = 1e-3
 
 EIGENVALUE_FLOOR = 1e-12
 EIGENVALUE_CEILING_TOL = 1e-6
+# Relative margin within which samples tie for the largest |phi| of a mode:
+# far above the solver's rounding of two mirror samples (at most 8e-11 on
+# the modes with chi >= 1e-6 of the presets' filters and of rect-rect chains
+# at c = 0.5-3.8), far below the difference of neighbouring samples.
+PHASE_TIE_TOL = 1e-9
 
 DEFAULT_GRID_POINTS = 513
 DEFAULT_SPAN_FACTOR = 4.0
@@ -207,22 +212,41 @@ class ModeBasis:
 
 
 def schmidt_decompose(kernel):
-    """Eigendecomposition of the scaled kernel into (chi_j, phi_j)."""
+    """Eigendecomposition of the scaled kernel into (chi_j, phi_j).
+
+    A row and column of the kernel are exactly zero wherever the filter is
+    (the flat-top filter outside its passband), so `eigh` runs on the block
+    over the kernel's support only.  Each sample off the support is an
+    eigenmode of its own, a unit vector at chi = 0, placed after the
+    block's modes.  A Gaussian filter's support is the whole grid.
+    """
     scaled = kernel.scaled
     herm_defect = np.max(np.abs(scaled - scaled.conj().T))
     if herm_defect > 1e-10 * max(1.0, np.max(np.abs(scaled))):
         raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
-    vals, vecs = np.linalg.eigh(scaled)
-    vals = vals[::-1].copy()
+    nonzero = scaled != 0
+    on = nonzero.any(axis=0) | nonzero.any(axis=1)
+    support, off = np.flatnonzero(on), np.flatnonzero(~on)
+    block_vals, block_vecs = np.linalg.eigh(scaled[np.ix_(support, support)])
+    n, m = on.size, support.size
+    vals = np.zeros(n)
+    vals[:m] = block_vals[::-1]
     # complex for every kernel: real modes change how `raman_moments`' FFT rounds
-    vecs = vecs[:, ::-1].astype(complex)
+    vecs = np.zeros((n, n), dtype=complex)
+    vecs[support, :m] = block_vecs[:, ::-1]
+    vecs[off, m + np.arange(off.size)] = 1.0
     if vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
             f"leading eigenvalue {vals[0]:.8f} exceeds 1; check |h|, |f| <= 1 "
             "or refine the grid")
     vals[vals < EIGENVALUE_FLOOR] = 0.0
-    # fix the free global phase: largest-|phi| sample made real positive
-    ref = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    # fix the free global phase: the largest-|phi| sample made real positive.
+    # An odd mode of a filter symmetric about the grid centre peaks at two
+    # mirror samples, equal up to the solver's rounding, so the first sample
+    # within PHASE_TIE_TOL of the largest is taken
+    mags = np.abs(vecs)
+    first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)
+    ref = vecs[first, np.arange(n)]
     vecs *= np.conj(ref) / np.hypot(ref.real, ref.imag)
     vecs *= np.sqrt(TWO_PI / kernel.grid.spacing)
     return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs)

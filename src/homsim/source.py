@@ -356,11 +356,11 @@ class PairModes:
     """Schmidt pairs of the unit-gain discrete pair amplitude.
 
     J = i Phi(w_s + w_a) dw = u diag(s) vt over the Stokes and anti-Stokes
-    grids, keeping singular values above 1e-12 s[0].  The SVD is of
-    Phi dw in the pump's dtype, real for every shipped pump shape, and the
-    factor i is carried by `u` alone.  The amplitude at gain gammaL is
-    gammaL * J, so one factorisation serves the gain calibration and the
-    moments at the calibrated gain.
+    grids, keeping singular values above 1e-12 s[0].  The factorisation
+    (`factor_pair_amplitude`) is of Phi dw in the pump's dtype, real for
+    every shipped pump shape, and the factor i is carried by `u` alone.
+    The amplitude at gain gammaL is gammaL * J, so one factorisation
+    serves the gain calibration and the moments at the calibrated gain.
     """
 
     pump: PumpPulse
@@ -371,16 +371,27 @@ class PairModes:
 
 
 def factor_pair_amplitude(pump, grids):
-    """SVD of the unit-gain pair amplitude on the (Stokes, anti-Stokes) grids.
+    """Schmidt pairs of the unit-gain pair amplitude on the (Stokes,
+    anti-Stokes) grids.
 
-    One `np.linalg.svd` of Phi(w_s + w_a) dw in Phi's dtype (a real matrix
-    for a real pump amplitude); the i of J = i Phi dw then multiplies the
-    kept columns of u.
+    Phi(w_s + w_a) dw is a Hankel matrix in Phi's dtype.  On square grids
+    (every scenario's) it is symmetric, and a real one (every shipped pump)
+    is factored by one `np.linalg.eigh`, Phi dw = V diag(lam) V^T: the
+    Takagi factors of J = i Phi dw are s = |lam| in descending order,
+    u = i V sign(lam) and vt = V^T.  A complex or non-square Phi takes one
+    `np.linalg.svd`, after which the i of J multiplies the kept columns of
+    u.
     """
     grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
     amplitude = _pair_sum_matrix(pump, grid_s, grid_a)
     amplitude *= grid_s.spacing
-    u, s, vt = np.linalg.svd(amplitude, full_matrices=False)
+    if np.isrealobj(amplitude) and grid_s.n_points == grid_a.n_points:
+        lam, v = np.linalg.eigh(amplitude)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        lam, v = lam[order], v[:, order]
+        u, s, vt = v * np.sign(lam), np.abs(lam), v.T
+    else:
+        u, s, vt = np.linalg.svd(amplitude, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
     return PairModes(pump=pump, grids={STOKES: grid_s, ANTISTOKES: grid_a},
                      u=1j * u[:, :rank], s=s[:rank], vt=vt[:rank].copy())

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -60,6 +61,12 @@ class TestModesCommand:
         assert main(["modes", "--c-range", "0.7:0.7:1.0", "--eigenmodes", "0.785"]) == 0
         out = capsys.readouterr().out
         assert "eigenmodes at c" in out
+        # phi_1 is odd: zero at the centre and off the band, where rounding
+        # leaves +-1e-17 or a signed zero; no value prints as -0
+        rows = out.split("(omega/B, phi_0, phi_1, phi_2)\n")[1].splitlines()
+        assert "0.000000, 1.461760, 0.000000, -1.555994" in rows
+        assert not any(re.search(r"-0\.0+(,|$)", row) for row in rows)
+        assert len(rows) == 65
 
     def test_bad_range(self, capsys):
         assert main(["modes", "--c-range", "5:1:0.1"]) == 2

@@ -18,7 +18,7 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
-from homsim.modes import MODE_RETENTION_CUTOFF
+from homsim.modes import MODE_RETENTION_CUTOFF, build_kernel, schmidt_decompose
 from homsim.network import retained_register
 from homsim.source import SourceModelError, default_raman_gain
 
@@ -386,21 +386,39 @@ class TestSetup:
         for f in fields(spool):
             assert getattr(spool, f.name).shape == (2, 2)
 
-    def test_one_pair_amplitude_svd_per_scenario(self, monkeypatch):
-        # the carved pump's spectrum is real, so the one SVD is of a real
-        # matrix: the i of the pair amplitude never enters a grid-sized array
-        real_svd = np.linalg.svd
-        calls = []
+    def test_one_pair_amplitude_eigh_per_scenario(self, monkeypatch):
+        # the carved pump's spectrum is real and the band grids are square,
+        # so the pair amplitude is real symmetric and takes one real eigh and
+        # no svd: the i of the pair amplitude never enters a grid-sized
+        # array.  The bands' kernels are equal, so the one kernel eigh runs
+        # on the flat-top filters' 31-sample passband
+        calls = {"svd": [], "eigh": []}
+        for name, log in calls.items():
+            def counting(*args, _real=getattr(np.linalg, name), _log=log, **kwargs):
+                _log.append((np.shape(args[0]), np.asarray(args[0]).dtype))
+                return _real(*args, **kwargs)
 
-        def counting_svd(*args, **kwargs):
-            calls.append((np.shape(args[0]), np.asarray(args[0]).dtype))
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            monkeypatch.setattr(np.linalg, name, counting)
         sc = load_scenario(CHEAP)
         for stage in SETUP_STAGES:
             getattr(sc, stage)
-        assert calls == [((121, 121), np.float64)]
+        assert calls == {"svd": [],
+                         "eigh": [((31, 31), np.float64), ((121, 121), np.float64)]}
+
+    @pytest.mark.parametrize("overrides, shared", [
+        ([], True), (["filters.idler_bandwidth_ghz=40"], False)])
+    def test_idler_basis_shared_only_for_an_equal_kernel(self, overrides, shared):
+        # equal band kernels give one decomposition whose arrays both bases
+        # hold, each on its own grid; a wider idler filter gets its own
+        sc = load_scenario(CHEAP, overrides=overrides)
+        signal, idler = sc.bases["signal"], sc.bases["idler"]
+        assert signal.grid is sc.grids["stokes"] and idler.grid is sc.grids["antistokes"]
+        assert (idler.eigenmodes is signal.eigenmodes) == shared
+        assert (idler.eigenvalues is signal.eigenvalues) == shared
+        own = schmidt_decompose(build_kernel(sc.filters["idler"], sc.pump.duration))
+        np.testing.assert_array_equal(idler.eigenvalues, own.eigenvalues)
+        np.testing.assert_array_equal(idler.eigenmodes, own.eigenmodes)
+        assert (idler.retained() == signal.retained()) == shared
 
     @pytest.mark.parametrize("preset, dip_width, tau_max", [
         ("single_mode", 1.4306151645202653e-11, 4.2918454935607956e-11),
@@ -413,12 +431,18 @@ class TestSetup:
         assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
         np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))
 
-    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
-    def test_one_grid_sized_array_per_band(self, preset):
-        # after set-up the scenario holds exactly one n x n array per band:
-        # that band's Schmidt eigenmodes; a view keeps its base alive, so
+    @pytest.mark.parametrize("preset, overrides, arrays", [
+        pytest.param("single_mode", [], 1, id="single_mode"),
+        pytest.param("multimode", [], 1, id="multimode"),
+        pytest.param("multimode", ["filters.idler_bandwidth_ghz=30"], 2,
+                     id="multimode-unequal-bands"),
+    ])
+    def test_one_grid_sized_array_per_band(self, preset, overrides, arrays):
+        # after set-up the scenario holds exactly one n x n array per distinct
+        # band kernel: the Schmidt eigenmodes, shared by both bands when their
+        # kernels are equal (both presets); a view keeps its base alive, so
         # each array's base is walked too
-        sc = preset_scenario(preset)
+        sc = preset_scenario(preset, overrides=overrides)
         for stage in (*SETUP_STAGES, "pair_modes", "conditioned_transmissions",
                       "dip_width"):
             getattr(sc, stage)
@@ -440,7 +464,7 @@ class TestSetup:
                 stack.extend(obj)
             elif type(obj).__module__.startswith("homsim"):
                 stack.extend(vars(obj).values())
-        assert len(square) == 2
+        assert len(square) == arrays
         assert {id(a) for a in square} == {id(sc.bases[band].eigenmodes)
                                           for band in ("signal", "idler")}
 

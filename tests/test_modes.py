@@ -3,6 +3,8 @@ import pytest
 
 from homsim.grids import FrequencyGrid, TWO_PI
 from homsim.modes import (
+    EIGENVALUE_FLOOR,
+    PHASE_TIE_TOL,
     FilterProfile,
     KernelMatrix,
     ModeAnalysisError,
@@ -231,26 +233,59 @@ class TestSchmidt:
         real, herm = (schmidt_decompose(build_kernel(f, 3.0)) for f in (filt, as_complex))
         assert real.eigenmodes.dtype == herm.eigenmodes.dtype == np.complex128
         assert np.max(np.abs(real.eigenvalues - herm.eigenvalues)) <= 1e-12
-        # an odd mode peaks at two mirror samples and the phase convention may
-        # pick either, so the modes agree up to one phase each
+        # an odd mode peaks at two mirror samples that the two solvers round
+        # apart; the phase convention takes the first of them, so the modes
+        # agree sign for sign
         k = real.retained()
-        a, b = real.eigenmodes[:, :k], herm.eigenmodes[:, :k]
-        overlap = np.sum(np.conj(b) * a, axis=0)
-        assert np.max(np.abs(a - b * overlap / np.abs(overlap))) <= 1e-12
+        assert np.max(np.abs(real.eigenmodes[:, :k] - herm.eigenmodes[:, :k])) <= 1e-12
 
     def test_phase_fix_matches_per_column_reference(self):
-        # reference: each column's largest-|phi| sample made real positive,
-        # one column at a time, on a kernel with a spectral phase
+        # reference: in each column the first sample within PHASE_TIE_TOL of
+        # the largest |phi| made real positive, one column at a time, on a
+        # kernel with a spectral phase
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         phase = np.exp(1j * np.random.default_rng(5).normal(size=grid.n_points))
         gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
         kern = build_kernel(FilterProfile(grid=grid, amplitude=gauss.amplitude * phase), 3.0)
         vecs = np.linalg.eigh(kern.scaled)[1][:, ::-1].copy()
         for j in range(vecs.shape[1]):
-            ref = vecs[np.argmax(np.abs(vecs[:, j])), j]
+            mags = np.abs(vecs[:, j])
+            ref = vecs[np.flatnonzero(mags >= (1 - PHASE_TIE_TOL) * mags.max())[0], j]
             vecs[:, j] *= np.conj(ref) / abs(ref)
         np.testing.assert_array_equal(schmidt_decompose(kern).eigenmodes,
                                       vecs * np.sqrt(TWO_PI / grid.spacing))
+
+    def test_passband_block_matches_full_eigh(self, monkeypatch):
+        # a flat-top filter zeroes the kernel's rows and columns off its
+        # passband: eigh runs on the passband block, the basis is completed
+        # by unit vectors at chi = 0, and it matches a full eigh
+        grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
+        kern = build_kernel(make_profile("rectangular", {"bandwidth": 2.5}, grid), 3.0)
+        passband = np.flatnonzero(np.diag(kern.entries))
+        assert 0 < passband.size < grid.n_points
+        full_vals, full_vecs = np.linalg.eigh(kern.scaled)
+        full_vals, full_vecs = full_vals[::-1], full_vecs[:, ::-1]
+        full_vals[full_vals < EIGENVALUE_FLOOR] = 0.0
+        real_eigh, shapes = np.linalg.eigh, []
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        basis = schmidt_decompose(kern)
+        assert shapes == [(passband.size, passband.size)]
+        assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15
+        k = basis.retained()
+        psi = basis.eigenmodes[:, :k] * np.sqrt(grid.spacing / TWO_PI)
+        overlap = np.abs(np.sum(full_vecs[:, :k].conj() * psi, axis=0))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-12
+        assert basis.orthonormality_residual() <= 1e-12
+        # each sample off the passband is its own mode, after the passband's
+        off = np.setdiff1d(np.arange(grid.n_points), passband)
+        tail = basis.eigenmodes[:, passband.size:] * np.sqrt(grid.spacing / TWO_PI)
+        np.testing.assert_array_equal(tail, np.eye(grid.n_points)[:, off])
+        assert np.all(basis.eigenvalues[passband.size:] == 0.0)
 
     def test_eigenvalue_above_one_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)

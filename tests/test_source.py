@@ -508,6 +508,27 @@ class TestPumpDtype:
         assert np.max(np.abs((modes.u * modes.s) @ modes.vt - jsa)) <= 1e-13 * modes.s[0]
 
     @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
+    def test_real_pump_takagi_factors(self, make_pump):
+        # a real pump on square grids: Phi dw is real symmetric, and its one
+        # eigh gives J = i Phi dw = u diag(s) vt with u = i V sign(lam), vt = V^T
+        pump = make_test_pump(make_pump)
+        d = pump.grid.spacing
+        gs, ga = make_grids(d, n=101, detune=round(TWO_PI * 1.2e12 / d) * d)
+        modes = factor_pair_amplitude(pump, {STOKES: gs, ANTISTOKES: ga})
+        jsa = fwm_joint_amplitude(pump, 1.0, gs, ga) * gs.spacing
+        s0, k = modes.s[0], modes.s.size
+        assert np.max(np.abs((modes.u * modes.s) @ modes.vt - jsa)) <= 1e-13 * s0
+        assert np.max(np.abs(modes.u.conj().T @ modes.u - np.eye(k))) <= 1e-13
+        assert np.max(np.abs(modes.vt @ modes.vt.conj().T - np.eye(k))) <= 1e-13
+        assert np.all(np.diff(modes.s) <= 0)
+        assert np.all(modes.s > 1e-12 * s0)
+        singular = np.linalg.svd(jsa, compute_uv=False)
+        assert np.max(np.abs(modes.s - singular[:k])) <= 1e-13 * s0
+        assert np.all(singular[k:] <= 1e-12 * s0)
+        # the Takagi form: u and vt^T differ column by column by i or -i only
+        assert np.array_equal(np.abs(modes.u), np.abs(modes.vt.T))
+
+    @pytest.mark.parametrize("make_pump", ["gaussian", "carved"])
     def test_real_and_complex_pump_agree(self, make_pump):
         pump = make_test_pump(make_pump)
         as_complex = replace(pump, amplitude=pump.amplitude.astype(complex))
