@@ -390,16 +390,26 @@ class DelayScan:
 
     @classmethod
     def from_csv(cls, text):
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise ExperimentError("empty scan CSV")
-        header = [c.strip() for c in lines[0].split(",")]
+        header = [c.strip() for c in lines[0][1].split(",")]
         expected = [c.strip() for c in CSV_HEADER.split(",")]
         if header != expected:
-            raise ExperimentError(f"unexpected CSV header {lines[0]!r}")
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-        if data.size == 0:
+            raise ExperimentError(f"unexpected CSV header {lines[0][1]!r}")
+        rows = []
+        for lineno, ln in lines[1:]:
+            try:
+                row = [float(c) for c in ln.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(expected) or not np.all(np.isfinite(row)):
+                raise ExperimentError(f"scan CSV line {lineno}: {ln!r} is not "
+                                      f"{len(expected)} finite numbers")
+            rows.append(row)
+        if not rows:
             raise ExperimentError("scan CSV has no rows")
+        data = np.array(rows)
         return cls(tau=data[:, 0] * 1e-12, p4=data[:, 1],
                    p2_ab=data[:, 2], p2_acc=data[:, 3],
                    singles={"A": data[:, 4], "B": data[:, 5],

@@ -167,33 +167,34 @@ class KernelMatrix:
 
 
 def build_kernel(filt, gate_duration):
-    """Assemble kappa[m,n] = conj(h_m) h_n F(w_m - w_n), symmetrized, for a
-    rectangular gate of duration T, whose F(D) = T sinc(D T / 2).
+    """Assemble kappa[m,n] = conj(h_m) h_n F(w_m - w_n) for a rectangular
+    gate of duration T, whose F(D) = T sinc(D T / 2).
 
-    On a uniform grid the differences take only 2n-1 values, so F is
-    evaluated once per unique difference.
+    On a uniform grid F depends only on |m - n|, so it is evaluated once per
+    non-negative difference and mirrored into a Toeplitz matrix; F(D) = F(-D)
+    then holds exactly, and a real filter's kernel is exactly symmetric.
     """
     if not gate_duration > 0:
         raise ModeAnalysisError("gate duration must be positive (zero is degenerate)")
     grid = filt.grid
     n = grid.n_points
-    diffs = np.arange(-(n - 1), n) * grid.spacing
-    f_of_diff = gate_duration * np.sinc(diffs * gate_duration / 2 / np.pi)
-    idx = np.arange(n)
-    F = f_of_diff[idx[:, None] - idx[None, :] + (n - 1)]
+    f_of_diff = gate_duration * np.sinc(np.arange(n) * grid.spacing * gate_duration / 2 / np.pi)
+    # row m of the window reads F at the differences |m - n'|, n' = 0 .. n-1
+    mirrored = np.concatenate((f_of_diff[:0:-1], f_of_diff))
+    F = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
     h = filt.amplitude
-    K = np.conj(h)[:, None] * h[None, :] * F
-    K = 0.5 * (K + K.conj().T)
-    return KernelMatrix(grid=grid, entries=K)
+    return KernelMatrix(grid=grid, entries=np.conj(h)[:, None] * h[None, :] * F)
 
 
 @dataclass(frozen=True)
 class ModeBasis:
     """Transmission eigenvalues (descending) with eigenmode samples.
 
-    ``eigenmodes[:, j]`` holds phi_j(w_m), normalized so that
-    sum_m |phi_j|^2 dw = 2*pi (as ``homsim modes --eigenmodes`` prints
-    them); it is the basis's one grid-sized array.
+    One pair per sample of the kernel's support (m of the grid's n):
+    ``eigenvalues`` has shape (m,) and ``eigenmodes`` shape (n, m), whose
+    column j holds phi_j(w_m), normalized so that sum_m |phi_j|^2 dw = 2*pi
+    (as ``homsim modes --eigenmodes`` prints them); it is the basis's one
+    grid-sized array.
     Projections take the retained columns scaled to unit Euclidean norm
     (`network.retained_register`).
     """
@@ -215,38 +216,36 @@ def schmidt_decompose(kernel):
     """Eigendecomposition of the scaled kernel into (chi_j, phi_j).
 
     A row and column of the kernel are exactly zero wherever the filter is
-    (the flat-top filter outside its passband), so `eigh` runs on the block
-    over the kernel's support only.  Each sample off the support is an
-    eigenmode of its own, a unit vector at chi = 0, placed after the
-    block's modes.  A Gaussian filter's support is the whole grid.
+    (the flat-top filter outside its passband), so every mode with chi > 0
+    lies on the kernel's support.  The basis holds the m eigenpairs of the
+    block over that support: eigenvalues of shape (m,) and eigenmodes of
+    shape (n, m), zero off the support.  A Gaussian filter's support is the
+    whole grid; an all-zero filter gives an empty basis.
     """
-    scaled = kernel.scaled
-    herm_defect = np.max(np.abs(scaled - scaled.conj().T))
-    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(scaled))):
+    nonzero = kernel.entries != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    # every entry off the block is exactly zero, so the checks read the block
+    block = kernel.entries[np.ix_(support, support)] * (kernel.grid.spacing / TWO_PI)
+    herm_defect = np.max(np.abs(block - block.conj().T), initial=0.0)
+    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(block), initial=0.0)):
         raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
-    nonzero = scaled != 0
-    on = nonzero.any(axis=0) | nonzero.any(axis=1)
-    support, off = np.flatnonzero(on), np.flatnonzero(~on)
-    block_vals, block_vecs = np.linalg.eigh(scaled[np.ix_(support, support)])
-    n, m = on.size, support.size
-    vals = np.zeros(n)
-    vals[:m] = block_vals[::-1]
-    # complex for every kernel: real modes change how `raman_moments`' FFT rounds
-    vecs = np.zeros((n, n), dtype=complex)
-    vecs[support, :m] = block_vecs[:, ::-1]
-    vecs[off, m + np.arange(off.size)] = 1.0
-    if vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
+    block_vals, block_vecs = np.linalg.eigh(block)
+    vals = block_vals[::-1].copy()
+    if vals.size and vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
             f"leading eigenvalue {vals[0]:.8f} exceeds 1; check |h|, |f| <= 1 "
             "or refine the grid")
     vals[vals < EIGENVALUE_FLOOR] = 0.0
+    # complex for every kernel: real modes change how `raman_moments`' FFT rounds
+    vecs = np.zeros((kernel.grid.n_points, support.size), dtype=complex)
+    vecs[support] = block_vecs[:, ::-1]
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
     # mirror samples, equal up to the solver's rounding, so the first sample
     # within PHASE_TIE_TOL of the largest is taken
     mags = np.abs(vecs)
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)
-    ref = vecs[first, np.arange(n)]
+    ref = vecs[first, np.arange(support.size)]
     vecs *= np.conj(ref) / np.hypot(ref.real, ref.imag)
     vecs *= np.sqrt(TWO_PI / kernel.grid.spacing)
     return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs)

@@ -91,13 +91,18 @@ class DetectionMoments:
         return float(np.real(np.sum(self.forms[name] * self.normal)))
 
 
-def retained_register(basis):
-    """Unit-norm retained modes psi and their transmissions chi of a chain."""
+def _retained_chi(basis):
+    """Transmissions chi of a chain's retained modes, of which there must be one."""
     k = basis.retained()
     if k == 0:
         raise NetworkError("no retained detection modes (all chi below cutoff)")
-    return (basis.eigenmodes[:, :k] * np.sqrt(basis.grid.spacing / TWO_PI),
-            basis.eigenvalues[:k])
+    return basis.eigenvalues[:k]
+
+
+def retained_register(basis):
+    """Unit-norm retained modes psi and their transmissions chi of a chain."""
+    chi = _retained_chi(basis)
+    return basis.eigenmodes[:, :len(chi)] * np.sqrt(basis.grid.spacing / TWO_PI), chi
 
 
 def detection_mode_projection(source_r, source_l, bases, tau):
@@ -120,7 +125,7 @@ def detection_mode_projection(source_r, source_l, bases, tau):
     """
     basis_s = bases["signal"]
     psi_s, chi_s = retained_register(basis_s)
-    _, chi_a = retained_register(bases["idler"])
+    chi_a = _retained_chi(bases["idler"])
     k_s, k_a = len(chi_s), len(chi_a)
     for spool in (source_r, source_l):
         if (spool.normal_stokes.shape != (k_s, k_s)

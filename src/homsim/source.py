@@ -25,6 +25,7 @@ is built on the register by one FFT convolution per register mode.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,9 +161,8 @@ def pump_spectrum(shape, params, energy, grid):
         fraction = sampled / (TWO_PI * duration)
     else:
         # analytic Gaussian tail outside the grid; |A|^2 has std fw/(2 sqrt(2 ln 2))
-        from scipy.special import erf
         sig_pow = fw / (2 * np.sqrt(2 * np.log(2)))
-        fraction = float(erf(grid.span / 2 / (np.sqrt(2) * sig_pow)))
+        fraction = math.erf(grid.span / 2 / (np.sqrt(2) * sig_pow))
     if fraction < PUMP_CONTAINMENT:
         raise SourceModelError(f"grid holds only {fraction:.4%} of the pump energy (needs >= "
                                f"{PUMP_CONTAINMENT:.1%}); raise filters.grid_span_factor")

@@ -214,6 +214,22 @@ class TestExitCodes:
         assert err.startswith("error: ExperimentError: ")
         assert key in err
 
+    @pytest.mark.parametrize("row", [
+        pytest.param("0, 1e-6, 1e-3, 1e-3, 0.03, 0.03, 0.05", id="ragged"),
+        pytest.param("0, 1e-6, 1e-3, 1e-3, 0.03, x, 0.05, 0.05", id="not-a-number"),
+        pytest.param("0, 1e-6, 1e-3, 1e-3, nan, 0.03, 0.05, 0.05", id="nan"),
+        pytest.param("0, inf, 1e-3, 1e-3, 0.03, 0.03, 0.05, 0.05", id="inf-p4"),
+    ])
+    def test_malformed_scan_csv_names_the_line(self, tmp_path, capsys, row):
+        # enough good rows to fit, so that only the bad row can fail the run
+        good = "1e-6, 1e-3, 1e-3, 0.03, 0.03, 0.05, 0.05"
+        rows = [f"{tau}, {good}" for tau in (-10, -5, 5, 10)]
+        scan = tmp_path / "scan.csv"
+        scan.write_text("\n".join([experiment.CSV_HEADER, *rows[:2], "", row, *rows[2:]]))
+        code, err = self.run(capsys, ["fit", "--input", str(scan)])
+        assert code == 2
+        assert err.startswith("error: ExperimentError: scan CSV line 5: ")
+
     def test_uncontained_pump_names_the_span_key(self, capsys):
         code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
                                       "--set", "pump.power_fwhm_ghz=3000"])

@@ -431,23 +431,25 @@ class TestSetup:
         assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
         np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))
 
-    @pytest.mark.parametrize("preset, overrides, arrays", [
-        pytest.param("single_mode", [], 1, id="single_mode"),
-        pytest.param("multimode", [], 1, id="multimode"),
-        pytest.param("multimode", ["filters.idler_bandwidth_ghz=30"], 2,
+    @pytest.mark.parametrize("preset, overrides, shapes", [
+        pytest.param("single_mode", [], [(513, 129)], id="single_mode"),
+        pytest.param("multimode", [], [(513, 513)], id="multimode"),
+        pytest.param("multimode", ["filters.idler_bandwidth_ghz=30"], [(513, 513)] * 2,
                      id="multimode-unequal-bands"),
     ])
-    def test_one_grid_sized_array_per_band(self, preset, overrides, arrays):
-        # after set-up the scenario holds exactly one n x n array per distinct
-        # band kernel: the Schmidt eigenmodes, shared by both bands when their
-        # kernels are equal (both presets); a view keeps its base alive, so
-        # each array's base is walked too
+    def test_one_grid_sized_array_per_band(self, preset, overrides, shapes):
+        # after set-up the scenario holds exactly one array with a row per
+        # grid sample and a column per sample of a filter's support (or of
+        # the grid) per distinct band kernel: the Schmidt eigenmodes, shared
+        # by both bands when their kernels are equal (both presets); a view
+        # keeps its base alive, so each array's base is walked too
         sc = preset_scenario(preset, overrides=overrides)
         for stage in (*SETUP_STAGES, "pair_modes", "conditioned_transmissions",
                       "dip_width"):
             getattr(sc, stage)
         n = sc.grids["stokes"].n_points
-        seen, square = set(), []
+        widths = {n} | {np.count_nonzero(f.amplitude) for f in sc.filters.values()}
+        seen, grid_sized = set(), []
         stack = [sc]
         while stack:
             obj = stack.pop()
@@ -455,8 +457,8 @@ class TestSetup:
                 continue
             seen.add(id(obj))
             if isinstance(obj, np.ndarray):
-                if obj.shape == (n, n):
-                    square.append(obj)
+                if obj.ndim == 2 and obj.shape[0] == n and obj.shape[1] in widths:
+                    grid_sized.append(obj)
                 stack.append(obj.base)
             elif isinstance(obj, dict):
                 stack.extend(obj.values())
@@ -464,9 +466,9 @@ class TestSetup:
                 stack.extend(obj)
             elif type(obj).__module__.startswith("homsim"):
                 stack.extend(vars(obj).values())
-        assert len(square) == arrays
-        assert {id(a) for a in square} == {id(sc.bases[band].eigenmodes)
-                                          for band in ("signal", "idler")}
+        assert [a.shape for a in grid_sized] == shapes
+        assert {id(a) for a in grid_sized} == {id(sc.bases[band].eigenmodes)
+                                              for band in ("signal", "idler")}
 
     def test_register_keeps_every_mode_above_cutoff(self):
         # 40 GHz filters on the multimode chains leave 14 modes at chi >= 1e-3,

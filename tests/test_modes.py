@@ -16,7 +16,7 @@ from homsim.modes import (
     rect_rect_basis,
     schmidt_decompose,
 )
-from homsim.network import retained_register
+from homsim.network import NetworkError, retained_register
 
 
 def slepian_gauss_legendre(c, nodes=400):
@@ -257,15 +257,17 @@ class TestSchmidt:
 
     def test_passband_block_matches_full_eigh(self, monkeypatch):
         # a flat-top filter zeroes the kernel's rows and columns off its
-        # passband: eigh runs on the passband block, the basis is completed
-        # by unit vectors at chi = 0, and it matches a full eigh
+        # passband: eigh runs on the passband block, whose eigenpairs are the
+        # basis, and they match a full eigh, whose other eigenvalues vanish
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         kern = build_kernel(make_profile("rectangular", {"bandwidth": 2.5}, grid), 3.0)
         passband = np.flatnonzero(np.diag(kern.entries))
-        assert 0 < passband.size < grid.n_points
+        m = passband.size
+        assert 0 < m < grid.n_points
         full_vals, full_vecs = np.linalg.eigh(kern.scaled)
         full_vals, full_vecs = full_vals[::-1], full_vecs[:, ::-1]
-        full_vals[full_vals < EIGENVALUE_FLOOR] = 0.0
+        assert np.max(np.abs(full_vals[m:])) <= 1e-15
+        full_vals = np.where(full_vals[:m] < EIGENVALUE_FLOOR, 0.0, full_vals[:m])
         real_eigh, shapes = np.linalg.eigh, []
 
         def recording_eigh(a, *args, **kwargs):
@@ -274,18 +276,28 @@ class TestSchmidt:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         basis = schmidt_decompose(kern)
-        assert shapes == [(passband.size, passband.size)]
+        assert shapes == [(m, m)]
+        assert basis.eigenvalues.shape == (m,)
+        assert basis.eigenmodes.shape == (grid.n_points, m)
         assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15
+        off = np.setdiff1d(np.arange(grid.n_points), passband)
+        assert np.all(basis.eigenmodes[off] == 0)
         k = basis.retained()
         psi = basis.eigenmodes[:, :k] * np.sqrt(grid.spacing / TWO_PI)
         overlap = np.abs(np.sum(full_vecs[:, :k].conj() * psi, axis=0))
         assert np.max(np.abs(overlap - 1.0)) <= 1e-12
         assert basis.orthonormality_residual() <= 1e-12
-        # each sample off the passband is its own mode, after the passband's
-        off = np.setdiff1d(np.arange(grid.n_points), passband)
-        tail = basis.eigenmodes[:, passband.size:] * np.sqrt(grid.spacing / TWO_PI)
-        np.testing.assert_array_equal(tail, np.eye(grid.n_points)[:, off])
-        assert np.all(basis.eigenvalues[passband.size:] == 0.0)
+
+    def test_zero_filter_gives_empty_basis(self):
+        # a kernel without support has no eigenpair, and so no mode to retain
+        grid = FrequencyGrid(center=0.0, span=4.0, n_points=31)
+        dark = FilterProfile(grid=grid, amplitude=np.zeros(grid.n_points))
+        basis = schmidt_decompose(build_kernel(dark, 1.0))
+        assert basis.eigenvalues.shape == (0,)
+        assert basis.eigenmodes.shape == (grid.n_points, 0)
+        assert basis.retained() == 0
+        with pytest.raises(NetworkError, match="no retained"):
+            retained_register(basis)
 
     def test_eigenvalue_above_one_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)
@@ -310,6 +322,19 @@ class TestCurve:
         # full trace check at one c via a dedicated decomposition
         basis = rect_rect_basis(2.5, n_points=257)
         assert np.sum(basis.eigenvalues) == pytest.approx(2 * 2.5 / np.pi, rel=1e-8)
+
+    def test_rows_padded_past_the_passband(self):
+        # nine samples leave three on the passband, so the basis has three
+        # eigenvalues and the fourth column is padding
+        rows = eigenvalue_curve([0.1, 1.0], n_modes=4, n_points=9)
+        for row in rows:
+            chis = rect_rect_basis(row[0], n_points=9).eigenvalues
+            assert chis.size == 3
+            np.testing.assert_array_equal(row[1:], [*chis, 0.0])
+        np.testing.assert_allclose(rows, [
+            [0.1, 0.06355605056982956, 0.0001058912907930813, 3.5376135497053444e-08, 0.0],
+            [1.0, 0.5462536830616829, 0.08679535298187122, 0.0035707363240273147, 0.0],
+        ], rtol=1e-14, atol=0)
 
     def test_row_near_c38(self):
         rows = eigenvalue_curve([3.8], n_modes=3)

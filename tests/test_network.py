@@ -231,6 +231,16 @@ class TestProjection:
             with pytest.raises(NetworkError, match="register"):
                 detection_mode_projection(moments, short, bases, 0.0)
 
+    @pytest.mark.parametrize("band", ["signal", "idler"])
+    def test_band_without_retained_modes_rejected(self, band):
+        # an all-zero filter leaves its band an empty basis
+        pump, moments, bases = build_scene()
+        grid = bases[band].grid
+        dark = FilterProfile(grid=grid, amplitude=np.zeros(grid.n_points))
+        empty = schmidt_decompose(build_kernel(dark, 1e-10))
+        with pytest.raises(NetworkError, match="no retained"):
+            detection_mode_projection(moments, moments, {**bases, band: empty}, 0.0)
+
 
 def signal_filter(bases, bandwidth=TWO_PI * 24.6e9):
     return make_profile("rectangular", {"bandwidth": bandwidth}, bases["signal"].grid)
