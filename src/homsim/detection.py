@@ -8,9 +8,11 @@ state E_S = det(I + G W)^(-1/2) over the doubled moments G of the subset's
 weighted eigenmodes.  G is Hermitian and W >= 0, so the determinant is
 that of I + W^(1/2) G W^(1/2) and its log is the sum of log1p over that
 matrix's eigenvalues: one LAPACK call that keeps ln E_S to relative
-precision even when E_S is within 1e-10 of one.  Inclusion-exclusion sums
-expm1(ln E_S), whose signs cancel the ones exactly, so coincidence
-probabilities as small as ~1e-15 keep their leading digits.
+precision even when E_S is within 1e-10 of one.  Inclusion-exclusion over
+two or more detectors drops both the ones and the part of ln E_S that is
+linear in the eigenvalues, whose alternating sums are exactly zero, and
+sums only the second-order remainders; so coincidence probabilities far
+below the size of each E_S - 1 keep their leading digits.
 
 Detector number operators are positive quadratic forms n_M = a^dag Q_M a
 over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
@@ -61,10 +63,20 @@ class ClickQuery:
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
 
 
+def _hermitian_pair(top_left, top_right, bottom_right):
+    """[[T, R], [R*, B]], filled into one preallocated array."""
+    n = top_left.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=np.result_type(top_left, top_right, bottom_right))
+    out[:n, :n] = top_left
+    out[:n, n:] = top_right
+    out[n:, :n] = top_right.conj()
+    out[n:, n:] = bottom_right
+    return out
+
+
 def _doubled(normal, anomalous):
     n = normal.shape[0]
-    dbl = np.block([[normal, anomalous.conj()],
-                    [anomalous, normal.T + np.eye(n)]])
+    dbl = _hermitian_pair(normal, anomalous.conj(), normal.T + np.eye(n))
     return 0.5 * (dbl + dbl.conj().T)
 
 
@@ -99,10 +111,12 @@ def physicality_min_eig(normal, anomalous):
 def no_click_expectation(normal, anomalous, query, subset, check=True, log=False):
     """E_S = <:exp(-sum_{M in S} n_M):> times the dark factors exp(-mu_M).
 
-    With `log=True` returns ln E_S = -mu - (1/2) log det(I + G W) instead.
-    The determinant is taken in the eigenbasis of the subset's total
-    quadratic form Q = V W V^dag (zero-weight directions contribute exact
-    factors of one and are dropped): with L = V W^(1/2), B = L^T N L* and
+    With `log=True` returns (ln E_S, eigs) instead, with
+    ln E_S = -mu - (1/2) log det(I + G W) = -mu - (1/2) sum log1p(eigs)
+    (eigs is empty for an empty or zero-weight subset).  The determinant
+    is taken in the eigenbasis of the subset's total quadratic form
+    Q = V W V^dag (zero-weight directions contribute exact factors of one
+    and are dropped): with L = V W^(1/2), B = L^T N L* and
     A = L^dag M L*, the Hermitian H = [[B^T, A], [A*, B]] = W^(1/2) G W^(1/2)
     has log det(I + H) = sum log1p(eig(H)).  An eigenvalue at or below -1
     (det <= 0, possible only for unphysical moments) raises DetectionError.
@@ -112,6 +126,7 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     if check and subset:
         _validate_moments(normal, anomalous)
     log_e = -mu
+    eigs = np.empty(0)
     if subset:
         q = query.total_form(subset, n)
         q = 0.5 * (q + q.conj().T)
@@ -124,29 +139,65 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
             # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
             n_b = root.T @ normal @ root.conj()
             m_b = root.conj().T @ anomalous @ root.conj()
-            eigs = np.linalg.eigvalsh(np.block([[n_b.T, m_b], [m_b.conj(), n_b]]))
+            eigs = np.linalg.eigvalsh(_hermitian_pair(n_b.T, m_b, n_b))
             if eigs[0] <= -1.0:
                 raise DetectionError("singular doubled moment matrix (det(I + GW) <= 0)")
             log_e -= 0.5 * float(np.sum(np.log1p(eigs)))
-    return log_e if log else math.exp(log_e)
+    return (log_e, eigs) if log else math.exp(log_e)
+
+
+# Taylor coefficients c_2, c_3, ... of expm1(x) - x and of log1p(x) - x,
+# enough that the first dropped term is below 1e-16 of the sum for |x| < 0.1
+_SERIES_RADIUS = 0.1
+_EXPM1_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 12))
+_LOG1P_SERIES = tuple((-1.0) ** (k + 1) / k for k in range(2, 18))
+
+
+def _minus_identity(function, series, x):
+    """function(x) - x, by a Horner series of `series` where |x| < 0.1, so
+    that small arguments keep their relative precision."""
+    small = np.abs(x) < _SERIES_RADIUS
+    xs = np.where(small, x, 0.0)
+    acc = np.zeros_like(xs)
+    for c in reversed(series):
+        acc = acc * xs + c
+    return np.where(small, acc * xs * xs, function(x) - x)
 
 
 def coincidence_probability(normal, anomalous, query, subset):
     """P(all detectors in `subset` click) by inclusion-exclusion.
 
-    Sums (-1)^|S| expm1(ln E_S), equal to sum (-1)^|S| E_S because the
-    signs sum to zero, without cancelling 2^|subset| terms near one.
+    P = sum_S (-1)^|S| expm1(ln E_S), equal to sum (-1)^|S| E_S because the
+    signs sum to zero.  With eigenvalues l of subset S,
+    ln E_S = -mu_S - (1/2) sum l + (1/2) r_S, r_S = -sum (log1p(l) - l); the
+    first two terms are additive over detectors, so over two or more
+    detectors their alternating sum is exactly zero and
+    P = sum_S (-1)^|S| [psi(ln E_S) + r_S / 2], psi(x) = expm1(x) - x.  Each
+    term is second order in the eigenvalues, not first, so the cancellation
+    between the 2^|subset| terms costs that much less precision.  A single
+    detector sums expm1(ln E_S) as it is.
     Tiny negative results above -1e-12 are clamped to zero; anything lower
     signals a model bug and raises.
     """
     _validate_moments(normal, anomalous)
     subset = tuple(subset)
-    terms = []
+    signs, logs, eigs = [], [], []
     for r in range(len(subset) + 1):
         for chosen in combinations(subset, r):
-            log_e = no_click_expectation(normal, anomalous, query, chosen,
-                                         check=False, log=True)
-            terms.append((-1) ** r * math.expm1(log_e))
+            log_e, lam = no_click_expectation(normal, anomalous, query, chosen,
+                                              check=False, log=True)
+            signs.append((-1) ** r)
+            logs.append(log_e)
+            eigs.append(lam)
+    signs, logs = np.array(signs, float), np.array(logs)
+    if len(subset) < 2:
+        terms = signs * np.expm1(logs)
+    else:
+        owner = np.repeat(np.arange(len(eigs)), [lam.size for lam in eigs])
+        lam = np.concatenate(eigs)
+        remainder = -np.bincount(owner, weights=_minus_identity(np.log1p, _LOG1P_SERIES, lam),
+                                 minlength=len(eigs))
+        terms = signs * (_minus_identity(np.expm1, _EXPM1_SERIES, logs) + 0.5 * remainder)
     total = math.fsum(terms)
     if total < 0.0:
         if total < NEGATIVE_PROBABILITY_FLOOR:
@@ -160,5 +211,5 @@ def coincidence_probability(normal, anomalous, query, subset):
 
 def singles_probability(normal, anomalous, query, detector):
     """1 - E_{detector}: the single-detector click probability."""
-    log_e = no_click_expectation(normal, anomalous, query, (detector,), log=True)
+    log_e, _ = no_click_expectation(normal, anomalous, query, (detector,), log=True)
     return max(0.0, -math.expm1(log_e))

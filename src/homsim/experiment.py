@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -463,16 +462,62 @@ class VisibilityFit:
                 f"baseline = {self.baseline:.6e}\n")
 
 
+FIT_MAX_STEPS = 1000  # Levenberg-Marquardt trial steps before FitError
+FIT_XTOL = 1e-10  # relative Gauss-Newton step at which the fit has converged
+# lower and upper bounds of the scaled (baseline, V, t0, sigma)
+FIT_BOUNDS = (np.array([0.0, 0.0, -1.0, 1e-3]), np.array([np.inf, 1.5, 2.0, 10.0]))
+
+
+def _levenberg_marquardt(residual, p):
+    """Minimize |r|^2 for residual(p) -> (r, J) within FIT_BOUNDS (More,
+    Lecture Notes in Math. 630, 105 (1978)): Marquardt's diagonal damping,
+    trial points clipped into the box, and a parameter held at a bound
+    that the gradient pushes it through.  Converged when the undamped
+    Gauss-Newton step moves no free parameter by more than FIT_XTOL of its
+    size, or when no damped step lowers the cost."""
+    lo, hi = FIT_BOUNDS
+    p = np.clip(p, lo, hi)
+    r, jac = residual(p)
+    cost, damping = r @ r, 1e-3
+    for _ in range(FIT_MAX_STEPS):
+        grad = jac.T @ r
+        free = ~(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)))
+        newton = np.linalg.lstsq(jac[:, free], -r, rcond=None)[0]
+        if np.all(np.abs(newton) <= FIT_XTOL * (np.abs(p[free]) + FIT_XTOL)):
+            return p, jac, cost
+        a = (jac.T @ jac)[np.ix_(free, free)]
+        scale = np.maximum(np.diag(a), np.finfo(float).tiny)
+        step = np.zeros_like(p)
+        step[free] = np.linalg.solve(a + damping * np.diag(scale), -grad[free])
+        trial = np.clip(p + step, lo, hi)
+        r_trial, jac_trial = residual(trial)
+        cost_trial = r_trial @ r_trial
+        if cost_trial < cost:
+            p, r, jac, cost, damping = trial, r_trial, jac_trial, cost_trial, damping / 10.0
+        elif damping > 1e10:
+            # not even a short step down the gradient lowers the cost: p is
+            # a minimum to rounding, and its Newton step is rounding noise
+            return p, jac, cost
+        else:
+            damping *= 10.0
+    raise FitError(f"visibility fit did not converge in {FIT_MAX_STEPS} steps")
+
+
 def fit_visibility(scan, observable="fourfold", sigma=None):
     """Gaussian least-squares fit C(tau) = base * (1 - V exp(-(t-t0)^2/2s^2)).
 
-    Initialized from the data's (min, max, centroid).  Flat data pins V to
-    zero; non-convergence raises FitError.
+    Initialized from the data's (min, max, centroid) and solved by a
+    bounded Levenberg-Marquardt on the model's analytic Jacobian; the
+    covariance is (J^T J)^-1 from the SVD of J, scaled by the residual
+    variance (as scipy's curve_fit does without absolute_sigma).  Flat data
+    pins V to zero; non-convergence raises FitError.
     """
     y = np.asarray(scan.observable(observable), float)
     t = np.asarray(scan.tau, float)
     if len(t) < 5:
         raise FitError("need at least 5 scan rows to fit a dip")
+    if not np.all(np.isfinite(y)):
+        raise ExperimentError("scan values to fit must be finite")
     if scan.dip_width > 0 and (t.max() - t.min()) < 3 * scan.dip_width:
         raise FitError("scan range does not span 3x the estimated dip width")
     base0 = float(np.max(y))
@@ -487,23 +532,24 @@ def fit_visibility(scan, observable="fourfold", sigma=None):
     ys = y / base0
     centroid = float(np.sum(ts * (1.0 - ys)) / np.sum(1.0 - ys))
     width0 = 1.0 / 8.0
+    errors = np.ones_like(ys) if sigma is None else np.asarray(sigma, float) / base0
+    if not np.all(np.isfinite(errors) & (errors > 0)):
+        raise ExperimentError("fit errors must be finite and positive")
 
-    def model(tt, base, vis, t0, sig):
-        return base * (1 - vis * np.exp(-((tt - t0) ** 2) / (2 * sig**2)))
+    def residual(params):
+        base, vis, t0, sig = params
+        dt = ts - t0
+        g = np.exp(-dt**2 / (2 * sig**2))
+        dip = base * vis * g
+        jac = np.stack([1 - vis * g, -base * g, -dip * dt / sig**2,
+                        -dip * dt**2 / sig**3], axis=1)
+        return (base - dip - ys) / errors, jac / errors[:, None]
 
-    p0 = [1.0, depth0 / base0, centroid, width0]
-    bounds = ([0.0, 0.0, -1.0, 1e-3], [np.inf, 1.5, 2.0, 10.0])
-    if sigma is not None:
-        sigma = np.asarray(sigma, float) / base0
-    from scipy.optimize import curve_fit
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            popt, pcov = curve_fit(model, ts, ys, p0=p0, sigma=sigma,
-                                   bounds=bounds, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"visibility fit did not converge: {exc}") from exc
+    popt, jac, cost = _levenberg_marquardt(residual, np.array([1.0, depth0 / base0,
+                                                               centroid, width0]))
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep] * (cost / (len(ys) - len(popt)))
     err = float(np.sqrt(np.abs(pcov[1, 1]))) if np.all(np.isfinite(pcov)) else float("nan")
     return VisibilityFit(visibility=float(popt[1]), visibility_err=err,
                          center=float(popt[2] * t_scale + t_mid),

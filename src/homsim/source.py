@@ -53,6 +53,20 @@ class SourceModelError(ValueError):
     """Raised for invalid pump, gain, or grid configurations."""
 
 
+def _fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: a padded length that numpy's FFT, whose
+    radices are 2, 3 and 5, transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 # ---------------------------------------------------------------------------
 # pump
 # ---------------------------------------------------------------------------
@@ -92,17 +106,15 @@ class PumpPulse:
         Only the support is transformed, so Phi stays exactly zero where
         no pair of pump samples sums.
         """
-        import scipy.fft
-
         real = not np.iscomplexobj(self.amplitude)
-        forward, inverse = ((scipy.fft.rfft, scipy.fft.irfft) if real
-                            else (scipy.fft.fft, scipy.fft.ifft))
+        forward, inverse = ((np.fft.rfft, np.fft.irfft) if real
+                            else (np.fft.fft, np.fft.ifft))
         phi = np.zeros(2 * self.grid.n_points - 1, dtype=float if real else complex)
         support = self.support
         a = self.amplitude[support]
         if a.size:
             n = 2 * len(a) - 1
-            size = scipy.fft.next_fast_len(n, real=real)
+            size = _fast_len(n)
             spectrum = forward(a, size)
             phi[2 * support.start:2 * support.start + n] = (
                 inverse(spectrum * spectrum, size)[:n] * self.grid.spacing)
@@ -306,8 +318,6 @@ def raman_moments(pump, params, grid, modes):
     the detunings they pair with.  The identity register gives the full
     block.
     """
-    import scipy.fft
-
     k = modes.shape[1]
     support = pump.support
     reversed_pump = pump.amplitude[support][::-1]
@@ -322,9 +332,9 @@ def raman_moments(pump, params, grid, modes):
     # the |nu| < dw/2 cell is elastic (pump) scattering, not Raman
     active = (gain > 0) & (np.abs(nu) >= 0.5 * grid.spacing)
     weight[active] = gain[active] * thermal_occupation(nu[active], params.temperature)
-    size = scipy.fft.next_fast_len(n)
-    c = scipy.fft.ifft(scipy.fft.fft(reversed_pump, size)[:, None]
-                       * scipy.fft.fft(modes, size, axis=0), axis=0)[:n]
+    size = _fast_len(n)
+    c = np.fft.ifft(np.fft.fft(reversed_pump, size)[:, None]
+                    * np.fft.fft(modes, size, axis=0), axis=0)[:n]
     c *= np.sqrt(weight)[:, None]
     block = params.length * grid.spacing**2 * (c.conj().T @ c)
     return 0.5 * (block + block.conj().T)

@@ -132,15 +132,22 @@ class TestScanFit:
 
 
 class TestColdImport:
-    """`import homsim` is numpy-only: scipy is imported inside the functions
-    that fit, transform or take a special function, so the commands that do
-    none of these (`oracle-check`, `modes`) load no scipy module."""
+    """homsim is numpy-only at run time: neither `import homsim` nor any
+    command loads a scipy module, which is a test-only reference."""
 
     @pytest.mark.parametrize("argv", [None, ["oracle-check", "--states", "2"],
                                       ["modes", "--c-range", "0.7:0.7:1.0",
-                                       "--eigenmodes", "0.785"]],
-                             ids=["import", "oracle-check", "modes"])
-    def test_no_scipy_module_loaded(self, argv):
+                                       "--eigenmodes", "0.785"],
+                                      ["calibrate", "--preset", "single_mode"],
+                                      ["scan", "--preset", "single_mode",
+                                       "--set", "scan.points=5"],
+                                      ["fit", "--input"]],
+                             ids=["import", "oracle-check", "modes", "calibrate", "scan", "fit"])
+    def test_no_scipy_module_loaded(self, argv, tmp_path):
+        if argv and argv[0] == "fit":
+            csv = tmp_path / "scan.csv"
+            csv.write_text(experiment.run_delay_scan(experiment.load_scenario(CHEAP)).to_csv())
+            argv = argv + [str(csv)]
         code = "import sys\nimport homsim\n"
         if argv:
             code += f"from homsim.cli import main\nassert main({argv!r}) == 0\n"

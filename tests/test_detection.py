@@ -102,7 +102,7 @@ class TestNoClick:
                        dark_means={"A": 1e-4})
         for subset in [(), ("A",), ("A", "B")]:
             val = no_click_expectation(n, m, q, subset)
-            assert no_click_expectation(n, m, q, subset, log=True) == pytest.approx(
+            assert no_click_expectation(n, m, q, subset, log=True)[0] == pytest.approx(
                 np.log(val), rel=1e-13, abs=1e-16)
 
     def test_complex_form_equals_rotated_state(self):
@@ -199,6 +199,20 @@ class TestCoincidence:
             p = coincidence_probability(n, m, q, ("A", "B"))
             assert 0.0 <= p <= 1.0
 
+    def test_second_order_remainders_match_mpmath(self):
+        # expm1(x) - x and log1p(x) - x on both sides of the series radius;
+        # outside it the direct difference loses at most 2 eps / |x| <= 4.4e-15
+        mp = pytest.importorskip("mpmath")
+        x = np.array([-0.5, -0.1, -0.0999, -3e-3, -1e-9, 0.0, 2e-12, 4e-5, 0.0999, 0.1, 2.0])
+        with mp.workdps(40):
+            for function, series, exact in (
+                    (np.expm1, detection._EXPM1_SERIES, lambda v: mp.expm1(v) - v),
+                    (np.log1p, detection._LOG1P_SERIES, lambda v: mp.log1p(v) - v)):
+                got = detection._minus_identity(function, series, x)
+                for v, g in zip(x, got):
+                    ref = exact(mp.mpf(float(v)))
+                    assert abs(g - float(ref)) <= 5e-15 * abs(float(ref)), (function, v)
+
 
 class TestSinglesAccidentals:
     def test_vacuum_dark_singles(self):
@@ -276,13 +290,27 @@ class TestPresetPrecision:
                 total += (-1) ** r * mp.exp(-mu) / mp.sqrt(det)
         return total
 
-    def test_single_mode_p4_matches_mpmath(self, monkeypatch):
-        mp = pytest.importorskip("mpmath")
-        sc = experiment.preset_scenario("single_mode")
+    @staticmethod
+    def dip_and_off_dip(overrides=()):
+        sc = experiment.preset_scenario("single_mode", overrides=list(overrides))
         taus = sc.tau_list
         centre = len(taus) // 2
         assert taus[centre] == 0.0
         sc.tau_list = taus[[centre, centre + 6]]        # the dip and one off-dip delay
+        return sc
+
+    def assert_p4_matches(self, mp, sc, scan):
+        with mp.workdps(40):
+            for tau, p4 in zip(sc.tau_list, scan.p4):
+                dm = detection_mode_projection(sc.source, sc.source, sc.bases, tau)
+                assert dm.normal.shape == (8, 8)
+                query = dm.click_query(sc.detectors)
+                ref = self.reference_p4(mp, dm.normal, dm.anomalous, query, "ABCD")
+                assert abs(float(mp.mpf(p4) / ref - 1)) <= 1e-7
+
+    def test_single_mode_p4_matches_mpmath(self, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        sc = self.dip_and_off_dip()
         calls = []
         original = detection.no_click_expectation
 
@@ -293,10 +321,11 @@ class TestPresetPrecision:
         monkeypatch.setattr(detection, "no_click_expectation", counted)
         scan = experiment.run_delay_scan(sc)
         assert len(calls) == 24 * len(sc.tau_list)
-        with mp.workdps(40):
-            for tau, p4 in zip(sc.tau_list, scan.p4):
-                dm = detection_mode_projection(sc.source, sc.source, sc.bases, tau)
-                assert dm.normal.shape == (8, 8)
-                query = dm.click_query(sc.detectors)
-                ref = self.reference_p4(mp, dm.normal, dm.anomalous, query, "ABCD")
-                assert abs(float(mp.mpf(p4) / ref - 1)) <= 1e-7
+        self.assert_p4_matches(mp, sc, scan)
+
+    def test_low_gain_single_mode_p4_matches_mpmath(self):
+        # p4 ~ 4e-14 from subset terms ~ 1e-4: summing expm1(ln E_S) as it
+        # is loses ~1e-5 of p4 to the cancellation
+        mp = pytest.importorskip("mpmath")
+        sc = self.dip_and_off_dip(["source.pair_probability=1e-4"])
+        self.assert_p4_matches(mp, sc, experiment.run_delay_scan(sc))

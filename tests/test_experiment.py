@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from homsim import experiment
 from homsim.detection import DetectionError
 from homsim.experiment import (
     CSV_HEADER,
@@ -177,6 +178,53 @@ class TestFit:
         scan = synthetic_scan(0.5, sigma_ps=200.0, span_ps=100.0)
         with pytest.raises(FitError, match="3x"):
             fit_visibility(scan)
+
+    @pytest.mark.parametrize("value, error", [(np.nan, 1e-12), (np.inf, 1e-12),
+                                              (1e-9, 0.0), (1e-9, np.nan)])
+    def test_non_finite_input_rejected(self, value, error):
+        scan = synthetic_scan(0.5)
+        p4, errors = scan.p4.copy(), np.full(len(scan.tau), 1e-12)
+        p4[3], errors[3] = value, error
+        with pytest.raises(ExperimentError, match="finite"):
+            fit_visibility(replace(scan, p4=p4), sigma=errors)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # one trial step cannot bring the Gauss-Newton step under the tolerance
+        monkeypatch.setattr(experiment, "FIT_MAX_STEPS", 1)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_visibility(synthetic_scan(0.5))
+
+
+@pytest.fixture(scope="module")
+def preset_scans():
+    return {name: run_delay_scan(preset_scenario(name)) for name in ("single_mode", "multimode")}
+
+
+class TestFitMatchesCurveFit:
+    """The numpy Levenberg-Marquardt against scipy's curve_fit, a test-only
+    reference, on the presets' own scans."""
+
+    @pytest.mark.parametrize("observable", ["fourfold", "twofold_accsub"])
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_visibility_and_error(self, preset_scans, preset, observable):
+        optimize = pytest.importorskip("scipy.optimize")
+        scan = preset_scans[preset]
+        fit = fit_visibility(scan, observable)
+        y = np.asarray(scan.observable(observable))
+        ts = (scan.tau - scan.tau.min()) / np.ptp(scan.tau)
+        ys = y / y.max()
+        centroid = np.sum(ts * (1 - ys)) / np.sum(1 - ys)
+
+        def model(t, base, vis, t0, sig):
+            return base * (1 - vis * np.exp(-((t - t0) ** 2) / (2 * sig**2)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            popt, pcov = optimize.curve_fit(model, ts, ys, p0=[1.0, 1 - ys.min(), centroid, 0.125],
+                                            bounds=([0, 0, -1, 1e-3], [np.inf, 1.5, 2, 10]),
+                                            maxfev=20000)
+        assert abs(fit.visibility - popt[1]) <= 1e-7
+        assert fit.visibility_err == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-6)
 
 
 class TestCounts:
