@@ -31,7 +31,6 @@ from .source import (
     thermal_occupation,
 )
 from .network import (
-    DetectionMoments,
     DetectorModel,
     detection_mode_projection,
     hom_dip_width_estimate,

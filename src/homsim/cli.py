@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .experiment import ExperimentError
+from .experiment import PRESET_NAMES, ExperimentError
 
 EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
 EXIT_OTHER = 3
@@ -158,7 +158,7 @@ def build_parser():
             ("calibrate", cmd_calibrate, "calibrated gammaL for a scenario"),
             ("scan", cmd_scan, "delay scan to CSV")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--preset", choices=("multimode", "single_mode"), default=None)
+        p.add_argument("--preset", choices=PRESET_NAMES, default=None)
         p.add_argument("--config", default=None, help="scenario INI file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable, last wins)")

@@ -181,6 +181,8 @@ def coincidence_probability(normal, anomalous, query, subset):
     """
     _validate_moments(normal, anomalous)
     subset = tuple(subset)
+    if not subset:
+        return 1.0  # every detector of an empty set clicks
     signs, logs, eigs = [], [], []
     for r in range(len(subset) + 1):
         for chosen in combinations(subset, r):

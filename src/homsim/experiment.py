@@ -331,8 +331,7 @@ class Scenario:
         else:
             eta_s = t_s * qe
             eta_i = t_i * qe
-        return [DetectorModel(name=name, efficiency=eta, dark_mean=mu)
-                for name, eta in (("A", eta_s), ("B", eta_s), ("C", eta_i), ("D", eta_i))]
+        return DetectorModel(signal_efficiency=eta_s, idler_efficiency=eta_i, dark_mean=mu)
 
     # -- scan plan ------------------------------------------------------
     @cached_property
@@ -428,14 +427,12 @@ def run_delay_scan(scenario):
     acc = np.empty(len(taus))
     singles = {name: np.empty(len(taus)) for name in "ABCD"}
     for i, tau in enumerate(taus):
-        dm = detection_mode_projection(spool, spool, bases, tau)
-        query = dm.click_query(detectors)
-        p4[i] = coincidence_probability(dm.normal, dm.anomalous, query,
-                                        ("A", "B", "C", "D"))
-        p2[i] = coincidence_probability(dm.normal, dm.anomalous, query, ("A", "B"))
+        normal, anomalous, query = detection_mode_projection(spool, spool, bases, tau,
+                                                             detectors)
+        p4[i] = coincidence_probability(normal, anomalous, query, ("A", "B", "C", "D"))
+        p2[i] = coincidence_probability(normal, anomalous, query, ("A", "B"))
         for name in "ABCD":
-            singles[name][i] = singles_probability(dm.normal, dm.anomalous,
-                                                   query, name)
+            singles[name][i] = singles_probability(normal, anomalous, query, name)
         acc[i] = singles["A"][i] * singles["B"][i]
     return DelayScan(tau=taus, p4=p4, p2_ab=p2, p2_acc=acc,
                      singles=singles, dip_width=scenario.dip_width)

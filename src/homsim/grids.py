@@ -32,6 +32,22 @@ def nm_from_angular(omega):
     return TWO_PI * C_LIGHT / omega * 1e9
 
 
+def load_two_column_table(path, what, error):
+    """The rows of a two-column numeric text file ('#' comments allowed).
+
+    A table that cannot be parsed, or has other than two columns or fewer
+    than two rows, raises `error` with a message that starts with `what`
+    and names the path.
+    """
+    try:
+        table = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise error(f"{what} {path!r}: {exc}") from exc
+    if table.shape[1] != 2 or table.shape[0] < 2:
+        raise error(f"{what} {path!r} needs two columns and at least two rows")
+    return table
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform discretization of an angular-frequency band.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid, angular_from_nm
+from .grids import TWO_PI, FrequencyGrid, angular_from_nm, load_two_column_table
 
 # Modes with chi below this are dropped from detection projections.
 MODE_RETENTION_CUTOFF = 1e-3
@@ -89,13 +89,7 @@ def load_tabulated_spectrum(path):
     converted to amplitude via 10^(dB/20).  Lines starting with '#' are
     comments.
     """
-    try:
-        table = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise ModeAnalysisError(f"tabulated spectrum {path!r}: {exc}") from exc
-    if table.shape[1] != 2 or table.shape[0] < 2:
-        raise ModeAnalysisError(
-            f"tabulated spectrum {path!r} needs two columns and at least two rows")
+    table = load_two_column_table(path, "tabulated spectrum", ModeAnalysisError)
     omega = angular_from_nm(table[:, 0])
     amp = 10.0 ** (table[:, 1] / 20.0)
     order = np.argsort(omega)

@@ -44,51 +44,24 @@ class NetworkError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """One threshold detector behind a gate+filter chain.
+    """The four threshold detectors behind their gate+filter chains.
 
-    efficiency collects propagation loss and quantum efficiency and scales
-    the chain's number-operator form; dark_mean is the mean dark count.
+    The coupler ports A and B take the signal efficiency, the heralds C
+    and D the idler one; an efficiency collects propagation loss and
+    quantum efficiency and scales the chain's number-operator form.  All
+    four share the one mean dark count.
     """
 
-    name: str
-    efficiency: float
+    signal_efficiency: float
+    idler_efficiency: float
     dark_mean: float
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise NetworkError(f"efficiency {self.efficiency} outside [0, 1]")
+        for eta in (self.signal_efficiency, self.idler_efficiency):
+            if not 0.0 <= eta <= 1.0:
+                raise NetworkError(f"efficiency {eta} outside [0, 1]")
         if self.dark_mean < 0:
             raise NetworkError("dark mean must be non-negative")
-
-
-@dataclass(frozen=True)
-class DetectionMoments:
-    """Moments over the retained detection register, with per-detector
-    number-operator forms (unit efficiency; efficiencies scale them in the
-    click query).
-
-    The register is ordered (right stokes modes, left stokes modes, right
-    anti-Stokes modes, left anti-Stokes modes).
-    """
-
-    normal: np.ndarray
-    anomalous: np.ndarray
-    forms: dict
-
-    def click_query(self, detectors):
-        """Assemble the engine query from DetectorModel efficiencies/darks."""
-        forms = {}
-        darks = {}
-        for det in detectors:
-            if det.name not in self.forms:
-                raise NetworkError(f"no projection form for detector {det.name!r}")
-            forms[det.name] = det.efficiency * self.forms[det.name]
-            darks[det.name] = det.dark_mean
-        return ClickQuery(forms=forms, dark_means=darks)
-
-    def mean_photons(self, name):
-        """Mean photon number behind detector `name` at unit efficiency."""
-        return float(np.real(np.sum(self.forms[name] * self.normal)))
 
 
 def _retained_chi(basis):
@@ -105,8 +78,11 @@ def retained_register(basis):
     return basis.eigenmodes[:, :len(chi)] * np.sqrt(basis.grid.spacing / TWO_PI), chi
 
 
-def detection_mode_projection(source_r, source_l, bases, tau):
+def detection_mode_projection(source_r, source_l, bases, tau, detectors):
     """Place two spools on the detection register at relative delay tau.
+
+    Returns (normal, anomalous, query): the register moments and the
+    ClickQuery of detectors A-D that the click engine reads.
 
     Parameters
     ----------
@@ -122,6 +98,8 @@ def detection_mode_projection(source_r, source_l, bases, tau):
     tau : relative Stokes delay in seconds (right leads by +tau/2).  Only
         the relative delay is observable: each spool's chain co-moves with
         its own arrival, so a common shift of both spools cancels exactly.
+    detectors : DetectorModel; each unit-efficiency form is scaled by its
+        detector's efficiency.
     """
     basis_s = bases["signal"]
     psi_s, chi_s = retained_register(basis_s)
@@ -160,13 +138,14 @@ def detection_mode_projection(source_r, source_l, bases, tau):
         q[sl_ls, sl_ls] = 0.5 * np.diag(chi_s)
         q[sl_rs, sl_ls] = sign * cross
         q[sl_ls, sl_rs] = sign * cross.conj().T
-        forms[name] = q
+        forms[name] = detectors.signal_efficiency * q
     for name, sl_a in (("C", sl_ra), ("D", sl_la)):
         q = np.zeros((m_tot, m_tot), dtype=complex)
         q[sl_a, sl_a] = np.diag(chi_a)
-        forms[name] = q
+        forms[name] = detectors.idler_efficiency * q
 
-    return DetectionMoments(normal=normal, anomalous=anomalous, forms=forms)
+    darks = dict.fromkeys(forms, detectors.dark_mean)
+    return normal, anomalous, ClickQuery(forms=forms, dark_means=darks)
 
 
 def _fwhm(x, y):

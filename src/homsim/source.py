@@ -33,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid
+from .grids import TWO_PI, FrequencyGrid, load_two_column_table
 
 # reduced Planck and Boltzmann constants in SI units, from the exact SI-2019
 # h and k_B; bit-equal to scipy.constants.hbar and scipy.constants.k
@@ -229,13 +229,7 @@ class RamanGain:
 
 def load_raman_gain(path):
     """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed)."""
-    try:
-        table = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise SourceModelError(f"Raman gain file {path!r}: {exc}") from exc
-    if table.shape[1] != 2 or table.shape[0] < 2:
-        raise SourceModelError(
-            f"Raman gain file {path!r} needs two columns and at least two rows")
+    table = load_two_column_table(path, "Raman gain file", SourceModelError)
     nu = table[:, 0] * TWO_PI * 1e12
     g = table[:, 1]
     order = np.argsort(nu)

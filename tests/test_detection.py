@@ -59,6 +59,12 @@ class TestNoClick:
         q = ClickQuery(forms={"A": np.diag([1.0])})
         assert no_click_expectation(n, m, q, ()) == 1.0
 
+    def test_empty_subset_coincidence_is_one(self):
+        # the expm1 form drops a 1 that cancels only over a non-empty set
+        n, m = thermal(1.0)
+        q = ClickQuery(forms={"A": np.diag([1.0])})
+        assert coincidence_probability(n, m, q, ()) == 1.0
+
     def test_form_off_register_rejected(self):
         n, m = vacuum(3)
         for form in (np.diag([0.5, 0.5]), np.full((3, 2), 0.1), np.array([0.5, 0.5, 0.5])):
@@ -302,10 +308,10 @@ class TestPresetPrecision:
     def assert_p4_matches(self, mp, sc, scan):
         with mp.workdps(40):
             for tau, p4 in zip(sc.tau_list, scan.p4):
-                dm = detection_mode_projection(sc.source, sc.source, sc.bases, tau)
-                assert dm.normal.shape == (8, 8)
-                query = dm.click_query(sc.detectors)
-                ref = self.reference_p4(mp, dm.normal, dm.anomalous, query, "ABCD")
+                normal, anomalous, query = detection_mode_projection(
+                    sc.source, sc.source, sc.bases, tau, sc.detectors)
+                assert normal.shape == (8, 8)
+                ref = self.reference_p4(mp, normal, anomalous, query, "ABCD")
                 assert abs(float(mp.mpf(p4) / ref - 1)) <= 1e-7
 
     def test_single_mode_p4_matches_mpmath(self, monkeypatch):

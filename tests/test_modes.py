@@ -84,6 +84,16 @@ class TestProfiles:
         with pytest.raises(ModeAnalysisError, match="ragged.txt"):
             load_tabulated_spectrum(path)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("1549.0\n1550.0\n", id="one_column"),
+        pytest.param("1550.0 -3.0\n", id="one_row"),
+        pytest.param("1549.0 -3.0\n1550.0 x\n", id="non_numeric")])
+    def test_malformed_table_names_its_path(self, tmp_path, text):
+        path = tmp_path / "malformed.txt"
+        path.write_text(text)
+        with pytest.raises(ModeAnalysisError, match="tabulated spectrum .*malformed.txt"):
+            load_tabulated_spectrum(path)
+
 
 class TestKernel:
     def test_rect_gate_closed_form_vs_quadrature(self):

@@ -55,9 +55,12 @@ def build_scene(pair_prob=0.1, n=101, d=TWO_PI * 2e9, gate_t=1e-10,
     return pump, moments, bases
 
 
-def detectors_for(eta_s=1.0, eta_i=1.0, mu=0.0):
-    return [DetectorModel(name, eta, mu)
-            for name, eta in (("A", eta_s), ("B", eta_s), ("C", eta_i), ("D", eta_i))]
+UNIT = DetectorModel(signal_efficiency=1.0, idler_efficiency=1.0, dark_mean=0.0)
+
+
+def mean_photons(normal, query, name):
+    """Mean photon number behind detector `name` at the query's efficiency."""
+    return float(np.real(np.sum(query.forms[name] * normal)))
 
 
 class TestProjection:
@@ -67,22 +70,23 @@ class TestProjection:
         left = SpoolMoments(normal_stokes=np.zeros_like(moments.normal_stokes),
                             normal_antistokes=np.zeros_like(moments.normal_antistokes),
                             anomalous=np.zeros_like(moments.anomalous))
-        dm = detection_mode_projection(right, left, bases, 0.0)
+        normal, _, q = detection_mode_projection(right, left, bases, 0.0, UNIT)
         # balanced splitter: each port sees half the right-spool flux
-        full = dm.mean_photons("A") + dm.mean_photons("B")
-        assert dm.mean_photons("A") == pytest.approx(dm.mean_photons("B"), rel=1e-12)
-        assert dm.mean_photons("A") == pytest.approx(full / 2, rel=1e-12)
+        n_a, n_b = (mean_photons(normal, q, name) for name in "AB")
+        full = n_a + n_b
+        assert n_a == pytest.approx(n_b, rel=1e-12)
+        assert n_a == pytest.approx(full / 2, rel=1e-12)
         # same kernel applied to the right spool alone gives the full flux
-        dm_direct = detection_mode_projection(right, right, bases, 0.0)
+        normal, _, q = detection_mode_projection(right, right, bases, 0.0, UNIT)
         assert full == pytest.approx(
-            (dm_direct.mean_photons("A") + dm_direct.mean_photons("B")) / 2, rel=1e-10)
+            (mean_photons(normal, q, "A") + mean_photons(normal, q, "B")) / 2, rel=1e-10)
 
     def test_energy_conservation_at_splitter(self):
         pump, moments, bases = build_scene()
         right = left = moments
         for tau in (0.0, 17e-12, 61e-12):
-            dm = detection_mode_projection(right, left, bases, tau)
-            total = dm.mean_photons("A") + dm.mean_photons("B")
+            normal, _, q = detection_mode_projection(right, left, bases, tau, UNIT)
+            total = mean_photons(normal, q, "A") + mean_photons(normal, q, "B")
             # equals the chain-transmitted flux of both spools at any delay
             chi = retained_register(bases["signal"])[1]
             per_spool = np.real(np.diag(right.normal_stokes)) @ chi
@@ -93,14 +97,14 @@ class TestProjection:
         # inherit only a tiny bunching-statistics wobble
         pump, moments, bases = build_scene()
         right = left = moments
+        dets = DetectorModel(signal_efficiency=0.01, idler_efficiency=0.01, dark_mean=1e-4)
         vals, means = [], []
         for tau in (0.0, 23e-12, 88e-12, 301e-12):
-            dm = detection_mode_projection(right, left, bases, tau)
-            dets = detectors_for(eta_s=0.01, eta_i=0.01, mu=1e-4)
-            q = dm.click_query(dets)
-            vals.append([singles_probability(dm.normal, dm.anomalous, q, name)
+            normal, anomalous, q = detection_mode_projection(right, left, bases, tau, dets)
+            vals.append([singles_probability(normal, anomalous, q, name)
                          for name in "ABCD"])
-            means.append([dm.mean_photons(name) for name in "ABCD"])
+            _, _, unit = detection_mode_projection(right, left, bases, tau, UNIT)
+            means.append([mean_photons(normal, unit, name) for name in "ABCD"])
         vals, means = np.array(vals), np.array(means)
         assert np.max(np.abs(means - means[0])) < 1e-12 * np.max(means)
         assert np.max(np.abs(vals - vals[0])) < 1e-3 * np.max(vals)
@@ -138,11 +142,11 @@ class TestProjection:
         bases = {"signal": TinyBasis(), "idler": TinyBasisA()}
         spool = source_moments(params, modes, retained_register(bases["signal"])[0],
                                retained_register(bases["idler"])[0])
-        dm = detection_mode_projection(spool, spool, bases, 0.0)
+        _, anomalous, _ = detection_mode_projection(spool, spool, bases, 0.0, UNIT)
         # M between the right-stokes register mode and the right-idler mode:
         # psi^dag M psi* with psi = (1,1)/sqrt2 gives mean of all entries
         expect = np.sum(m_sa) / 2
-        got = dm.anomalous[0, 2]
+        got = anomalous[0, 2]
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_global_delay_invariance(self):
@@ -152,42 +156,37 @@ class TestProjection:
         pump, moments, bases = build_scene()
         right = left = moments
         tau = 31e-12
-        dm = detection_mode_projection(right, left, bases, tau)
-        dets = detectors_for(eta_s=0.02, eta_i=0.02, mu=1e-4)
-        p4 = coincidence_probability(dm.normal, dm.anomalous, dm.click_query(dets),
+        dets = DetectorModel(signal_efficiency=0.02, idler_efficiency=0.02, dark_mean=1e-4)
+        p4 = coincidence_probability(*detection_mode_projection(right, left, bases, tau, dets),
                                      ("A", "B", "C", "D"))
 
         def rotated(spool, theta):
             return replace(spool, anomalous=np.exp(2j * theta) * spool.anomalous)
 
-        dm3 = detection_mode_projection(rotated(right, 0.7), rotated(left, 0.7),
-                                        bases, tau)
-        p4c = coincidence_probability(dm3.normal, dm3.anomalous,
-                                      dm3.click_query(dets),
-                                      ("A", "B", "C", "D"))
+        p4c = coincidence_probability(
+            *detection_mode_projection(rotated(right, 0.7), rotated(left, 0.7), bases, tau, dets),
+            ("A", "B", "C", "D"))
         assert p4c == pytest.approx(p4, rel=1e-9)
 
     def test_spool_swap_symmetry(self):
         pump, moments, bases = build_scene()
         right = left = moments
         tau = 13e-12
-        dm = detection_mode_projection(right, left, bases, tau)
-        dm_swap = detection_mode_projection(left, right, bases, -tau)
-        dets = detectors_for(eta_s=0.05, eta_i=0.03, mu=0.0)
+        dets = DetectorModel(signal_efficiency=0.05, idler_efficiency=0.03, dark_mean=0.0)
+        projected = detection_mode_projection(right, left, bases, tau, dets)
+        swapped = detection_mode_projection(left, right, bases, -tau, dets)
         for subset in [("A",), ("A", "C"), ("A", "B", "C", "D")]:
-            p1 = coincidence_probability(dm.normal, dm.anomalous,
-                                         dm.click_query(dets), subset)
-            p2 = coincidence_probability(dm_swap.normal, dm_swap.anomalous,
-                                         dm_swap.click_query(dets), subset)
+            p1 = coincidence_probability(*projected, subset)
+            p2 = coincidence_probability(*swapped, subset)
             assert p1 == pytest.approx(p2, rel=1e-9)
 
     def test_moment_structure_preserved(self):
         pump, moments, bases = build_scene()
         right = left = moments
-        dm = detection_mode_projection(right, left, bases, 21e-12)
-        np.testing.assert_allclose(dm.normal, dm.normal.conj().T, atol=1e-14)
-        np.testing.assert_allclose(dm.anomalous, dm.anomalous.T, atol=1e-14)
-        for q in dm.forms.values():
+        normal, anomalous, query = detection_mode_projection(right, left, bases, 21e-12, UNIT)
+        np.testing.assert_allclose(normal, normal.conj().T, atol=1e-14)
+        np.testing.assert_allclose(anomalous, anomalous.T, atol=1e-14)
+        for q in query.forms.values():
             np.testing.assert_allclose(q, q.conj().T, atol=1e-14)
             assert np.linalg.eigvalsh(q).min() > -1e-12
 
@@ -200,12 +199,11 @@ class TestProjection:
             right = left = moments
             taus = np.linspace(0, 80e-12, 9)
             p4 = []
+            dets = DetectorModel(signal_efficiency=0.05, idler_efficiency=0.05, dark_mean=0.0)
             for tau in taus:
-                dm = detection_mode_projection(right, left, bases, tau)
-                dets = detectors_for(eta_s=0.05, eta_i=0.05, mu=0.0)
-                q = dm.click_query(dets)
                 p4.append(coincidence_probability(
-                    dm.normal, dm.anomalous, q, ("A", "B", "C", "D")))
+                    *detection_mode_projection(right, left, bases, tau, dets),
+                    ("A", "B", "C", "D")))
             vals[n] = np.array(p4)
         # normalized dip shapes agree across resolutions (no ringing); the
         # absolute scale carries ordinary discretization error
@@ -227,9 +225,9 @@ class TestProjection:
                       replace(moments, normal_antistokes=moments.normal_antistokes[1:, 1:],
                               anomalous=moments.anomalous[:, 1:])):
             with pytest.raises(NetworkError, match="register"):
-                detection_mode_projection(short, moments, bases, 0.0)
+                detection_mode_projection(short, moments, bases, 0.0, UNIT)
             with pytest.raises(NetworkError, match="register"):
-                detection_mode_projection(moments, short, bases, 0.0)
+                detection_mode_projection(moments, short, bases, 0.0, UNIT)
 
     @pytest.mark.parametrize("band", ["signal", "idler"])
     def test_band_without_retained_modes_rejected(self, band):
@@ -239,7 +237,25 @@ class TestProjection:
         dark = FilterProfile(grid=grid, amplitude=np.zeros(grid.n_points))
         empty = schmidt_decompose(build_kernel(dark, 1e-10))
         with pytest.raises(NetworkError, match="no retained"):
-            detection_mode_projection(moments, moments, {**bases, band: empty}, 0.0)
+            detection_mode_projection(moments, moments, {**bases, band: empty}, 0.0, UNIT)
+
+
+class TestDetectorModel:
+    @pytest.mark.parametrize("change", [
+        {"signal_efficiency": -0.1}, {"signal_efficiency": 1.1},
+        {"idler_efficiency": -0.1}, {"idler_efficiency": 1.1}, {"dark_mean": -1e-6}])
+    def test_out_of_range_rejected(self, change):
+        with pytest.raises(NetworkError):
+            replace(UNIT, **change)
+
+    def test_ports_take_signal_and_heralds_idler_efficiency(self):
+        pump, moments, bases = build_scene()
+        dets = DetectorModel(signal_efficiency=0.3, idler_efficiency=0.7, dark_mean=2e-4)
+        _, _, query = detection_mode_projection(moments, moments, bases, 17e-12, dets)
+        _, _, unit = detection_mode_projection(moments, moments, bases, 17e-12, UNIT)
+        for name, eta in (("A", 0.3), ("B", 0.3), ("C", 0.7), ("D", 0.7)):
+            np.testing.assert_array_equal(query.forms[name], eta * unit.forms[name])
+        assert query.dark_means == dict.fromkeys("ABCD", 2e-4)
 
 
 def signal_filter(bases, bandwidth=TWO_PI * 24.6e9):
@@ -287,14 +303,13 @@ class TestEngineProperties:
         from homsim.detection import no_click_expectation
         pump, moments, bases = build_scene()
         right = left = moments
-        dm = detection_mode_projection(right, left, bases, 11e-12)
-        dets = detectors_for(eta_s=0.05, eta_i=0.04, mu=1e-4)
-        q = dm.click_query(dets)
+        dets = DetectorModel(signal_efficiency=0.05, idler_efficiency=0.04, dark_mean=1e-4)
+        normal, anomalous, q = detection_mode_projection(right, left, bases, 11e-12, dets)
         subset = ("A", "B", "C", "D")
         partials = []
         total = 0.0
         for r in range(5):
-            total += sum((-1) ** r * no_click_expectation(dm.normal, dm.anomalous,
+            total += sum((-1) ** r * no_click_expectation(normal, anomalous,
                                                           q, chosen, check=False)
                          for chosen in combinations(subset, r))
             partials.append(total)

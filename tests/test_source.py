@@ -10,7 +10,7 @@ from homsim.detection import physicality_min_eig
 from homsim.experiment import preset_scenario
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import build_kernel, make_profile, schmidt_decompose
-from homsim.network import detection_mode_projection, retained_register
+from homsim.network import DetectorModel, detection_mode_projection, retained_register
 from homsim.source import (
     ANTISTOKES,
     CALIBRATION_RTOL,
@@ -333,6 +333,16 @@ class TestRaman:
         with pytest.raises(SourceModelError, match="gain.txt"):
             load_raman_gain(path)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("0.0\n1.0\n", id="one_column"),
+        pytest.param("1.0 2e-5\n", id="one_row"),
+        pytest.param("0.0 0.0\n1.0 x\n", id="non_numeric")])
+    def test_malformed_gain_file_names_its_path(self, tmp_path, text):
+        path = tmp_path / "malformed.txt"
+        path.write_text(text)
+        with pytest.raises(SourceModelError, match="Raman gain file .*malformed.txt"):
+            load_raman_gain(path)
+
 
 def dense_raman_block(pump, params, grid, weight=None):
     """Brute-force reference for the Raman block.
@@ -606,16 +616,17 @@ class TestSourceMoments:
         bases = {"signal": basis_s, "idler": basis_a}
         spool = source_moments(params, factor_pair_amplitude(pump, grids),
                                retained_register(basis_s)[0], retained_register(basis_a)[0])
-        dm = detection_mode_projection(spool, spool, bases, 13e-12)
+        unit = DetectorModel(signal_efficiency=1.0, idler_efficiency=1.0, dark_mean=0.0)
+        normal, anomalous, _ = detection_mode_projection(spool, spool, bases, 13e-12, unit)
         k_s, k_a = basis_s.retained(), basis_a.retained()
         right = np.r_[0:k_s, 2 * k_s:2 * k_s + k_a]
         left = np.r_[k_s:2 * k_s, 2 * k_s + k_a:2 * k_s + 2 * k_a]
-        for block in (dm.normal, dm.anomalous):
+        for block in (normal, anomalous):
             assert np.all(block[np.ix_(right, left)] == 0)
             assert np.all(block[np.ix_(left, right)] == 0)
             np.testing.assert_array_equal(block[np.ix_(right, right)],
                                           block[np.ix_(left, left)])
-        np.testing.assert_array_equal(dm.anomalous, dm.anomalous.T)
+        np.testing.assert_array_equal(anomalous, anomalous.T)
 
     def test_normal_blocks_hermitian_psd(self):
         pump, params, grids = self._setup()
