@@ -17,7 +17,11 @@ below the size of each E_S - 1 keep their leading digits.
 Detector number operators are positive quadratic forms n_M = a^dag Q_M a
 over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
 is the diagonal form Q_M = diag(w_M), and delayed two-spool arms enter as
-general forms.
+general forms.  A query's detectors fall into groups whose forms share no
+register mode (in the two-spool scan: ports {A, B}, herald C, herald D),
+so a subset's weighted eigenmodes are those of its part in each group,
+each factored once per query; a subset whose modes carry no pair
+amplitude needs only the spectrum of its normal block.
 """
 
 from __future__ import annotations
@@ -42,22 +46,71 @@ class ClickQuery:
     """Detector description over a shared mode register.
 
     Each detector contributes a Hermitian PSD form matrix over the full
-    register (diag(w) for a weighted mode sum) and a dark mean.
+    register (diag(w) for a weighted mode sum) and a dark mean.  On first
+    use the detectors are split into groups whose forms share no register
+    mode; each group's summed form over a subset's detectors is factored
+    once per query, by one eigh on the group's support block, and a
+    subset's weighted modes are its groups' factors side by side (exact,
+    because the supports are disjoint).  The query keeps those factors, so
+    its forms are read-only after first use.
     """
 
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
     dark_means: dict = field(default_factory=dict)
+    # (support indices, names) of each group of forms that share no mode
+    # with another group, and sorted names -> weighted modes V W^(1/2)
+    _groups: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def total_form(self, subset, n_modes):
-        q = np.zeros((n_modes, n_modes), dtype=complex)
+    def weighted_modes(self, subset, n_modes):
+        """Columns sqrt(w_i) v_i over the eigenpairs (w_i > WEIGHT_FLOOR, v_i)
+        of the subset's total form Q = sum_{M in S} Q_M."""
         for name in subset:
             if name not in self.forms:
                 raise DetectionError(f"unknown detector {name!r}")
-            form = self.forms[name]
+            if np.shape(self.forms[name]) != (n_modes, n_modes):
+                raise DetectionError(f"form of {name!r} does not match register")
+        key = tuple(sorted(subset))
+        if key not in self._roots:
+            if not self._groups:
+                self._group_forms(n_modes)
+            roots = [self._group_root(idx, part, n_modes) for idx, names in self._groups
+                     if (part := tuple(name for name in key if name in names))]
+            self._roots[key] = np.hstack(roots) if roots else np.zeros((n_modes, 0))
+        return self._roots[key]
+
+    def _group_forms(self, n_modes):
+        """Split the forms into groups that share no register mode."""
+        groups = []                                   # (support modes, names)
+        for name, form in self.forms.items():
             if np.shape(form) != (n_modes, n_modes):
                 raise DetectionError(f"form of {name!r} does not match register")
-            q += form
-        return q
+            nonzero = np.asarray(form) != 0
+            support = set(np.flatnonzero((nonzero | nonzero.T).any(axis=0)).tolist())
+            names = {name}
+            apart = []
+            for other, other_names in groups:
+                if support.isdisjoint(other):
+                    apart.append((other, other_names))
+                else:
+                    support, names = support | other, names | other_names
+            groups = apart + [(support, names)]
+        self._groups.extend((np.array(sorted(support), dtype=int), names)
+                            for support, names in groups)
+
+    def _group_root(self, idx, part, n_modes):
+        """Weighted modes of the summed form of `part`, detectors of one
+        group, from one eigh on the group's support block `idx`."""
+        if part not in self._roots:
+            q = sum(np.asarray(self.forms[name])[idx[:, None], idx] for name in part)
+            vals, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
+            if vals.size and vals[-1] > 1.0 + 1e-9:
+                raise DetectionError(f"detection weight {vals[-1]:.6f} exceeds 1")
+            keep = vals > WEIGHT_FLOOR
+            root = np.zeros((n_modes, np.count_nonzero(keep)), dtype=complex)
+            root[idx] = vecs[:, keep] * np.sqrt(vals[keep])
+            self._roots[part] = root
+        return self._roots[part]
 
     def dark_sum(self, subset):
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
@@ -115,31 +168,29 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     ln E_S = -mu - (1/2) log det(I + G W) = -mu - (1/2) sum log1p(eigs)
     (eigs is empty for an empty or zero-weight subset).  The determinant
     is taken in the eigenbasis of the subset's total quadratic form
-    Q = V W V^dag (zero-weight directions contribute exact factors of one
-    and are dropped): with L = V W^(1/2), B = L^T N L* and
-    A = L^dag M L*, the Hermitian H = [[B^T, A], [A*, B]] = W^(1/2) G W^(1/2)
-    has log det(I + H) = sum log1p(eig(H)).  An eigenvalue at or below -1
-    (det <= 0, possible only for unphysical moments) raises DetectionError.
+    Q = V W V^dag, which the query factors per detector group (zero-weight
+    directions contribute exact factors of one and are dropped): with
+    L = V W^(1/2), B = L^T N L* and A = L^dag M L*, the Hermitian
+    H = [[B^T, A], [A*, B]] = W^(1/2) G W^(1/2) has
+    log det(I + H) = sum log1p(eig(H)); when A is exactly zero, eig(H) is
+    eig(B) twice.  An eigenvalue at or below -1 (det <= 0, possible only
+    for unphysical moments) raises DetectionError.
     """
-    n = normal.shape[0]
     mu = query.dark_sum(subset)
     if check and subset:
         _validate_moments(normal, anomalous)
     log_e = -mu
     eigs = np.empty(0)
     if subset:
-        q = query.total_form(subset, n)
-        q = 0.5 * (q + q.conj().T)
-        vals, vecs = np.linalg.eigh(q)
-        if vals[-1] > 1.0 + 1e-9:
-            raise DetectionError(f"detection weight {vals[-1]:.6f} exceeds 1")
-        keep = vals > WEIGHT_FLOOR
-        if np.any(keep):
-            root = vecs[:, keep] * np.sqrt(vals[keep])
+        root = query.weighted_modes(subset, normal.shape[0])
+        if root.shape[1]:
             # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
             n_b = root.T @ normal @ root.conj()
             m_b = root.conj().T @ anomalous @ root.conj()
-            eigs = np.linalg.eigvalsh(_hermitian_pair(n_b.T, m_b, n_b))
+            if m_b.any():
+                eigs = np.linalg.eigvalsh(_hermitian_pair(n_b.T, m_b, n_b))
+            else:  # H = diag(n_b^T, n_b): the spectrum of n_b, twice
+                eigs = np.repeat(np.linalg.eigvalsh(n_b), 2)
             if eigs[0] <= -1.0:
                 raise DetectionError("singular doubled moment matrix (det(I + GW) <= 0)")
             log_e -= 0.5 * float(np.sum(np.log1p(eigs)))

@@ -60,8 +60,8 @@ class DetectorModel:
         for eta in (self.signal_efficiency, self.idler_efficiency):
             if not 0.0 <= eta <= 1.0:
                 raise NetworkError(f"efficiency {eta} outside [0, 1]")
-        if self.dark_mean < 0:
-            raise NetworkError("dark mean must be non-negative")
+        if not 0.0 <= self.dark_mean < np.inf:
+            raise NetworkError(f"dark mean {self.dark_mean} is not finite and non-negative")
 
 
 def _retained_chi(basis):

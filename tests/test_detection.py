@@ -147,6 +147,86 @@ class TestNoClick:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def random_form(rng, n_modes, modes, unitary=None):
+    """A Hermitian PSD form with eigenvalues in (0, 0.24) on `modes` of the
+    register (any four sum to a weight below one), rotated by `unitary`
+    when one is given."""
+    k = len(modes)
+    u = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+    form = np.zeros((n_modes, n_modes), complex)
+    form[np.ix_(modes, modes)] = u @ np.diag(rng.uniform(0.02, 0.24, k)) @ u.conj().T
+    return form if unitary is None else unitary.conj().T @ form @ unitary
+
+
+def reference_log_no_click(normal, anomalous, query, subset):
+    """-mu - (1/2) ln det(I + G W) over the full doubled register, with
+    G = [[N^T, M], [M*, N]] and W = diag(Q, Q^T), by one LU determinant."""
+    k = normal.shape[0]
+    form = sum((query.forms[name] for name in subset), np.zeros((k, k), complex))
+    g = np.block([[normal.T, anomalous], [anomalous.conj(), normal]])
+    w = np.block([[form, np.zeros((k, k))], [np.zeros((k, k)), form.T]])
+    sign, logdet = np.linalg.slogdet(np.eye(2 * k) + g @ w)
+    assert abs(sign - 1) < 1e-12
+    return -query.dark_sum(subset) - 0.5 * logdet
+
+
+class TestGroupFactors:
+    """Each detector group's form is factored once per query; every subset
+    still equals the determinant over the whole register."""
+
+    STATES = {
+        "thermal": [("thermal", 0, 0.3), ("thermal", 1, 0.1), ("thermal", 2, 0.05),
+                    ("thermal", 3, 0.2), ("bs", (0, 3), 0.7, 0.4), ("bs", (1, 2), 0.3, 1.9)],
+        "squeezed": [("thermal", 0, 0.05), ("thermal", 3, 0.02), ("tmsv", (0, 2), 0.2),
+                     ("tmsv", (1, 3), 0.1), ("squeeze", 1, 0.2, 0.6), ("bs", (0, 1), 0.4, 2.2)],
+        "squeezed_3": [("thermal", 0, 0.04), ("tmsv", (0, 1), 0.15), ("squeeze", 2, 0.1, 1.3),
+                       ("bs", (1, 2), 0.9, 0.5)],
+    }
+
+    @staticmethod
+    def queries(rng, n_modes):
+        # A and B share mode 1 (one group); C and D own the last modes (one
+        # each on four modes, one shared on three); in the rotated query C
+        # spans the whole register, so all four are one group
+        modes = {"A": [0, 1], "B": [1], "C": [2], "D": [n_modes - 1]}
+        darks = {"A": 1e-4, "B": 0.0, "C": 3e-4, "D": 2e-5}
+        forms = {name: random_form(rng, n_modes, m) for name, m in modes.items()}
+        u = np.linalg.qr(rng.normal(size=(n_modes,) * 2) + 1j * rng.normal(size=(n_modes,) * 2))[0]
+        rotated = dict(forms, C=random_form(rng, n_modes, modes["C"], unitary=u))
+        return ClickQuery(forms=forms, dark_means=darks), ClickQuery(forms=rotated, dark_means=darks)
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_every_subset_matches_full_register_determinant(self, state):
+        rng = np.random.default_rng(sorted(self.STATES).index(state) + 21)
+        n_modes = 3 if state.endswith("_3") else 4
+        n, m = moments_from_state_spec(self.STATES[state], n_modes)
+        assert (np.max(np.abs(m)) == 0) == (state == "thermal")
+        for query in self.queries(rng, n_modes):
+            for r in range(1, 5):
+                for subset in combinations("ABCD", r):
+                    got, _ = no_click_expectation(n, m, query, subset, log=True)
+                    ref = reference_log_no_click(n, m, query, subset)
+                    assert abs(got - ref) <= 1e-12, (state, subset, got, ref)
+
+    def test_disjoint_forms_factor_once_per_group_part(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, m = moments_from_state_spec(self.STATES["squeezed"], 4)
+        query = self.queries(rng, 4)[0]
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        coincidence_probability(n, m, query, "ABCD")
+        # A, B and A+B on modes {0, 1}; C and D on one mode each
+        assert sorted(sizes) == [1, 1, 2, 2, 2]
+        coincidence_probability(n, m, query, "ABCD")
+        assert len(sizes) == 5
+
+
 class TestCoincidence:
     def test_independent_blocks_factorize(self):
         n = np.diag([0.2, 0.5]).astype(complex)

@@ -227,6 +227,29 @@ class TestFitMatchesCurveFit:
         assert fit.visibility_err == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-6)
 
 
+class TestExactIdentities:
+    """Identities that the presets' scans satisfy to rounding."""
+
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_zero_delay_pair_rate_is_product_of_singles(self, preset_scans, preset):
+        # two identical phase-insensitive Gaussian marginals are invariant
+        # under 50:50 mixing, and darks are independent, so at tau = 0 the
+        # ports click independently: p2_ab(0) = P_A(0) P_B(0)
+        scan = preset_scans[preset]
+        (i,) = np.flatnonzero(scan.tau == 0.0)
+        singles = scan.singles
+        assert abs(scan.p2_ab[i] / (singles["A"][i] * singles["B"][i]) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_port_and_herald_singles_symmetric(self, preset_scans, preset):
+        # A and B share one efficiency and see mirrored forms; C and D see
+        # one spool's anti-Stokes field each, which no delay touches
+        singles = preset_scans[preset].singles
+        np.testing.assert_array_equal(singles["A"], singles["B"])
+        np.testing.assert_array_equal(singles["C"], singles["D"])
+        np.testing.assert_array_equal(singles["C"], np.full_like(singles["C"], singles["C"][0]))
+
+
 class TestCounts:
     def test_arithmetic(self):
         scan = synthetic_scan(0.0, base=1e-9, n=5)

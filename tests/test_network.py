@@ -243,7 +243,8 @@ class TestProjection:
 class TestDetectorModel:
     @pytest.mark.parametrize("change", [
         {"signal_efficiency": -0.1}, {"signal_efficiency": 1.1},
-        {"idler_efficiency": -0.1}, {"idler_efficiency": 1.1}, {"dark_mean": -1e-6}])
+        {"idler_efficiency": -0.1}, {"idler_efficiency": 1.1}, {"dark_mean": -1e-6},
+        {"dark_mean": float("nan")}, {"dark_mean": float("inf")}])
     def test_out_of_range_rejected(self, change):
         with pytest.raises(NetworkError):
             replace(UNIT, **change)
@@ -319,3 +320,27 @@ class TestEngineProperties:
         assert partials[2] >= full - 1e-10
         assert partials[3] <= full + 1e-10
         assert 0.0 <= full <= 1.0
+
+    def test_scan_delay_factors_each_group_form_once(self, monkeypatch):
+        # the ports A, B share the Stokes modes and each herald owns its
+        # anti-Stokes block, so p4, p2_ab and the four singles of one delay
+        # factor five forms (A, B, A+B, C, D), each on its own block; a
+        # full-register eigh per non-empty subset would be 15 + 3 + 4 = 22
+        pump, moments, bases = build_scene()
+        k_s = len(retained_register(bases["signal"])[1])
+        k_a = len(retained_register(bases["idler"])[1])
+        normal, anomalous, query = detection_mode_projection(moments, moments, bases,
+                                                             7e-12, UNIT)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        coincidence_probability(normal, anomalous, query, ("A", "B", "C", "D"))
+        coincidence_probability(normal, anomalous, query, ("A", "B"))
+        for name in "ABCD":
+            singles_probability(normal, anomalous, query, name)
+        assert sorted(sizes) == [k_a, k_a, 2 * k_s, 2 * k_s, 2 * k_s]
