@@ -17,11 +17,11 @@ below the size of each E_S - 1 keep their leading digits.
 Detector number operators are positive quadratic forms n_M = a^dag Q_M a
 over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
 is the diagonal form Q_M = diag(w_M), and delayed two-spool arms enter as
-general forms.  A query's detectors fall into groups whose forms share no
-register mode (in the two-spool scan: ports {A, B}, herald C, herald D),
-so a subset's weighted eigenmodes are those of its part in each group,
-each factored once per query; a subset whose modes carry no pair
-amplitude needs only the spectrum of its normal block.
+general forms.  A ClickQuery is checked once, when built, and splits its
+detectors into groups whose forms share no register mode (ports {A, B},
+herald C, herald D in the scan); each group part's form is factored once
+per query, and a subset whose modes carry no pair amplitude needs only the
+spectrum of its normal block.
 """
 
 from __future__ import annotations
@@ -45,72 +45,70 @@ class DetectionError(ValueError):
 class ClickQuery:
     """Detector description over a shared mode register.
 
-    Each detector contributes a Hermitian PSD form matrix over the full
-    register (diag(w) for a weighted mode sum) and a dark mean.  On first
-    use the detectors are split into groups whose forms share no register
-    mode; each group's summed form over a subset's detectors is factored
-    once per query, by one eigh on the group's support block, and a
-    subset's weighted modes are its groups' factors side by side (exact,
-    because the supports are disjoint).  The query keeps those factors, so
-    its forms are read-only after first use.
+    Each detector has a Hermitian PSD form over the full register (diag(w)
+    for a weighted mode sum) and may have a dark mean.  Construction copies
+    the forms, checks them and the dark means once, and splits the detectors
+    into groups whose forms share no register mode.  Each group's summed
+    form over a subset's detectors is factored on first use, by one eigh on
+    the group's support block, and kept; a subset's weighted modes are its
+    groups' factors side by side (exact: the supports are disjoint).
     """
 
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
     dark_means: dict = field(default_factory=dict)
-    # (support indices, names) of each group of forms that share no mode
-    # with another group, and sorted names -> weighted modes V W^(1/2)
-    _groups: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    n_modes: int = field(default=0, init=False)   # register size of every form
+    # (support indices, sorted names) per group; group part -> V W^(1/2)
+    _groups: list = field(init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def weighted_modes(self, subset, n_modes):
-        """Columns sqrt(w_i) v_i over the eigenpairs (w_i > WEIGHT_FLOOR, v_i)
-        of the subset's total form Q = sum_{M in S} Q_M."""
-        for name in subset:
-            if name not in self.forms:
-                raise DetectionError(f"unknown detector {name!r}")
-            if np.shape(self.forms[name]) != (n_modes, n_modes):
-                raise DetectionError(f"form of {name!r} does not match register")
-        key = tuple(sorted(subset))
-        if key not in self._roots:
-            if not self._groups:
-                self._group_forms(n_modes)
-            roots = [self._group_root(idx, part, n_modes) for idx, names in self._groups
-                     if (part := tuple(name for name in key if name in names))]
-            self._roots[key] = np.hstack(roots) if roots else np.zeros((n_modes, 0))
-        return self._roots[key]
-
-    def _group_forms(self, n_modes):
-        """Split the forms into groups that share no register mode."""
+    def __post_init__(self):
+        forms = {name: np.array(form) for name, form in self.forms.items()}
+        n_modes = next((form.shape[0] for form in forms.values() if form.ndim), 0)
         groups = []                                   # (support modes, names)
-        for name, form in self.forms.items():
-            if np.shape(form) != (n_modes, n_modes):
-                raise DetectionError(f"form of {name!r} does not match register")
-            nonzero = np.asarray(form) != 0
+        for name, form in forms.items():
+            if form.shape != (n_modes, n_modes):
+                raise DetectionError(f"form of {name!r} does not match register of {n_modes} modes")
+            scale = np.abs(form).max(initial=1.0)    # NaN or inf for a non-finite form
+            if not (np.isfinite(scale) and np.all(np.abs(form - form.conj().T) <= 1e-10 * scale)):
+                raise DetectionError(f"form of {name!r} is not a finite Hermitian matrix")
+            form.flags.writeable = False
+            nonzero = form != 0
             support = set(np.flatnonzero((nonzero | nonzero.T).any(axis=0)).tolist())
             names = {name}
-            apart = []
-            for other, other_names in groups:
-                if support.isdisjoint(other):
-                    apart.append((other, other_names))
-                else:
-                    support, names = support | other, names | other_names
-            groups = apart + [(support, names)]
-        self._groups.extend((np.array(sorted(support), dtype=int), names)
-                            for support, names in groups)
+            for group in [g for g in groups if not support.isdisjoint(g[0])]:
+                groups.remove(group)
+                support, names = support | group[0], names | group[1]
+            groups.append((support, names))
+        dark_means = {name: float(mu) for name, mu in self.dark_means.items()}
+        for name, mu in dark_means.items():
+            if name not in forms or not 0.0 <= mu < math.inf:
+                raise DetectionError(f"dark mean {mu} of {name!r} must be finite, >= 0 and name a form")
+        self.__dict__.update(forms=forms, dark_means=dark_means, n_modes=n_modes, _groups=[
+            (np.array(sorted(support), dtype=int), sorted(names)) for support, names in groups])
 
-    def _group_root(self, idx, part, n_modes):
+    def weighted_modes(self, subset):
+        """Columns sqrt(w_i) v_i over the eigenpairs (w_i > WEIGHT_FLOOR, v_i)
+        of the subset's total form Q = sum_{M in S} Q_M."""
+        if unknown := set(subset).difference(self.forms):
+            raise DetectionError(f"unknown detector {unknown.pop()!r}")
+        roots = [self._factor(idx, part) for idx, names in self._groups
+                 if (part := tuple(name for name in names if name in subset))]
+        return np.concatenate(roots, axis=1) if roots else np.zeros((self.n_modes, 0))
+
+    def _factor(self, idx, part):
         """Weighted modes of the summed form of `part`, detectors of one
         group, from one eigh on the group's support block `idx`."""
-        if part not in self._roots:
-            q = sum(np.asarray(self.forms[name])[idx[:, None], idx] for name in part)
-            vals, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
+        if part not in self._factors:
+            vals, vecs = np.linalg.eigh(sum(self.forms[name][idx[:, None], idx] for name in part))
             if vals.size and vals[-1] > 1.0 + 1e-9:
                 raise DetectionError(f"detection weight {vals[-1]:.6f} exceeds 1")
+            if vals.size and vals[0] < -1e-9:
+                raise DetectionError(f"detection weight {vals[0]:.3e} is negative")
             keep = vals > WEIGHT_FLOOR
-            root = np.zeros((n_modes, np.count_nonzero(keep)), dtype=complex)
+            root = np.zeros((self.n_modes, np.count_nonzero(keep)), dtype=complex)
             root[idx] = vecs[:, keep] * np.sqrt(vals[keep])
-            self._roots[part] = root
-        return self._roots[part]
+            self._factors[part] = root
+        return self._factors[part]
 
     def dark_sum(self, subset):
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
@@ -182,7 +180,9 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     log_e = -mu
     eigs = np.empty(0)
     if subset:
-        root = query.weighted_modes(subset, normal.shape[0])
+        if normal.shape[0] != query.n_modes:
+            raise DetectionError(f"query of {query.n_modes} modes does not match register")
+        root = query.weighted_modes(subset)
         if root.shape[1]:
             # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
             n_b = root.T @ normal @ root.conj()

@@ -252,7 +252,7 @@ def effective_c(bandwidth, duration):
     return bandwidth * duration / 4.0
 
 
-def rect_rect_basis(c, n_points=DEFAULT_GRID_POINTS, span_factor=DEFAULT_SPAN_FACTOR):
+def rect_rect_basis(c, n_points=DEFAULT_GRID_POINTS):
     """Schmidt basis of the rectangular filter + rectangular gate at given c.
 
     Uses T = 1 and B = 4c; by scale invariance the eigenvalues depend on c
@@ -261,7 +261,7 @@ def rect_rect_basis(c, n_points=DEFAULT_GRID_POINTS, span_factor=DEFAULT_SPAN_FA
     if not c > 0:
         raise ModeAnalysisError("c must be positive")
     B = 4.0 * c
-    grid = FrequencyGrid(center=0.0, span=span_factor * B, n_points=n_points)
+    grid = FrequencyGrid(center=0.0, span=DEFAULT_SPAN_FACTOR * B, n_points=n_points)
     filt = make_profile("rectangular", {"bandwidth": B}, grid)
     return schmidt_decompose(build_kernel(filt, 1.0))
 

@@ -68,9 +68,8 @@ class TestNoClick:
     def test_form_off_register_rejected(self):
         n, m = vacuum(3)
         for form in (np.diag([0.5, 0.5]), np.full((3, 2), 0.1), np.array([0.5, 0.5, 0.5])):
-            q = ClickQuery(forms={"A": form})
             with pytest.raises(DetectionError, match="does not match register"):
-                no_click_expectation(n, m, q, ("A",))
+                no_click_expectation(n, m, ClickQuery(forms={"A": form}), ("A",))
 
     def test_unknown_detector_rejected(self):
         n, m = vacuum(1)
@@ -83,6 +82,55 @@ class TestNoClick:
         q = ClickQuery(forms={"A": np.diag([1.2])})
         with pytest.raises(DetectionError, match="exceeds 1"):
             no_click_expectation(n, m, q, ("A",))
+
+    def test_negative_weight_rejected(self):
+        # eigenvalues -0.3 and 0.7 on a rotated basis, and a plain -0.5
+        th = 0.4
+        u = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
+        n, m = thermal(0.2)
+        q = ClickQuery(forms={"A": np.diag([-0.5])})
+        with pytest.raises(DetectionError, match="is negative"):
+            singles_probability(n, m, q, "A")
+        n, m = tmsv(0.2)
+        q = ClickQuery(forms={"A": u.T @ np.diag([-0.3, 0.7]) @ u})
+        with pytest.raises(DetectionError, match="is negative"):
+            no_click_expectation(n, m, q, ("A",))
+
+    @pytest.mark.parametrize("form", [
+        np.array([[0.5, 0.3], [0.0, 0.5]]),
+        np.array([[0.5, 0.2j], [0.2j, 0.5]]),
+        np.diag([0.5, np.nan]),
+        np.diag([0.5, np.inf]),
+    ])
+    def test_non_hermitian_form_rejected(self, form):
+        n, m = tmsv(0.2)
+        with pytest.raises(DetectionError, match="not a finite Hermitian matrix"):
+            no_click_expectation(n, m, ClickQuery(forms={"A": form}), ("A",))
+
+    @pytest.mark.parametrize("dark_means", [
+        {"A": -0.5}, {"A": np.nan}, {"A": np.inf}, {"A": 1e-4, "B": 1e-4},
+    ])
+    def test_bad_dark_mean_rejected(self, dark_means):
+        # negative, not finite, or under a name that has no form
+        n, m = thermal(0.2)
+        with pytest.raises(DetectionError, match="must be finite, >= 0 and name a form"):
+            singles_probability(n, m, ClickQuery(forms={"A": np.diag([0.5])},
+                                                 dark_means=dark_means), "A")
+
+    def test_query_owns_its_forms(self):
+        # the query copies its forms: a caller's later change to its array
+        # moves no probability, whether or not the query was used before
+        n, m = thermal(0.5)
+        expect = 0.2 / 1.2                       # w nbar / (1 + w nbar), w = 0.4
+        for used_first in (False, True):
+            form = np.diag([0.4])
+            q = ClickQuery(forms={"A": form})
+            if used_first:
+                assert singles_probability(n, m, q, "A") == pytest.approx(expect, rel=1e-12)
+            form[0, 0] = 0.3
+            assert singles_probability(n, m, q, "A") == pytest.approx(expect, rel=1e-12)
+            with pytest.raises(ValueError, match="read-only"):
+                q.forms["A"][0, 0] = 0.3
 
     def test_nonphysical_moments_rejected(self):
         n = np.array([[0.1]], complex)
