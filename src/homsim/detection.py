@@ -41,7 +41,7 @@ class DetectionError(ValueError):
     """Raised for unphysical moments or invalid detector forms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClickQuery:
     """Detector description over a shared mode register.
 
@@ -58,8 +58,8 @@ class ClickQuery:
     dark_means: dict = field(default_factory=dict)
     n_modes: int = field(default=0, init=False)   # register size of every form
     # (support indices, sorted names) per group; group part -> V W^(1/2)
-    _groups: list = field(init=False, repr=False, compare=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _groups: list = field(init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         forms = {name: np.array(form) for name, form in self.forms.items()}

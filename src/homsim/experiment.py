@@ -93,7 +93,7 @@ _REQUIRED = {
 _DEFAULTS = {"pump": {"rise_time_ps": 0.0}, "source": {"raman_scale": 1.0},
              "filters": {"grid_points": DEFAULT_GRID_POINTS,
                          "grid_span_factor": DEFAULT_SPAN_FACTOR},
-             "detectors": {"flux_calibration": True}, "scan": {"points": 41}}
+             "scan": {"points": 41}}
 
 # The keys each pump and filter shape reads, under the key that names it.
 _SHAPE_KEYS = {("pump", "shape"): {"cw_carved_rect": ["duration_ps"],
@@ -104,7 +104,7 @@ _SHAPE_KEYS = {("pump", "shape"): {"cw_carved_rect": ["duration_ps"],
                   for arm in ("signal", "idler")}}
 
 # The getter of each key that is not a float, by name (no name is in two sections).
-_GETTERS = {"grid_points": "getint", "points": "getint", "flux_calibration": "getboolean",
+_GETTERS = {"grid_points": "getint", "points": "getint",
             **dict.fromkeys(["shape", "signal_shape", "idler_shape", "signal_files",
                              "idler_files", "raman_file"], "get")}
 
@@ -299,39 +299,37 @@ class Scenario:
 
         With each chain K = psi chi psi^dag restricted to its retained
         modes, both heralded weights tr(K_s M K_a* M^dag) and
-        tr(K_a M^T K_s* M*) equal chi_s^T |M_reg|^2 chi_a, with M_reg the
-        spool's register block psi_s^dag M conj(psi_a).  The heralded
-        photon numbers |M conj(psi_a)|^2 and |M^T conj(psi_s)|^2 summed over
-        the grid come from the Schmidt pairs: with M = u sinh r cosh r vt
-        and orthonormal u, vt they are sums over the pairs of
-        (sinh r cosh r)^2 |vt conj(psi_a)|^2 and (sinh r cosh r)^2
-        |u^T conj(psi_s)|^2.
+        tr(K_a M^T K_s* M*) equal chi_s^T |M_reg|^2 chi_a.  With
+        M = u c vt, c_k = sinh r_k cosh r_k, and the pair overlaps
+        S = u^T conj(psi_s) and A = vt conj(psi_a), the register block is
+        M_reg = S^T c A, and the heralded photon numbers summed over the
+        grid are sum_k c_k^2 |A_k|^2 and sum_k c_k^2 |S_k|^2 (u and vt are
+        orthonormal).  The ratios do not change when c is scaled, so at
+        gammaL = 0 the unit-gain weights c = s give the low-gain limit.
         """
         psi_s, chi_s = retained_register(self.bases["signal"])
         psi_a, chi_a = retained_register(self.bases["idler"])
         modes = self.pair_modes
-        r = self.source_params.gamma_length * modes.s
-        pair = (np.sinh(r) * np.cosh(r)) ** 2
-        heralded_s = pair @ np.abs(modes.vt @ psi_a.conj()) ** 2
-        heralded_a = pair @ np.abs(modes.u.T @ psi_s.conj()) ** 2
-        both = chi_s @ np.abs(self.source.anomalous) ** 2 @ chi_a
+        gain = self.source_params.gamma_length
+        pair = np.sinh(gain * modes.s) * np.cosh(gain * modes.s) if gain > 0 else modes.s
+        stokes = modes.u.T @ psi_s.conj()       # (pairs, k_s)
+        antistokes = modes.vt @ psi_a.conj()    # (pairs, k_a)
+        both = chi_s @ np.abs(stokes.T @ (pair[:, None] * antistokes)) ** 2 @ chi_a
+        heralded_s = pair**2 @ np.abs(antistokes) ** 2
+        heralded_a = pair**2 @ np.abs(stokes) ** 2
         return float(both / (heralded_s @ chi_a)), float(both / (heralded_a @ chi_s))
 
     @cached_property
     def detectors(self):
+        """Efficiencies from the measured flux transmissions, with the signal
+        coupler's split and `conditioned_transmissions` divided out; at most 1."""
         cp = self.config
-        qe = cp.getfloat("detectors", "quantum_efficiency")
-        mu = cp.getfloat("detectors", "dark_count_probability")
-        t_s = cp.getfloat("detectors", "signal_transmission")
-        t_i = cp.getfloat("detectors", "idler_transmission")
-        if cp.getboolean("detectors", "flux_calibration"):
-            chi_s, chi_i = self.conditioned_transmissions
-            eta_s = min(1.0, 2.0 * t_s * qe / chi_s)
-            eta_i = min(1.0, t_i * qe / chi_i)
-        else:
-            eta_s = t_s * qe
-            eta_i = t_i * qe
-        return DetectorModel(signal_efficiency=eta_s, idler_efficiency=eta_i, dark_mean=mu)
+        t_s, t_i, qe, mu = (cp.getfloat("detectors", key) for key in (
+            "signal_transmission", "idler_transmission", "quantum_efficiency",
+            "dark_count_probability"))
+        chi_s, chi_i = self.conditioned_transmissions
+        return DetectorModel(signal_efficiency=min(1.0, 2.0 * t_s * qe / chi_s),
+                             idler_efficiency=min(1.0, t_i * qe / chi_i), dark_mean=mu)
 
     # -- scan plan ------------------------------------------------------
     @cached_property
@@ -356,7 +354,7 @@ class Scenario:
 # scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayScan:
     """Delay-resolved coincidence and singles probabilities."""
 
@@ -442,7 +440,7 @@ def run_delay_scan(scenario):
 # fits and counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityFit:
     visibility: float
     visibility_err: float

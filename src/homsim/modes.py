@@ -46,7 +46,7 @@ class ModeAnalysisError(ValueError):
 # profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterProfile:
     """Spectral amplitude h(w) sampled on a grid, |h| <= 1, real or complex as given."""
 
@@ -138,7 +138,7 @@ def make_profile(kind, params, grid):
 # kernel and decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """kappa(w_m, w_n) sampled on a grid; Hermitian with real diagonal."""
 
@@ -180,7 +180,7 @@ def build_kernel(filt, gate_duration):
     return KernelMatrix(grid=grid, entries=np.conj(h)[:, None] * h[None, :] * F)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Transmission eigenvalues (descending) with eigenmode samples.
 

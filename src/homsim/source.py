@@ -44,7 +44,6 @@ THERMAL_OCCUPATION_CAP = 1e12
 PUMP_CONTAINMENT = 0.999
 MAX_MODE_OCCUPATION = 0.5
 MAX_PAIR_PROBABILITY = 0.2
-CALIBRATION_RTOL = 1e-6  # relative width of the final gammaL bracket
 
 STOKES, ANTISTOKES = "stokes", "antistokes"
 
@@ -71,7 +70,7 @@ def _fast_len(n):
 # pump
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PumpPulse:
     """Pump spectral amplitude A_p(w) on a grid, in sqrt(J*s).
 
@@ -207,7 +206,7 @@ def thermal_occupation(detuning, temperature):
     return n + (nu < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RamanGain:
     """Tabulated gain g(|nu|) >= 0 in 1/(W*m); linear interpolation inside
     the table, zero outside (with a warning), symmetric in the detuning sign."""
@@ -242,7 +241,7 @@ def default_raman_gain():
         return load_raman_gain(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceParams:
     """Fiber spool parameters shared by both spools."""
 
@@ -338,7 +337,7 @@ def raman_moments(pump, params, grid, modes):
 # assembled state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpoolMoments:
     """One spool's Gaussian state on a Stokes and an anti-Stokes register.
 
@@ -355,7 +354,7 @@ class SpoolMoments:
     anomalous: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairModes:
     """Schmidt pairs of the unit-gain discrete pair amplitude.
 
@@ -439,37 +438,39 @@ def pair_production_probability(modes, gamma_length, band_filter):
     pairs of `modes` (Raman photons are excluded: they are not paired
     emission)."""
     mode_weight = band_filter.power @ (np.abs(modes.u) ** 2)  # filtered weight per pair
-    return float(np.sum(np.sinh(gamma_length * modes.s) ** 2 * mode_weight))
+    passed = mode_weight > 0  # a blocked pair adds nothing, even where its sinh overflows
+    return float(np.sum(np.sinh(gamma_length * modes.s[passed]) ** 2 * mode_weight[passed]))
 
 
 def calibrate_gain(target_pair_prob, modes, band_filter):
-    """Bisection on gamma*L until the filtered pair probability matches.
+    """The gamma*L, in 1/W, at which the filtered pair probability
+    f(gammaL) = sum_k w_k sinh^2(gammaL s_k), w_k = |h|^2 . |u_k|^2
+    (`pair_production_probability`), equals the target p to rounding.
 
-    `modes` is the pump's PairModes; the forward model is monotone in
-    gammaL, so the root is unique.  Returns the calibrated gammaL in 1/W.
+    f is convex and increasing, so Newton's method from above the root
+    descends monotonically onto it; it stops when a step no longer lowers
+    gammaL.  The start is the smaller of two upper bounds of the root over
+    the passed pairs, sqrt(p / sum_k w_k s_k^2) (as sinh x >= x) and
+    min_k asinh(sqrt(p / w_k)) / s_k, at which no sinh overflows; f is
+    summed as |sqrt(w) sinh r|^2, finite even for a subnormal w_k.  A
+    filter that passes no pair raises.
     """
-    if not 0 <= target_pair_prob < MAX_PAIR_PROBABILITY:
-        raise SourceModelError(
-            f"target pair probability {target_pair_prob} outside the "
-            f"perturbative range [0, {MAX_PAIR_PROBABILITY})")
-    if target_pair_prob == 0.0:
+    p = target_pair_prob
+    if not 0 <= p < MAX_PAIR_PROBABILITY:
+        raise SourceModelError(f"target pair probability {p} outside the "
+                               f"perturbative range [0, {MAX_PAIR_PROBABILITY})")
+    w = band_filter.power @ (np.abs(modes.u) ** 2)
+    passed = w > 0
+    if not np.any(passed):
+        raise SourceModelError("the signal filter passes no photon pair")
+    if p == 0.0:
         return 0.0
-    s = modes.s
-
-    def filtered_pairs(gl):
-        return pair_production_probability(modes, gl, band_filter)
-
-    lo, hi = 0.0, 1.0 / s[0]
-    while filtered_pairs(hi) < target_pair_prob:
-        hi *= 2.0
-        if hi > 1e6 / s[0]:
-            raise SourceModelError("calibration failed to bracket the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if filtered_pairs(mid) < target_pair_prob:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= CALIBRATION_RTOL * hi:
-            break
-    return 0.5 * (lo + hi)
+    root_w, s = np.sqrt(w[passed]), modes.s[passed]
+    gain = min(math.sqrt(p) / np.linalg.norm(root_w * s),
+               float(np.min(np.arcsinh(math.sqrt(p) / root_w) / s)))
+    while True:
+        sh, ch = root_w * np.sinh(gain * s), root_w * np.cosh(gain * s)
+        step = (sh @ sh - p) / (2 * (s * sh) @ ch)
+        if not gain - step < gain:
+            return float(gain)
+        gain -= step

@@ -143,7 +143,6 @@ signal_transmission = 1.0
 idler_transmission = 1.0
 quantum_efficiency = 1.0
 dark_count_probability = 0.0
-flux_calibration = false
 
 [scan]
 points = 21
@@ -335,8 +334,8 @@ def test_criterion_10_heralded_purity(preset, shape, ghz, tau_far_ps):
     overrides = ["source.raman_scale=0", f"source.pair_probability={p}",
                  "detectors.dark_count_probability=0", "detectors.quantum_efficiency=1",
                  "detectors.signal_transmission=1", "detectors.idler_transmission=1",
-                 "detectors.flux_calibration=false", "filters.grid_points=257",
-                 "scan.points=2", "scan.tau_min_ps=0", f"scan.tau_max_ps={tau_far_ps}"]
+                 "filters.grid_points=257", "scan.points=2", "scan.tau_min_ps=0",
+                 f"scan.tau_max_ps={tau_far_ps}"]
     for arm in ("signal", "idler"):
         overrides += [f"filters.{arm}_shape={shape}", f"filters.{arm}_bandwidth_ghz={ghz}"]
     scenario = preset_scenario(preset, overrides=overrides)

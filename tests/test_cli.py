@@ -130,6 +130,13 @@ class TestScanFit:
         pair = float(out.splitlines()[1].split("=")[1])
         assert pair == pytest.approx(0.10, rel=1e-4)
 
+    @pytest.mark.parametrize("preset, target", [("single_mode", 0.039), ("multimode", 0.125)])
+    def test_calibrate_hits_the_preset_target(self, capsys, preset, target):
+        # the calibrated gain is the root itself: the pair probability it
+        # gives prints as the target to every printed digit
+        assert main(["calibrate", "--preset", preset]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"pair_probability = {target:.9f}"
+
 
 class TestColdImport:
     """homsim is numpy-only at run time: neither `import homsim` nor any

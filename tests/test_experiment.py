@@ -1,3 +1,4 @@
+import copy
 import re
 import warnings
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from homsim import experiment
-from homsim.detection import DetectionError
+from homsim.detection import ClickQuery, DetectionError
 from homsim.experiment import (
     CSV_HEADER,
     DelayScan,
@@ -19,6 +20,7 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
+from homsim.grids import FrequencyGrid
 from homsim.modes import MODE_RETENTION_CUTOFF, build_kernel, schmidt_decompose
 from homsim.network import retained_register
 from homsim.source import SourceModelError, default_raman_gain
@@ -54,7 +56,6 @@ signal_transmission = 0.034
 idler_transmission = 0.050
 quantum_efficiency = 0.20
 dark_count_probability = 1.6e-4
-flux_calibration = true
 
 [scan]
 points = 11
@@ -227,24 +228,59 @@ class TestFitMatchesCurveFit:
         assert fit.visibility_err == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-6)
 
 
-class TestExactIdentities:
-    """Identities that the presets' scans satisfy to rounding."""
+def random_overrides(seed):
+    """CHEAP with a drawn pair probability, arm transmissions, dark count
+    and filter width per arm; the seed picks one of the four (signal,
+    idler) filter shape pairs.  The delay range is symmetric and its 16
+    steps are a power of two, so the middle delay is an exact 0."""
+    rng = np.random.default_rng(seed)
+    overrides = [f"source.pair_probability={rng.uniform(1e-3, 0.15)}",
+                 f"detectors.signal_transmission={rng.uniform(0.01, 1)}",
+                 f"detectors.idler_transmission={rng.uniform(0.01, 1)}",
+                 f"detectors.dark_count_probability={rng.uniform(0, 1e-3)}",
+                 "scan.tau_min_ps=-200", "scan.tau_max_ps=200", "scan.points=17"]
+    shapes = ("rectangular", "gaussian")
+    for arm, shape in (("signal", shapes[seed % 2]), ("idler", shapes[seed // 2 % 2])):
+        overrides += [f"filters.{arm}_shape={shape}",
+                      f"filters.{arm}_bandwidth_ghz={rng.uniform(18, 30)}"]
+    return overrides
 
-    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
-    def test_zero_delay_pair_rate_is_product_of_singles(self, preset_scans, preset):
+
+IDENTITY_CASES = ["single_mode", "multimode", "draw0", "draw1", "draw2", "draw3"]
+
+
+@pytest.fixture(scope="module")
+def identity_scans(preset_scans):
+    draws = {f"draw{seed}": run_delay_scan(load_scenario(CHEAP, overrides=random_overrides(seed)))
+             for seed in range(4)}
+    return {**preset_scans, **draws}
+
+
+class TestExactIdentities:
+    """Identities that the scans satisfy to rounding, on the presets and on
+    random draws of CHEAP (unequal arms among them)."""
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_zero_delay_pair_rate_is_product_of_singles(self, identity_scans, case):
         # two identical phase-insensitive Gaussian marginals are invariant
         # under 50:50 mixing, and darks are independent, so at tau = 0 the
         # ports click independently: p2_ab(0) = P_A(0) P_B(0)
-        scan = preset_scans[preset]
+        scan = identity_scans[case]
         (i,) = np.flatnonzero(scan.tau == 0.0)
         singles = scan.singles
         assert abs(scan.p2_ab[i] / (singles["A"][i] * singles["B"][i]) - 1) <= 1e-12
 
-    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
-    def test_port_and_herald_singles_symmetric(self, preset_scans, preset):
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_fourfold_symmetric_in_delay(self, identity_scans, case):
+        # the two spools are identical, so swapping them maps tau to -tau
+        scan = identity_scans[case]
+        assert np.max(np.abs(scan.p4 / scan.p4[::-1] - 1)) <= 1e-8
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_port_and_herald_singles_symmetric(self, identity_scans, case):
         # A and B share one efficiency and see mirrored forms; C and D see
         # one spool's anti-Stokes field each, which no delay touches
-        singles = preset_scans[preset].singles
+        singles = identity_scans[case].singles
         np.testing.assert_array_equal(singles["A"], singles["B"])
         np.testing.assert_array_equal(singles["C"], singles["D"])
         np.testing.assert_array_equal(singles["C"], np.full_like(singles["C"], singles["C"][0]))
@@ -449,6 +485,21 @@ class TestSetup:
         assert abs(ref[0] - ref[1]) > 1e-3
         np.testing.assert_allclose(sc.conditioned_transmissions, ref, rtol=1e-12, atol=0)
 
+    def test_efficiencies_at_zero_gain_are_the_low_gain_limit(self):
+        # the Klyshko ratios need only the pair modes, not the spool state,
+        # and at pair_probability = 0 they take the unit-gain pair weights
+        zero, small = (load_scenario(CHEAP, overrides=["filters.idler_bandwidth_ghz=40",
+                                                       f"source.pair_probability={p}"])
+                       for p in (0, 1e-9))
+        assert zero.source_params.gamma_length == 0.0
+        for a, b in zip(zero.conditioned_transmissions, small.conditioned_transmissions):
+            assert 0 < a < 1 and a == pytest.approx(b, rel=1e-8)
+        assert zero.detectors.signal_efficiency == pytest.approx(
+            small.detectors.signal_efficiency, rel=1e-8)
+        assert zero.detectors.idler_efficiency == pytest.approx(
+            small.detectors.idler_efficiency, rel=1e-8)
+        assert "source" not in vars(zero) and "source" not in vars(small)
+
     def test_source_holds_register_blocks_only(self):
         # single_mode keeps 2 modes per arm, so its spool is three 2 x 2 blocks
         spool = preset_scenario("single_mode").source
@@ -559,3 +610,34 @@ class TestSetup:
                 warnings.simplefilter("error")
                 for basis in bases.values():
                     assert basis.retained() == kept
+
+
+class TestRecords:
+    """Records that hold arrays compare and hash by identity: value equality
+    would compare their arrays elementwise and raise."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        sc = load_scenario(CHEAP)
+        scan = synthetic_scan(0.5)
+        records = [ClickQuery(forms={"A": 0.5 * np.eye(2)}), sc.source, sc.pair_modes, sc.pump,
+                   sc.source_params.raman_gain, sc.source_params, sc.filters["signal"],
+                   build_kernel(sc.filters["signal"], sc.pump.duration), sc.bases["signal"],
+                   scan, fit_visibility(scan)]
+        return {type(record).__name__: record for record in records}
+
+    @pytest.mark.parametrize("name", [
+        "ClickQuery", "SpoolMoments", "PairModes", "PumpPulse", "RamanGain", "SourceParams",
+        "FilterProfile", "KernelMatrix", "ModeBasis", "DelayScan", "VisibilityFit"])
+    def test_identity_equality_and_hash(self, records, name):
+        record = records[name]
+        twin = copy.deepcopy(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) and len({record, twin}) == 2
+
+    def test_grid_and_detectors_compare_by_value(self):
+        grid = FrequencyGrid(center=1.0, span=2.0, n_points=5)
+        assert grid == FrequencyGrid(center=1.0, span=2.0, n_points=5)
+        assert hash(grid) == hash(FrequencyGrid(center=1.0, span=2.0, n_points=5))
+        detectors = load_scenario(CHEAP).detectors
+        assert detectors == copy.deepcopy(detectors)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,10 @@ from homsim import grids, source
 from homsim.detection import physicality_min_eig
 from homsim.experiment import preset_scenario
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import build_kernel, make_profile, schmidt_decompose
+from homsim.modes import FilterProfile, build_kernel, make_profile, schmidt_decompose
 from homsim.network import DetectorModel, detection_mode_projection, retained_register
 from homsim.source import (
     ANTISTOKES,
-    CALIBRATION_RTOL,
     STOKES,
     PairModes,
     PumpPulse,
@@ -553,7 +553,7 @@ class TestPumpDtype:
             gains.append(calibrate_gain(0.03, modes, filt))
             params = simple_params(gamma_length=gains[0])
             spools.append(source_moments(params, modes, psi_s, psi_a))
-        assert abs(gains[1] - gains[0]) <= CALIBRATION_RTOL * gains[0]
+        assert abs(gains[1] - gains[0]) <= 1e-12 * gains[0]
         for f in ("normal_stokes", "normal_antistokes", "anomalous"):
             ref, got = getattr(spools[0], f), getattr(spools[1], f)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -709,12 +709,12 @@ class TestPairProbability:
             gl = calibrate_gain(target, modes, filt)
             tuned = replace(params, gamma_length=gl)
             assert pair_production_probability(modes, gl, filt) == pytest.approx(
-                target, rel=2e-6)
+                target, rel=1e-12)
             # independent of the Schmidt-pair sum: the filtered diagonal of
             # the Stokes block of the assembled spool on the identity register
             spool = full_moments(tuned, modes)
             pairs = float(np.sum(filt.power * np.diag(spool.normal_stokes).real))
-            assert pairs == pytest.approx(target, rel=2e-6)
+            assert pairs == pytest.approx(target, rel=1e-12)
 
     def test_zero_target(self):
         pump, params, grids = self._setup()
@@ -726,6 +726,60 @@ class TestPairProbability:
         filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
         with pytest.raises(SourceModelError):
             calibrate_gain(0.25, factor_pair_amplitude(pump, grids), filt)
+
+    @pytest.mark.parametrize("target", [1e-4, 0.03, 0.19])
+    @pytest.mark.parametrize("passband", ["narrow", "grid_edge"])
+    def test_calibration_exact_behind_narrow_filters(self, passband, target):
+        # a 3 GHz passband holds 3 samples, and so does the grid's last
+        # edge: few pairs pass, and at 0.19 the gain is several 1/s_0
+        pump, params, grids = self._setup()
+        modes = factor_pair_amplitude(pump, grids)
+        grid = grids[STOKES]
+        if passband == "narrow":
+            filt = make_profile("rectangular", {"bandwidth": TWO_PI * 3e9}, grid)
+        else:
+            filt = FilterProfile(grid=grid, amplitude=(np.arange(grid.n_points) >= 98) * 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gl = calibrate_gain(target, modes, filt)
+        assert pair_production_probability(modes, gl, filt) == pytest.approx(target, rel=1e-12)
+
+    def test_calibration_exact_on_random_pair_weights(self):
+        # pairs k with squeezing s_k and filtered weight w_k drawn at
+        # random, some of them 0 or spread over many decades; the first
+        # case blocks the most squeezed pair, which the gain that the
+        # passed pair needs would take far past sinh's range
+        rng = np.random.default_rng(7)
+        cases = [(np.array([10.0, 1e-3]), np.array([0.0, 1e-3]), 0.19)]
+        for _ in range(200):
+            power = np.where(rng.random(12) < 0.3, 0.0, 10.0 ** rng.uniform(-12, 0, 12))
+            power[rng.integers(12)] = rng.random()
+            cases.append((np.sort(10.0 ** rng.uniform(-3, 1, 12))[::-1], power,
+                          10.0 ** rng.uniform(-6, np.log10(0.19))))
+        for s, power, target in cases:
+            grid = FrequencyGrid(center=-10.0, span=float(s.size), n_points=s.size)
+            pump = PumpPulse(grid=grid, amplitude=np.zeros(s.size), duration=0.0)
+            modes = PairModes(pump=pump, grids={STOKES: grid, ANTISTOKES: grid},
+                              u=1j * np.eye(s.size), s=s, vt=np.eye(s.size))
+            filt = FilterProfile(grid=grid, amplitude=np.sqrt(power))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gl = calibrate_gain(target, modes, filt)
+            assert pair_production_probability(modes, gl, filt) == pytest.approx(
+                target, rel=1e-12)
+
+    def test_no_passed_pair_rejected(self):
+        # a filter that passes nothing, and a pair amplitude with no pairs:
+        # no gain reaches any target
+        pump, params, grids = self._setup()
+        modes = factor_pair_amplitude(pump, grids)
+        dark = FilterProfile(grid=grids[STOKES], amplitude=np.zeros(grids[STOKES].n_points))
+        empty = replace(modes, u=modes.u[:, :0], s=modes.s[:0], vt=modes.vt[:0])
+        filt = make_profile("rectangular", {"bandwidth": TWO_PI * 24.6e9}, grids[STOKES])
+        for m, f in ((modes, dark), (empty, filt)):
+            for target in (0.0, 0.03):
+                with pytest.raises(SourceModelError, match="passes no photon pair"):
+                    calibrate_gain(target, m, f)
 
     def test_grid_resolution_convergence(self):
         vals = []
