@@ -8,11 +8,12 @@ state E_S = det(I + G W)^(-1/2) over the doubled moments G of the subset's
 weighted eigenmodes.  G is Hermitian and W >= 0, so the determinant is
 that of I + W^(1/2) G W^(1/2) and its log is the sum of log1p over that
 matrix's eigenvalues: one LAPACK call that keeps ln E_S to relative
-precision even when E_S is within 1e-10 of one.  Inclusion-exclusion over
-two or more detectors drops both the ones and the part of ln E_S that is
-linear in the eigenvalues, whose alternating sums are exactly zero, and
-sums only the second-order remainders; so coincidence probabilities far
-below the size of each E_S - 1 keep their leading digits.
+precision even when E_S is within 1e-10 of one.  The part of ln E_S that
+is linear in the eigenvalues is taken from the trace, not from their sum.
+Inclusion-exclusion over two or more detectors drops both the ones and
+that linear part, whose alternating sums are exactly zero, and sums only
+the second-order remainders; so coincidence probabilities far below the
+size of each E_S - 1 keep their leading digits.
 
 Detector number operators are positive quadratic forms n_M = a^dag Q_M a
 over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
@@ -20,15 +21,20 @@ is the diagonal form Q_M = diag(w_M), and delayed two-spool arms enter as
 general forms.  A ClickQuery is checked once, when built, and splits its
 detectors into groups whose forms share no register mode (ports {A, B},
 herald C, herald D in the scan); each group part's form is factored once
-per query, and a subset whose modes carry no pair amplitude needs only the
-spectrum of its normal block.
+per query.  Pair sources are phase-insensitive across their two bands:
+pair amplitude joins only the Stokes and anti-Stokes sides, and normal
+moments only modes of one side.  Where a subset's group parts fall on the
+two sides so, its 2r x 2r doubled matrix is unitarily the direct sum of a
+half-size r x r matrix and its conjugate, and one spectrum of size r
+serves twice; a subset whose modes carry no pair amplitude is the
+one-sided case, the spectrum of its normal block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -88,12 +94,16 @@ class ClickQuery:
 
     def weighted_modes(self, subset):
         """Columns sqrt(w_i) v_i over the eigenpairs (w_i > WEIGHT_FLOOR, v_i)
-        of the subset's total form Q = sum_{M in S} Q_M."""
+        of the subset's total form Q = sum_{M in S} Q_M, one group part after
+        another in group order, and the index of each part's first column."""
         if unknown := set(subset).difference(self.forms):
             raise DetectionError(f"unknown detector {unknown.pop()!r}")
         roots = [self._factor(idx, part) for idx, names in self._groups
                  if (part := tuple(name for name in names if name in subset))]
-        return np.concatenate(roots, axis=1) if roots else np.zeros((self.n_modes, 0))
+        if not roots:
+            return np.zeros((self.n_modes, 0)), [0]
+        return (np.concatenate(roots, axis=1),
+                list(accumulate((root.shape[1] for root in roots[:-1]), initial=0)))
 
     def _factor(self, idx, part):
         """Weighted modes of the summed form of `part`, detectors of one
@@ -114,38 +124,33 @@ class ClickQuery:
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
 
 
-def _hermitian_pair(top_left, top_right, bottom_right):
-    """[[T, R], [R*, B]], filled into one preallocated array."""
-    n = top_left.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=np.result_type(top_left, top_right, bottom_right))
-    out[:n, :n] = top_left
-    out[:n, n:] = top_right
-    out[n:, :n] = top_right.conj()
-    out[n:, n:] = bottom_right
-    return out
-
-
-def _doubled(normal, anomalous):
+def _doubled(normal, anomalous, shift=0.0):
+    """The lower triangle, all that cholesky and eigvalsh read, of the
+    doubled matrix [[N, conj(M)], [M, N^T + I]] + shift I."""
     n = normal.shape[0]
-    dbl = _hermitian_pair(normal, anomalous.conj(), normal.T + np.eye(n))
-    return 0.5 * (dbl + dbl.conj().T)
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = normal
+    out[n:, :n] = anomalous
+    out[n:, n:] = normal.T
+    out.flat[::2 * n + 1] += shift
+    out.flat[n * (2 * n + 1)::2 * n + 1] += 1.0
+    return out
 
 
 def _validate_moments(normal, anomalous):
     n = normal.shape[0]
     if anomalous.shape != (n, n):
         raise DetectionError("normal and anomalous moment shapes differ")
-    scale = max(1.0, float(np.max(np.abs(normal))))
-    if np.max(np.abs(normal - normal.conj().T)) > 1e-10 * scale:
+    scale = max(1.0, float(np.abs(normal).max()))
+    if np.abs(normal - normal.conj().T).max() > 1e-10 * scale:
         raise DetectionError("normal moments are not Hermitian")
-    if np.max(np.abs(anomalous - anomalous.T)) > 1e-10 * max(1.0, float(np.max(np.abs(anomalous)))):
+    if np.abs(anomalous - anomalous.T).max() > 1e-10 * max(1.0, float(np.abs(anomalous).max())):
         raise DetectionError("anomalous moments are not symmetric")
     # a Cholesky factor of the shifted matrix exists iff its smallest
     # eigenvalue exceeds -PSD_TOLERANCE * scale; the eigenvalue itself is
     # only needed for the message
-    shifted = _doubled(normal, anomalous) + PSD_TOLERANCE * scale * np.eye(2 * n)
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(_doubled(normal, anomalous, PSD_TOLERANCE * scale))
     except np.linalg.LinAlgError:
         minimum = physicality_min_eig(normal, anomalous)
         if minimum < -PSD_TOLERANCE * scale:
@@ -159,6 +164,34 @@ def physicality_min_eig(normal, anomalous):
     return float(np.linalg.eigvalsh(_doubled(normal, anomalous))[0])
 
 
+def _pair_spectrum(n_b, m_b, starts):
+    """Spectrum of H = [[n_b^T, m_b], [m_b*, n_b]], by halves where it splits.
+
+    With no pair amplitude, H = diag(n_b^T, n_b) and eig(H) is eig(n_b)
+    twice.  Otherwise, if a cut at the start of a group part (`starts`)
+    puts the columns before it on one side and the rest on the other, with
+    n_b joining only columns of one side and m_b only columns of opposite
+    sides, then H is unitarily diag(K, conj(K)) with
+    K = [[n_11^T, m_12], [m_12^dag, n_22]], and eig(H) is eig(K) twice; K is
+    n_b + conj(m_b) with the first side's rows conjugated.  Where no cut
+    splits H (single-mode squeezing, or a part whose modes hold both
+    sides), H is diagonalised whole.
+    """
+    if not m_b.any():
+        return np.repeat(np.linalg.eigvalsh(n_b), 2)
+    for cut in starts[1:]:
+        if not (m_b[:cut, :cut].any() or m_b[cut:, cut:].any() or n_b[:cut, cut:].any()):
+            half = n_b + m_b.conj()
+            half[:cut] = half[:cut].conj()
+            return np.repeat(np.linalg.eigvalsh(half), 2)
+    r = n_b.shape[0]
+    doubled = np.zeros((2 * r, 2 * r), dtype=complex)   # eigvalsh reads the lower triangle
+    doubled[:r, :r] = n_b.T
+    doubled[r:, :r] = m_b.conj()
+    doubled[r:, r:] = n_b
+    return np.linalg.eigvalsh(doubled)
+
+
 def no_click_expectation(normal, anomalous, query, subset, check=True, log=False):
     """E_S = <:exp(-sum_{M in S} n_M):> times the dark factors exp(-mu_M).
 
@@ -170,9 +203,15 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     directions contribute exact factors of one and are dropped): with
     L = V W^(1/2), B = L^T N L* and A = L^dag M L*, the Hermitian
     H = [[B^T, A], [A*, B]] = W^(1/2) G W^(1/2) has
-    log det(I + H) = sum log1p(eig(H)); when A is exactly zero, eig(H) is
-    eig(B) twice.  An eigenvalue at or below -1 (det <= 0, possible only
-    for unphysical moments) raises DetectionError.
+    log det(I + H) = sum log1p(eig(H)).  Where the group parts fall on two
+    sides that A joins only across and B only within (the Stokes and
+    anti-Stokes bands of pair sources), eig(H) is the spectrum of one
+    half-size matrix, twice (`_pair_spectrum`).  The part of the sum that
+    is linear in the eigenvalues is taken from the trace,
+    sum eigs = tr H = 2 Re tr B, so
+    ln E_S = -mu - Re tr B - (1/2) sum (log1p(eigs) - eigs).  An eigenvalue
+    at or below -1 (det <= 0, possible only for unphysical moments) raises
+    DetectionError.
     """
     mu = query.dark_sum(subset)
     if check and subset:
@@ -182,18 +221,16 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     if subset:
         if normal.shape[0] != query.n_modes:
             raise DetectionError(f"query of {query.n_modes} modes does not match register")
-        root = query.weighted_modes(subset)
+        root, starts = query.weighted_modes(subset)
         if root.shape[1]:
             # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
-            n_b = root.T @ normal @ root.conj()
-            m_b = root.conj().T @ anomalous @ root.conj()
-            if m_b.any():
-                eigs = np.linalg.eigvalsh(_hermitian_pair(n_b.T, m_b, n_b))
-            else:  # H = diag(n_b^T, n_b): the spectrum of n_b, twice
-                eigs = np.repeat(np.linalg.eigvalsh(n_b), 2)
+            conj = root.conj()
+            n_b = root.T @ normal @ conj
+            m_b = conj.T @ anomalous @ conj
+            eigs = _pair_spectrum(n_b, m_b, starts)
             if eigs[0] <= -1.0:
                 raise DetectionError("singular doubled moment matrix (det(I + GW) <= 0)")
-            log_e -= 0.5 * float(np.sum(np.log1p(eigs)))
+            log_e -= float(n_b.trace().real + 0.5 * (np.log1p(eigs) - eigs).sum())
     return (log_e, eigs) if log else math.exp(log_e)
 
 
@@ -219,8 +256,8 @@ def coincidence_probability(normal, anomalous, query, subset):
     """P(all detectors in `subset` click) by inclusion-exclusion.
 
     P = sum_S (-1)^|S| expm1(ln E_S), equal to sum (-1)^|S| E_S because the
-    signs sum to zero.  With eigenvalues l of subset S,
-    ln E_S = -mu_S - (1/2) sum l + (1/2) r_S, r_S = -sum (log1p(l) - l); the
+    signs sum to zero.  With eigenvalues l and normal block B_S of subset S,
+    ln E_S = -mu_S - Re tr B_S + (1/2) r_S, r_S = -sum (log1p(l) - l); the
     first two terms are additive over detectors, so over two or more
     detectors their alternating sum is exactly zero and
     P = sum_S (-1)^|S| [psi(ln E_S) + r_S / 2], psi(x) = expm1(x) - x.  Each

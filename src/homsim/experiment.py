@@ -347,7 +347,12 @@ class Scenario:
             lo, hi = -half, half
         if not hi > lo:
             raise ExperimentError("scan range is empty")
-        return np.linspace(lo, hi, cp.getint("scan", "points"))
+        taus = np.linspace(lo, hi, cp.getint("scan", "points"))
+        if len(taus) % 2:
+            # linspace can miss the midpoint by an ulp of the range (2.6e-26 s
+            # for -200..200 ps), which leaves a symmetric scan without tau = 0
+            taus[len(taus) // 2] = 0.5 * (lo + hi)
+        return taus
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,77 @@ class TestGroupFactors:
         assert len(sizes) == 5
 
 
+class TestPairSplit:
+    """Phase-insensitive pair states over two sides (modes 0-2 and 3-5 of a
+    six-mode register) take half-size spectra; other states and forms
+    that span both sides take the whole doubled matrix, and every subset
+    equals the determinant over the whole register either way."""
+
+    @staticmethod
+    def two_sided(rng):
+        # thermal noise everywhere, squeezers across the sides, splitters
+        # within each side
+        spec = [("thermal", mode, rng.uniform(0.01, 0.3)) for mode in range(6)]
+        spec += [("tmsv", (i, 3 + j), rng.uniform(0.05, 0.4)) for i, j in ((0, 0), (1, 2), (2, 1))]
+        spec += [("bs", pair, rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
+                 for pair in ((0, 1), (1, 2), (3, 4), (4, 5), (3, 5))]
+        return spec
+
+    @staticmethod
+    def query(rng, modes):
+        darks = dict(zip(modes, (1e-4, 0.0, 3e-4, 2e-5)))
+        return ClickQuery(forms={name: random_form(rng, 6, m) for name, m in modes.items()},
+                          dark_means=darks)
+
+    @staticmethod
+    def spectrum_size_per_subset(monkeypatch, n, m, query):
+        """Size of the matrix whose spectrum each subset took, over the
+        number r of its weighted modes (H is 2r x 2r), once ln E_S matches
+        the reference."""
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        out = {}
+        for r in range(1, 5):
+            for subset in combinations("ABCD", r):
+                got, eigs = no_click_expectation(n, m, query, subset, check=False, log=True)
+                ref = reference_log_no_click(n, m, query, subset)
+                assert abs(got - ref) <= 1e-12, (subset, got, ref)
+                out[subset] = sizes.pop() / (eigs.size // 2)
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_sided_states_split(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, m = moments_from_state_spec(self.two_sided(rng), 6)
+        assert not (m[:3, :3].any() or m[3:, 3:].any() or n[:3, 3:].any())
+        # A and B share mode 1, so {A, B} is one group on the first side
+        query = self.query(rng, {"A": [0, 1], "B": [1, 2], "C": [3, 4], "D": [5]})
+        sizes = self.spectrum_size_per_subset(monkeypatch, n, m, query)
+        assert set(sizes.values()) == {1}
+
+    @pytest.mark.parametrize("case", ["squeezer", "splitter_across", "form_across"])
+    def test_unsplittable_cases_take_the_doubled_matrix(self, monkeypatch, case):
+        rng = np.random.default_rng(7)
+        spec = self.two_sided(rng)
+        modes = {"A": [0, 1], "B": [1, 2], "C": [3, 4], "D": [5]}
+        if case == "squeezer":
+            spec.append(("squeeze", 4, 0.2, 0.9))
+        elif case == "splitter_across":
+            spec.append(("bs", (2, 3), 0.3, 1.1))
+        else:
+            modes["C"] = [2, 3]          # C's modes hold both sides
+        n, m = moments_from_state_spec(spec, 6)
+        sizes = self.spectrum_size_per_subset(monkeypatch, n, m, self.query(rng, modes))
+        # each case leaves some subsets splittable, but never all four
+        assert sizes[tuple("ABCD")] == 2 and set(sizes.values()) == {1, 2}
+
+
 class TestCoincidence:
     def test_independent_blocks_factorize(self):
         n = np.diag([0.2, 0.5]).astype(complex)

@@ -553,6 +553,16 @@ class TestSetup:
         assert sc.tau_list[0] == -tau_max and sc.tau_list[-1] == tau_max
         np.testing.assert_array_equal(sc.tau_list, np.linspace(-tau_max, tau_max, 41))
 
+    @pytest.mark.parametrize("points", [11, 41])
+    def test_symmetric_range_has_exact_zero_delay(self, points):
+        # np.linspace(-200e-12, 200e-12, points) puts 2.6e-26 s in the middle
+        sc = preset_scenario("multimode", [f"scan.points={points}", "scan.tau_min_ps=-200",
+                                           "scan.tau_max_ps=200"])
+        taus = sc.tau_list
+        assert taus[points // 2] == 0.0
+        assert taus[0] == -200e-12 and taus[-1] == 200e-12
+        np.testing.assert_allclose(np.diff(taus), 400e-12 / (points - 1), rtol=1e-12)
+
     @pytest.mark.parametrize("preset, overrides, shapes", [
         pytest.param("single_mode", [], [(513, 129)], id="single_mode"),
         pytest.param("multimode", [], [(513, 513)], id="multimode"),

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from homsim.detection import coincidence_probability, singles_probability
+from homsim.detection import coincidence_probability, no_click_expectation, singles_probability
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import FilterProfile, build_kernel, make_profile, schmidt_decompose
 from homsim.network import (
@@ -300,8 +301,6 @@ class TestDipWidth:
 class TestEngineProperties:
     def test_bonferroni_alternation_on_projected_moments(self):
         # inclusion-exclusion partial sums bracket the fourfold probability
-        from itertools import combinations
-        from homsim.detection import no_click_expectation
         pump, moments, bases = build_scene()
         right = left = moments
         dets = DetectorModel(signal_efficiency=0.05, idler_efficiency=0.04, dark_mean=1e-4)
@@ -344,3 +343,32 @@ class TestEngineProperties:
         for name in "ABCD":
             singles_probability(normal, anomalous, query, name)
         assert sorted(sizes) == [k_a, k_a, 2 * k_s, 2 * k_s, 2 * k_s]
+
+    def test_scan_delay_takes_half_size_spectra(self, monkeypatch):
+        # the ports sit on the Stokes side and the heralds on the anti-Stokes
+        # side, so every subset's doubled matrix splits into two halves of
+        # its weighted-mode count r: no 2r x 2r spectrum, even where a
+        # subset holds both sides
+        pump, moments, bases = build_scene()
+        normal, anomalous, query = detection_mode_projection(moments, moments, bases,
+                                                             7e-12, UNIT)
+        calls = [s for r in range(1, 5) for s in combinations("ABCD", r)]
+        calls += [("A",), ("B",), ("A", "B")] + [(name,) for name in "ABCD"]
+        # r: half the size of each subset's doubled spectrum
+        halves = [no_click_expectation(normal, anomalous, query, s, log=True)[1].size // 2
+                  for s in calls]
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        coincidence_probability(normal, anomalous, query, ("A", "B", "C", "D"))
+        coincidence_probability(normal, anomalous, query, ("A", "B"))
+        for name in "ABCD":
+            singles_probability(normal, anomalous, query, name)
+        assert sizes == halves
+        ports, herald = (query.forms[name].any(axis=1) for name in "AC")
+        assert anomalous[np.ix_(ports, herald)].any()       # pairs join A and C
