@@ -69,6 +69,7 @@ def _load_scenario(args):
 
 
 def cmd_modes(args):
+    from .grids import TWO_PI
     from .modes import eigenvalue_curve, rect_rect_basis
 
     c_values = _parse_c_range(args.c_range)
@@ -86,9 +87,11 @@ def cmd_modes(args):
             b = 4.0 * args.eigenmodes
             sel = np.abs(basis.grid.points) <= 0.75 * b
             pts = basis.grid.points[sel]
+            # scaled to integral dw |phi|^2 = 2 pi; a mode not stored prints as zeros
+            phi = basis.eigenmodes[sel, :3].real * np.sqrt(TWO_PI / basis.grid.spacing)
+            phi = np.pad(phi, ((0, 0), (0, 3 - phi.shape[1])))
             for i in range(0, len(pts), max(1, len(pts) // 64)):
-                vals = [pts[i] / b] + [basis.eigenmodes[sel, j][i].real for j in range(3)]
-                text += ", ".join(_fixed(v, 6) for v in vals) + "\n"
+                text += ", ".join(_fixed(v, 6) for v in [pts[i] / b, *phi[i]]) + "\n"
         out.write(text)
     return 0
 
@@ -97,11 +100,12 @@ def cmd_calibrate(args):
     from .source import pair_production_probability
 
     scenario = _load_scenario(args)
-    params = scenario.source_params
-    prob = pair_production_probability(scenario.pair_modes, params.gamma_length,
-                                       scenario.filters["signal"])
-    sys.stdout.write(f"gammaL_per_W = {params.gamma_length:.9e}\n"
-                     f"pair_probability = {prob:.9f}\n")
+    with _output(args.output) as out:
+        params = scenario.source_params
+        prob = pair_production_probability(scenario.pair_modes, params.gamma_length,
+                                           scenario.filters["signal"])
+        out.write(f"gammaL_per_W = {params.gamma_length:.9e}\n"
+                  f"pair_probability = {prob:.9f}\n")
     return 0
 
 
@@ -128,6 +132,10 @@ def cmd_fit(args):
 def cmd_oracle_check(args):
     from .fock import random_equivalence_comparison
 
+    if not 0.0 <= args.tolerance < np.inf:
+        raise ExperimentError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.states < 1:
+        raise ExperimentError(f"--states must be at least 1, got {args.states}")
     worst, checked = random_equivalence_comparison(n_states=args.states,
                                                    seed=args.seed)
     sys.stdout.write(f"states = {args.states}\ncomparisons = {checked}\n"

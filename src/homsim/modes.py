@@ -9,10 +9,11 @@ The gate is rectangular: |f(t)|^2 = 1 for |t| <= T/2 and 0 outside, so
 F(D) = T sinc(D T / 2) in closed form.
 
 Diagonalizing kappa yields transmission eigenvalues chi_j in [0, 1] and
-eigenmodes phi_j(w) normalized to integral dw |phi_j|^2 = 2*pi.  For a
-rectangular filter of bandwidth B and a gate of duration T the eigenvalues
-depend only on c = B*T/4 (the bandlimited/timelimited concentration
-problem), with a single dominant mode for c < 1.
+eigenmodes phi_j(w), sampled as unit Euclidean vectors on the grid; only
+the modes with chi_j > 0 carry light to a detector, so only they are
+kept.  For a rectangular filter of bandwidth B and a gate of duration T
+the eigenvalues depend only on c = B*T/4 (the bandlimited/timelimited
+concentration problem), with a single dominant mode for c < 1.
 """
 
 from __future__ import annotations
@@ -182,15 +183,14 @@ def build_kernel(filt, gate_duration):
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Transmission eigenvalues (descending) with eigenmode samples.
+    """Transmission eigenvalues (descending) with the transmitting eigenmodes.
 
-    One pair per sample of the kernel's support (m of the grid's n):
-    ``eigenvalues`` has shape (m,) and ``eigenmodes`` shape (n, m), whose
-    column j holds phi_j(w_m), normalized so that sum_m |phi_j|^2 dw = 2*pi
-    (as ``homsim modes --eigenmodes`` prints them); it is the basis's one
-    grid-sized array.
-    Projections take the retained columns scaled to unit Euclidean norm
-    (`network.retained_register`).
+    ``eigenvalues`` has one entry per sample of the kernel's support (m of
+    the grid's n), those below EIGENVALUE_FLOOR set to zero.  ``eigenmodes``
+    has shape (n, k), with column j the unit Euclidean vector phi_j(w_m) of
+    the j-th of the k non-zero eigenvalues (a prefix of the sorted list): a
+    mode that does not transmit reaches no detector, so it is not stored.
+    It is the basis's one grid-sized array.
     """
 
     grid: FrequencyGrid
@@ -202,8 +202,8 @@ class ModeBasis:
         return int(np.sum(self.eigenvalues >= MODE_RETENTION_CUTOFF))
 
     def orthonormality_residual(self):
-        g = self.eigenmodes.conj().T @ self.eigenmodes * self.grid.spacing
-        return float(np.max(np.abs(g - TWO_PI * np.eye(g.shape[0]))))
+        g = self.eigenmodes.conj().T @ self.eigenmodes
+        return float(np.max(np.abs(g - np.eye(g.shape[0])), initial=0.0))
 
 
 def schmidt_decompose(kernel):
@@ -211,10 +211,11 @@ def schmidt_decompose(kernel):
 
     A row and column of the kernel are exactly zero wherever the filter is
     (the flat-top filter outside its passband), so every mode with chi > 0
-    lies on the kernel's support.  The basis holds the m eigenpairs of the
-    block over that support: eigenvalues of shape (m,) and eigenmodes of
-    shape (n, m), zero off the support.  A Gaussian filter's support is the
-    whole grid; an all-zero filter gives an empty basis.
+    lies on the kernel's support.  The basis holds the m eigenvalues of the
+    block over that support, and the eigenmodes of the k non-zero ones as
+    unit vectors of shape (n, k), zero off the support.  A Gaussian
+    filter's support is the whole grid; an all-zero filter gives an empty
+    basis.
     """
     nonzero = kernel.entries != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
@@ -230,18 +231,18 @@ def schmidt_decompose(kernel):
             f"leading eigenvalue {vals[0]:.8f} exceeds 1; check |h|, |f| <= 1 "
             "or refine the grid")
     vals[vals < EIGENVALUE_FLOOR] = 0.0
+    k = int(np.count_nonzero(vals))
     # complex for every kernel: real modes change how `raman_moments`' FFT rounds
-    vecs = np.zeros((kernel.grid.n_points, support.size), dtype=complex)
-    vecs[support] = block_vecs[:, ::-1]
+    vecs = np.zeros((kernel.grid.n_points, k), dtype=complex)
+    vecs[support] = block_vecs[:, ::-1][:, :k]
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
     # mirror samples, equal up to the solver's rounding, so the first sample
     # within PHASE_TIE_TOL of the largest is taken
     mags = np.abs(vecs)
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)
-    ref = vecs[first, np.arange(support.size)]
+    ref = vecs[first, np.arange(k)]
     vecs *= np.conj(ref) / np.hypot(ref.real, ref.imag)
-    vecs *= np.sqrt(TWO_PI / kernel.grid.spacing)
     return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs)
 
 
@@ -271,17 +272,11 @@ def eigenvalue_curve(c_values, n_modes=3, n_points=DEFAULT_GRID_POINTS):
 
     c = 0 is the closed (zero-bandwidth) chain: all eigenvalues vanish.
     """
-    rows = np.empty((len(c_values), n_modes + 1))
+    rows = np.zeros((len(c_values), n_modes + 1))
     for i, c in enumerate(c_values):
         if c < 0:
             raise ModeAnalysisError("c must be non-negative")
-        if c == 0:
-            rows[i] = 0.0
-            continue
-        basis = rect_rect_basis(c, n_points=n_points)
-        chis = basis.eigenvalues[:n_modes]
-        if len(chis) < n_modes:
-            chis = np.pad(chis, (0, n_modes - len(chis)))
-        rows[i, 0] = c
-        rows[i, 1:] = chis
+        if c > 0:
+            chis = rect_rect_basis(c, n_points=n_points).eigenvalues[:n_modes]
+            rows[i, :len(chis) + 1] = c, *chis
     return rows

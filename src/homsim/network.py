@@ -64,18 +64,13 @@ class DetectorModel:
             raise NetworkError(f"dark mean {self.dark_mean} is not finite and non-negative")
 
 
-def _retained_chi(basis):
-    """Transmissions chi of a chain's retained modes, of which there must be one."""
+def retained_register(basis):
+    """Retained unit-norm modes psi and their transmissions chi of a chain,
+    of which there must be one."""
     k = basis.retained()
     if k == 0:
         raise NetworkError("no retained detection modes (all chi below cutoff)")
-    return basis.eigenvalues[:k]
-
-
-def retained_register(basis):
-    """Unit-norm retained modes psi and their transmissions chi of a chain."""
-    chi = _retained_chi(basis)
-    return basis.eigenmodes[:, :len(chi)] * np.sqrt(basis.grid.spacing / TWO_PI), chi
+    return basis.eigenmodes[:, :k], basis.eigenvalues[:k]
 
 
 def detection_mode_projection(source_r, source_l, bases, tau, detectors):
@@ -103,7 +98,7 @@ def detection_mode_projection(source_r, source_l, bases, tau, detectors):
     """
     basis_s = bases["signal"]
     psi_s, chi_s = retained_register(basis_s)
-    chi_a = _retained_chi(bases["idler"])
+    _, chi_a = retained_register(bases["idler"])
     k_s, k_a = len(chi_s), len(chi_a)
     for spool in (source_r, source_l):
         if (spool.normal_stokes.shape != (k_s, k_s)

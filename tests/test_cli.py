@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import homsim
-from homsim import experiment
+from homsim import experiment, fock
 from homsim.cli import main
 
 CHEAP = """
@@ -67,6 +67,17 @@ class TestModesCommand:
         assert "0.000000, 1.461760, 0.000000, -1.555994" in rows
         assert not any(re.search(r"-0\.0+(,|$)", row) for row in rows)
         assert len(rows) == 65
+
+    def test_mode_that_does_not_transmit_prints_zeros(self, capsys):
+        # at c = 0.01 only chi_0 and chi_1 survive the eigenvalue floor, so
+        # the basis stores two modes and phi_2 prints as zeros
+        assert main(["modes", "--c-range", "0.01:0.01:1.0", "--eigenmodes", "0.01"]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("(omega/B, phi_0, phi_1, phi_2)\n")[1].splitlines()
+        phi = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        assert np.any(phi[:, 0] != 0) and np.any(phi[:, 1] != 0)
+        assert np.all(phi[:, 2] == 0)
+        assert rows[32] == "0.000000, 12.533211, 0.000000, 0.000000"
 
     def test_bad_range(self, capsys):
         assert main(["modes", "--c-range", "5:1:0.1"]) == 2
@@ -130,6 +141,16 @@ class TestScanFit:
         pair = float(out.splitlines()[1].split("=")[1])
         assert pair == pytest.approx(0.10, rel=1e-4)
 
+    def test_calibrate_writes_its_output_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(CHEAP)
+        out_file = tmp_path / "calibrate.txt"
+        assert main(["calibrate", "--config", str(cfg), "--output", str(out_file)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out_file.read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["gammaL_per_W", "pair_probability"]
+        assert float(lines[1].split("=")[1]) == pytest.approx(0.10, rel=1e-4)
+
     @pytest.mark.parametrize("preset, target", [("single_mode", 0.039), ("multimode", 0.125)])
     def test_calibrate_hits_the_preset_target(self, capsys, preset, target):
         # the calibrated gain is the root itself: the pair probability it
@@ -175,6 +196,19 @@ class TestOracleCheck:
         assert "max_deviation" in out
         worst = float(out.strip().splitlines()[-1].split("=")[1])
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance=-1e-6"],
+        ["--states", "0"], ["--states=-3"]], ids=lambda argv: "=".join(argv).lstrip("-"))
+    def test_bad_arguments_exit_2_before_the_sweep(self, capsys, monkeypatch, argv):
+        # a nan tolerance could never be exceeded, a negative one always,
+        # and no states make no comparison
+        sweeps = []
+        monkeypatch.setattr(fock, "random_equivalence_comparison",
+                            lambda **kwargs: sweeps.append(kwargs))
+        assert main(["oracle-check", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ExperimentError: ")
+        assert sweeps == []
 
 
 class TestExitCodes:

@@ -199,9 +199,13 @@ class TestSchmidt:
         assert basis.orthonormality_residual() < 1e-8
 
     def test_eigenmode_normalization(self):
+        # one unit vector per eigenvalue left non-zero by the floor
         basis = rect_rect_basis(1.5)
-        norms = np.sum(np.abs(basis.eigenmodes) ** 2, axis=0) * basis.grid.spacing
-        np.testing.assert_allclose(norms[:10], TWO_PI, rtol=1e-10)
+        k = np.count_nonzero(basis.eigenvalues)
+        assert basis.eigenmodes.shape == (basis.grid.n_points, k)
+        assert np.all(basis.eigenvalues[:k] >= EIGENVALUE_FLOOR)
+        norms = np.sum(np.abs(basis.eigenmodes) ** 2, axis=0)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-10)
 
     def test_eigenmode_node_counts(self):
         # phi_0 even and nodeless, phi_1 one sign change (inside the band)
@@ -257,18 +261,20 @@ class TestSchmidt:
         phase = np.exp(1j * np.random.default_rng(5).normal(size=grid.n_points))
         gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
         kern = build_kernel(FilterProfile(grid=grid, amplitude=gauss.amplitude * phase), 3.0)
-        vecs = np.linalg.eigh(kern.scaled)[1][:, ::-1].copy()
-        for j in range(vecs.shape[1]):
+        vals, vecs = np.linalg.eigh(kern.scaled)
+        k = np.count_nonzero(vals >= EIGENVALUE_FLOOR)
+        vecs = vecs[:, ::-1][:, :k].copy()
+        for j in range(k):
             mags = np.abs(vecs[:, j])
             ref = vecs[np.flatnonzero(mags >= (1 - PHASE_TIE_TOL) * mags.max())[0], j]
             vecs[:, j] *= np.conj(ref) / abs(ref)
-        np.testing.assert_array_equal(schmidt_decompose(kern).eigenmodes,
-                                      vecs * np.sqrt(TWO_PI / grid.spacing))
+        np.testing.assert_array_equal(schmidt_decompose(kern).eigenmodes, vecs)
 
     def test_passband_block_matches_full_eigh(self, monkeypatch):
         # a flat-top filter zeroes the kernel's rows and columns off its
-        # passband: eigh runs on the passband block, whose eigenpairs are the
-        # basis, and they match a full eigh, whose other eigenvalues vanish
+        # passband: eigh runs on the passband block, whose eigenvalues and
+        # transmitting modes are the basis, and they match a full eigh,
+        # whose other eigenvalues vanish
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         kern = build_kernel(make_profile("rectangular", {"bandwidth": 2.5}, grid), 3.0)
         passband = np.flatnonzero(np.diag(kern.entries))
@@ -288,12 +294,12 @@ class TestSchmidt:
         basis = schmidt_decompose(kern)
         assert shapes == [(m, m)]
         assert basis.eigenvalues.shape == (m,)
-        assert basis.eigenmodes.shape == (grid.n_points, m)
+        assert basis.eigenmodes.shape == (grid.n_points, np.count_nonzero(full_vals))
         assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15
         off = np.setdiff1d(np.arange(grid.n_points), passband)
         assert np.all(basis.eigenmodes[off] == 0)
         k = basis.retained()
-        psi = basis.eigenmodes[:, :k] * np.sqrt(grid.spacing / TWO_PI)
+        psi = basis.eigenmodes[:, :k]
         overlap = np.abs(np.sum(full_vecs[:, :k].conj() * psi, axis=0))
         assert np.max(np.abs(overlap - 1.0)) <= 1e-12
         assert basis.orthonormality_residual() <= 1e-12

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from homsim.detection import coincidence_probability, no_click_expectation, singles_probability
+from homsim.experiment import preset_scenario
+from homsim.fock import expectation_from_diagonal, fock_state_diagonal, moments_from_state_spec
 from homsim.grids import TWO_PI, FrequencyGrid
-from homsim.modes import FilterProfile, build_kernel, make_profile, schmidt_decompose
+from homsim.modes import FilterProfile, ModeBasis, build_kernel, make_profile, schmidt_decompose
 from homsim.network import (
     DetectorModel,
     NetworkError,
@@ -131,8 +133,7 @@ class TestProjection:
         class TinyBasis:
             grid = gs
             eigenvalues = np.array([1.0])
-            eigenmodes = (np.array([[1.0], [1.0]], complex)
-                          / np.sqrt(2) * np.sqrt(TWO_PI / gs.spacing))
+            eigenmodes = np.array([[1.0], [1.0]], complex) / np.sqrt(2)
 
             def retained(self):
                 return 1
@@ -281,13 +282,14 @@ class TestDipWidth:
 
     def test_filter_power_is_the_chain_kernel_diagonal(self):
         # the rectangular gate's kernel diagonal is |h|^2 T exactly, and the
-        # full Schmidt basis rebuilds it as sum_j chi_j |phi_j|^2
+        # transmitting Schmidt modes rebuild it as (2 pi / dw) sum_j chi_j |phi_j|^2
         pump, moments, bases = build_scene()
         filt = signal_filter(bases)
         kernel = build_kernel(filt, 1e-10)
         np.testing.assert_array_equal(np.diag(kernel.entries).real, filt.power * 1e-10)
         basis = bases["signal"]
-        rebuilt = np.abs(basis.eigenmodes) ** 2 @ basis.eigenvalues
+        chi = basis.eigenvalues[:basis.eigenmodes.shape[1]]
+        rebuilt = np.abs(basis.eigenmodes) ** 2 @ chi * (TWO_PI / basis.grid.spacing)
         np.testing.assert_allclose(rebuilt, filt.power * 1e-10, rtol=0, atol=1e-12 * 1e-10)
 
     def test_degenerate_input_rejected(self):
@@ -372,3 +374,112 @@ class TestEngineProperties:
         assert sizes == halves
         ports, herald = (query.forms[name].any(axis=1) for name in "AC")
         assert anomalous[np.ix_(ports, herald)].any()       # pairs join A and C
+
+
+ORACLE_CUTOFF = 14
+SCAN_SUBSETS = (("A", "B", "C", "D"), ("A", "B"), ("A",), ("B",), ("C",), ("D",))
+
+
+def spool_ops(spool, stokes, antistokes):
+    """Fock-oracle op list of a one-mode-per-band spool: thermal(n1) on the
+    Stokes mode and thermal(n2) on the anti-Stokes mode, then a two-mode
+    squeezer r and a phase, in the closed form n1 - n2 = N_s - N_a,
+    n1 + n2 + 1 = sqrt((N_s + N_a + 1)^2 - 4|M|^2), tanh 2r = 2|M|/(N_s + N_a + 1)."""
+    (n_s,), (n_a,), (m,) = (np.ravel(block) for block in (
+        spool.normal_stokes.real, spool.normal_antistokes.real, spool.anomalous))
+    total = np.sqrt((n_s + n_a + 1) ** 2 - 4 * abs(m) ** 2)
+    r = 0.5 * np.arctanh(2 * abs(m) / (n_s + n_a + 1))
+    return [("thermal", stokes, (total - 1 + n_s - n_a) / 2),
+            ("thermal", antistokes, (total - 1 - n_s + n_a) / 2),
+            ("tmsv", (stokes, antistokes), np.sinh(r) ** 2),
+            ("phase", antistokes, np.angle(m))]
+
+
+def random_spool(rng):
+    """A spool drawn as thermal (x) thermal, then a two-mode squeezer and a phase."""
+    n, m = moments_from_state_spec([("thermal", 0, rng.uniform(0, 2e-3)),
+                                    ("thermal", 1, rng.uniform(0, 2e-3)),
+                                    ("tmsv", (0, 1), rng.uniform(0.005, 0.1)),
+                                    ("phase", 1, rng.uniform(0, TWO_PI))], 2)
+    return SpoolMoments(normal_stokes=n[:1, :1], normal_antistokes=n[1:, 1:],
+                        anomalous=m[:1, 1:])
+
+
+def assert_scan_matches_oracle(right, left, bases, tau, detector_models):
+    """p4, p2_ab and the singles of the scan path at delay tau against the
+    Fock oracle on the register (right Stokes, left Stokes, right
+    anti-Stokes, left anti-Stokes), for each detector model.
+
+    With one mode per band, port A's form is (eta chi / 2) [[1, O], [O*, 1]]
+    with O the overlap of the advanced and delayed Schmidt mode; a 50:50
+    splitter of phase arg O turns the Stokes pair into its eigenmodes, of
+    weights (eta chi / 2)(1 +- |O|) in A and (eta chi / 2)(1 -+ |O|) in B.
+    The heralds weigh their anti-Stokes mode by eta chi.
+    """
+    psi_s, (chi_s,) = retained_register(bases["signal"])
+    _, (chi_a,) = retained_register(bases["idler"])
+    delayed = np.exp(-1j * tau * bases["signal"].grid.points) * psi_s[:, 0]
+    overlap = np.vdot(psi_s[:, 0], delayed)
+    spec = (spool_ops(right, 0, 2) + spool_ops(left, 1, 3)
+            + [("bs", (0, 1), np.pi / 4, np.angle(overlap))])
+    n_oracle, m_oracle = moments_from_state_spec(spec[:-1], 4)
+    diag = fock_state_diagonal(spec, 4, ORACLE_CUTOFF)
+    for dets in detector_models:
+        normal, anomalous, query = detection_mode_projection(right, left, bases, tau, dets)
+        # the op lists rebuild the register's moments, in its mode order
+        np.testing.assert_allclose(normal, n_oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(anomalous, m_oracle, rtol=0, atol=1e-12)
+        port = 0.5 * dets.signal_efficiency * chi_s * np.array([1 + abs(overlap),
+                                                                1 - abs(overlap)])
+        herald = dets.idler_efficiency * chi_a
+        weights = {"A": np.array([*port, 0, 0]), "B": np.array([*port[::-1], 0, 0]),
+                   "C": np.array([0, 0, herald, 0]), "D": np.array([0, 0, 0, herald])}
+        for subset in SCAN_SUBSETS:
+            got = (singles_probability(normal, anomalous, query, *subset) if len(subset) == 1
+                   else coincidence_probability(normal, anomalous, query, subset))
+            expected = sum((-1) ** k * expectation_from_diagonal(
+                               diag, sum((weights[name] for name in chosen), np.zeros(4)),
+                               4, ORACLE_CUTOFF, k * dets.dark_mean)
+                           for k in range(len(subset) + 1)
+                           for chosen in combinations(subset, k))
+            # criterion 4's bound of 1e-7; the two routes agree to about
+            # 1e-15, so each value is also held to 1e-7 of itself, down to 1e-13
+            assert abs(got - expected) <= 1e-7, (subset, tau, dets)
+            assert got == pytest.approx(expected, rel=1e-7, abs=1e-13), (subset, tau, dets)
+
+
+class TestScanAgainstFockOracle:
+    """The scan path, projection and click engine, against the Fock oracle on
+    a one-mode-per-band register: the delay, the port and herald forms and
+    the register assembly, with no Gaussian formula on the oracle's side."""
+
+    def test_single_mode_preset_spools(self, monkeypatch):
+        # the c < 1 preset with the cutoff raised to keep one mode per band;
+        # a lower pair probability and Raman level keep the oracle's
+        # thermal kets, and so its run time, small at cutoff 14
+        sc = preset_scenario("single_mode", ["source.pair_probability=0.002",
+                                             "source.raman_scale=0.05"])
+        chi = sc.bases["signal"].eigenvalues
+        monkeypatch.setattr("homsim.modes.MODE_RETENTION_CUTOFF", 0.5 * (chi[0] + chi[1]))
+        assert [basis.retained() for basis in sc.bases.values()] == [1, 1]
+        spool = sc.source
+        unit = DetectorModel(signal_efficiency=1.0, idler_efficiency=1.0,
+                             dark_mean=sc.detectors.dark_mean)
+        for tau in (0.0, 0.4 * sc.dip_width, 3.0 * sc.dip_width):
+            assert_scan_matches_oracle(spool, spool, sc.bases, tau, (sc.detectors, unit))
+
+    def test_random_spools_and_chains(self):
+        rng = np.random.default_rng(20)
+        grid = FrequencyGrid(center=0.0, span=TWO_PI * 40e9, n_points=3)
+        for _ in range(3):
+            right, left = random_spool(rng), random_spool(rng)
+            bases = {}
+            for band in ("signal", "idler"):
+                psi = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+                bases[band] = ModeBasis(grid=grid, eigenmodes=psi / np.linalg.norm(psi),
+                                        eigenvalues=np.array([rng.uniform(0.2, 1.0)]))
+            dets = DetectorModel(signal_efficiency=rng.uniform(0.2, 1.0),
+                                 idler_efficiency=rng.uniform(0.2, 1.0),
+                                 dark_mean=rng.uniform(0, 1e-3))
+            tau = rng.uniform(0, 50e-12)
+            assert_scan_matches_oracle(right, left, bases, tau, (dets,))
