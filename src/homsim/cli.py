@@ -32,12 +32,12 @@ EXIT_OTHER = 3
 
 
 def _parse_c_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ExperimentError(f"--c-range wants start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ExperimentError("empty c range")
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ExperimentError(f"--c-range wants start:stop:step, got {text!r}") from None
+    if not (0.0 <= start <= stop < np.inf and 0.0 < step < np.inf):
+        raise ExperimentError(f"--c-range needs finite 0 <= start <= stop, step > 0; got {text!r}")
     return np.arange(start, stop + step / 2, step)
 
 
@@ -73,6 +73,10 @@ def cmd_modes(args):
     from .modes import eigenvalue_curve, rect_rect_basis
 
     c_values = _parse_c_range(args.c_range)
+    if args.n_modes < 1:
+        raise ExperimentError(f"--n-modes must be at least 1, got {args.n_modes}")
+    if args.eigenmodes is not None and not 0.0 < args.eigenmodes < np.inf:
+        raise ExperimentError(f"--eigenmodes must be finite and > 0, got {args.eigenmodes}")
     with _output(args.output) as out:
         rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
         head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
@@ -136,6 +140,8 @@ def cmd_oracle_check(args):
         raise ExperimentError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.states < 1:
         raise ExperimentError(f"--states must be at least 1, got {args.states}")
+    if args.seed < 0:
+        raise ExperimentError(f"--seed must be >= 0, got {args.seed}")
     worst, checked = random_equivalence_comparison(n_states=args.states,
                                                    seed=args.seed)
     sys.stdout.write(f"states = {args.states}\ncomparisons = {checked}\n"

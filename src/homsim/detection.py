@@ -21,7 +21,8 @@ is the diagonal form Q_M = diag(w_M), and delayed two-spool arms enter as
 general forms.  A ClickQuery is checked once, when built, and splits its
 detectors into groups whose forms share no register mode (ports {A, B},
 herald C, herald D in the scan); each group part's form is factored once
-per query.  Pair sources are phase-insensitive across their two bands:
+per query; the moments of every engine call are checked, once per query
+and state.  Pair sources are phase-insensitive across their two bands:
 pair amplitude joins only the Stokes and anti-Stokes sides, and normal
 moments only modes of one side.  Where a subset's group parts fall on the
 two sides so, its 2r x 2r doubled matrix is unitarily the direct sum of a
@@ -57,7 +58,8 @@ class ClickQuery:
     into groups whose forms share no register mode.  Each group's summed
     form over a subset's detectors is factored on first use, by one eigh on
     the group's support block, and kept; a subset's weighted modes are its
-    groups' factors side by side (exact: the supports are disjoint).
+    groups' factors side by side (exact: the supports are disjoint).  It
+    keeps a copy of the last moments it accepted, so a state is checked once.
     """
 
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
@@ -66,6 +68,7 @@ class ClickQuery:
     # (support indices, sorted names) per group; group part -> V W^(1/2)
     _groups: list = field(init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _checked: list = field(default_factory=list, init=False, repr=False)  # [N, M]
 
     def __post_init__(self):
         forms = {name: np.array(form) for name, form in self.forms.items()}
@@ -137,14 +140,19 @@ def _doubled(normal, anomalous, shift=0.0):
     return out
 
 
-def _validate_moments(normal, anomalous):
-    n = normal.shape[0]
-    if anomalous.shape != (n, n):
-        raise DetectionError("normal and anomalous moment shapes differ")
-    scale = max(1.0, float(np.abs(normal).max()))
-    if np.abs(normal - normal.conj().T).max() > 1e-10 * scale:
+def _validate_moments(normal, anomalous, query):
+    """Reject an unphysical state unless it equals, in value, the last one `query` accepted."""
+    if query._checked and all(map(np.array_equal, query._checked, (normal, anomalous))):
+        return
+    if normal.shape != (query.n_modes,) * 2 or anomalous.shape != normal.shape:
+        raise DetectionError(f"query of {query.n_modes} modes does not match register of "
+                             f"moments {normal.shape}, {anomalous.shape}")
+    scale, m_scale = (np.abs(a).max(initial=1.0) for a in (normal, anomalous))
+    if not np.isfinite(scale + m_scale):                 # NaN or inf for non-finite moments
+        raise DetectionError("moments are not finite")
+    if np.abs(normal - normal.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise DetectionError("normal moments are not Hermitian")
-    if np.abs(anomalous - anomalous.T).max() > 1e-10 * max(1.0, float(np.abs(anomalous).max())):
+    if np.abs(anomalous - anomalous.T).max(initial=0.0) > 1e-10 * m_scale:
         raise DetectionError("anomalous moments are not symmetric")
     # a Cholesky factor of the shifted matrix exists iff its smallest
     # eigenvalue exceeds -PSD_TOLERANCE * scale; the eigenvalue itself is
@@ -157,6 +165,7 @@ def _validate_moments(normal, anomalous):
             raise DetectionError(
                 f"moments violate physicality (min doubled eigenvalue {minimum:.2e})"
             ) from None
+    query._checked[:] = normal.copy(), anomalous.copy()
 
 
 def physicality_min_eig(normal, anomalous):
@@ -192,7 +201,7 @@ def _pair_spectrum(n_b, m_b, starts):
     return np.linalg.eigvalsh(doubled)
 
 
-def no_click_expectation(normal, anomalous, query, subset, check=True, log=False):
+def no_click_expectation(normal, anomalous, query, subset, log=False):
     """E_S = <:exp(-sum_{M in S} n_M):> times the dark factors exp(-mu_M).
 
     With `log=True` returns (ln E_S, eigs) instead, with
@@ -211,16 +220,12 @@ def no_click_expectation(normal, anomalous, query, subset, check=True, log=False
     sum eigs = tr H = 2 Re tr B, so
     ln E_S = -mu - Re tr B - (1/2) sum (log1p(eigs) - eigs).  An eigenvalue
     at or below -1 (det <= 0, possible only for unphysical moments) raises
-    DetectionError.
+    DetectionError; so do moments that fail the check of `_validate_moments`.
     """
-    mu = query.dark_sum(subset)
-    if check and subset:
-        _validate_moments(normal, anomalous)
-    log_e = -mu
+    _validate_moments(normal, anomalous, query)
+    log_e = -query.dark_sum(subset)
     eigs = np.empty(0)
     if subset:
-        if normal.shape[0] != query.n_modes:
-            raise DetectionError(f"query of {query.n_modes} modes does not match register")
         root, starts = query.weighted_modes(subset)
         if root.shape[1]:
             # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
@@ -267,15 +272,14 @@ def coincidence_probability(normal, anomalous, query, subset):
     Tiny negative results above -1e-12 are clamped to zero; anything lower
     signals a model bug and raises.
     """
-    _validate_moments(normal, anomalous)
+    _validate_moments(normal, anomalous, query)
     subset = tuple(subset)
     if not subset:
         return 1.0  # every detector of an empty set clicks
     signs, logs, eigs = [], [], []
     for r in range(len(subset) + 1):
         for chosen in combinations(subset, r):
-            log_e, lam = no_click_expectation(normal, anomalous, query, chosen,
-                                              check=False, log=True)
+            log_e, lam = no_click_expectation(normal, anomalous, query, chosen, log=True)
             signs.append((-1) ** r)
             logs.append(log_e)
             eigs.append(lam)

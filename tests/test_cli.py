@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import homsim
-from homsim import experiment, fock
+from homsim import experiment, fock, modes
 from homsim.cli import main
 
 CHEAP = """
@@ -81,6 +81,31 @@ class TestModesCommand:
 
     def test_bad_range(self, capsys):
         assert main(["modes", "--c-range", "5:1:0.1"]) == 2
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--c-range", "a:b:c"],
+        ["modes", "--c-range", "0.1:1:nan"],
+        ["modes", "--c-range", "0.1:inf:0.1"],
+        ["modes", "--c-range=-0.5:0.6:0.5"],
+        ["modes", "--n-modes", "-2"],
+        ["modes", "--n-modes", "0"],
+        ["modes", "--eigenmodes", "0"],
+        ["modes", "--eigenmodes=-0.5"],
+        ["oracle-check", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        work = []
+        for module, name in ((modes, "eigenvalue_curve"), (modes, "rect_rect_basis"),
+                             (fock, "random_equivalence_comparison")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: work.append(args))
+        out = tmp_path / "out.txt"
+        if argv[0] == "modes":
+            argv = [*argv, "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ExperimentError: ")
+        assert work == [] and not out.exists()
 
 
 class TestScanFit:

@@ -58,12 +58,15 @@ class TestNoClick:
         n, m = thermal(1.0)
         q = ClickQuery(forms={"A": np.diag([1.0])})
         assert no_click_expectation(n, m, q, ()) == 1.0
+        n, m = vacuum(0)                                  # the moments check runs here too
+        assert no_click_expectation(n, m, ClickQuery(), ()) == 1.0
 
     def test_empty_subset_coincidence_is_one(self):
         # the expm1 form drops a 1 that cancels only over a non-empty set
         n, m = thermal(1.0)
         q = ClickQuery(forms={"A": np.diag([1.0])})
         assert coincidence_probability(n, m, q, ()) == 1.0
+        assert coincidence_probability(*vacuum(0), ClickQuery(), ()) == 1.0
 
     def test_form_off_register_rejected(self):
         n, m = vacuum(3)
@@ -139,16 +142,17 @@ class TestNoClick:
         with pytest.raises(DetectionError):
             no_click_expectation(n, m, q, ("A",))
 
-    def test_singular_determinant_rejected(self):
+    def test_singular_determinant_rejected(self, monkeypatch):
         # W^(1/2) G W^(1/2) = [[0.1, 5], [5, 0.1]] has eigenvalue -4.9 and
-        # [[0, 1], [1, 0]] has -1 (det = 0): both unphysical, so the PSD
-        # guard is bypassed to reach the determinant itself
+        # [[0, 1], [1, 0]] has -1 (det = 0): both unphysical, so the moments
+        # check is patched out to reach the determinant itself
+        monkeypatch.setattr(detection, "_validate_moments", lambda *args: None)
         q = ClickQuery(forms={"A": np.diag([1.0])})
         for nbar, pair in [(0.1, 5.0), (0.0, 1.0)]:
             n = np.array([[nbar]], complex)
             m = np.array([[pair]], complex)
             with pytest.raises(DetectionError, match="singular"):
-                no_click_expectation(n, m, q, ("A",), check=False)
+                no_click_expectation(n, m, q, ("A",))
 
     def test_log_equals_log_of_value(self):
         n, m = tmsv(0.3)
@@ -193,6 +197,79 @@ class TestNoClick:
         lhs = no_click_expectation(n, m, ClickQuery(forms={"A": form.astype(complex)}), ("A",))
         rhs = no_click_expectation(n_rot, m_rot, q_diag, ("A",))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestMomentsCheck:
+    """Every engine entry point checks its moments, once per query and state."""
+
+    ENTRY_POINTS = {
+        "no_click_expectation": lambda n, m, q: no_click_expectation(n, m, q, ("A",)),
+        "coincidence_probability": lambda n, m, q: coincidence_probability(n, m, q, "AB"),
+        "singles_probability": lambda n, m, q: singles_probability(n, m, q, "B"),
+    }
+
+    @staticmethod
+    def four_detectors():
+        n, m = moments_from_state_spec([("thermal", 0, 0.1), ("tmsv", (0, 2), 0.2),
+                                        ("tmsv", (1, 3), 0.3), ("bs", (0, 1), 0.4, 0.5)], 4)
+        forms = {name: np.diag(np.eye(4)[k] * 0.6) for k, name in enumerate("ABCD")}
+        return n, m, ClickQuery(forms=forms, dark_means={"A": 1e-4})
+
+    @staticmethod
+    def count_cholesky(monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return calls
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_rejected(self, entry, block, value):
+        n, m = tmsv(0.2)
+        q = ClickQuery(forms={"A": np.diag([0.5, 0.0]), "B": np.diag([0.0, 0.5])})
+        moments = [n, m]
+        moments[block][0, 1] = value
+        with pytest.raises(DetectionError, match="moments are not finite"):
+            self.ENTRY_POINTS[entry](*moments, q)
+
+    def test_one_check_per_state(self, monkeypatch):
+        n, m, q = self.four_detectors()
+        calls = self.count_cholesky(monkeypatch)
+        coincidence_probability(n, m, q, "ABCD")
+        for name in "ABCD":
+            singles_probability(n, m, q, name)
+        assert calls == [8]
+        # equal in value, not the same arrays: still no new check
+        no_click_expectation(n.copy(), m.copy(), q, "AC")
+        assert calls == [8]
+        # another query checks the same state again
+        singles_probability(n, m, self.four_detectors()[2], "A")
+        assert calls == [8, 8]
+
+    def test_moments_changed_in_place_are_checked_again(self, monkeypatch):
+        n, m, q = self.four_detectors()
+        calls = self.count_cholesky(monkeypatch)
+        before = singles_probability(n, m, q, "C")
+        n[2, 2] += 0.05                                   # still physical: more light
+        after = singles_probability(n, m, q, "C")
+        assert len(calls) == 2 and after > before
+        m[0, 2] = m[2, 0] = 5.0                           # |M| far above sqrt(N(N+1))
+        for entry in self.ENTRY_POINTS.values():
+            with pytest.raises(DetectionError, match="physicality"):
+                entry(n, m, q)
+
+    def test_single_mode_scan_checks_each_delay_once(self, monkeypatch):
+        sc = experiment.preset_scenario("single_mode")
+        sc.source, sc.bases, sc.detectors                 # set-up before counting
+        calls = self.count_cholesky(monkeypatch)
+        experiment.run_delay_scan(sc)
+        assert len(calls) == len(sc.tau_list)
 
 
 def random_form(rng, n_modes, modes, unitary=None):
@@ -313,7 +390,7 @@ class TestPairSplit:
         out = {}
         for r in range(1, 5):
             for subset in combinations("ABCD", r):
-                got, eigs = no_click_expectation(n, m, query, subset, check=False, log=True)
+                got, eigs = no_click_expectation(n, m, query, subset, log=True)
                 ref = reference_log_no_click(n, m, query, subset)
                 assert abs(got - ref) <= 1e-12, (subset, got, ref)
                 out[subset] = sizes.pop() / (eigs.size // 2)

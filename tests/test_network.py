@@ -311,8 +311,7 @@ class TestEngineProperties:
         partials = []
         total = 0.0
         for r in range(5):
-            total += sum((-1) ** r * no_click_expectation(normal, anomalous,
-                                                          q, chosen, check=False)
+            total += sum((-1) ** r * no_click_expectation(normal, anomalous, q, chosen)
                          for chosen in combinations(subset, r))
             partials.append(total)
         full = partials[-1]
