@@ -13,7 +13,7 @@ is linear in the eigenvalues is taken from the trace, not from their sum.
 Inclusion-exclusion over two or more detectors drops both the ones and
 that linear part, whose alternating sums are exactly zero, and sums only
 the second-order remainders; so coincidence probabilities far below the
-size of each E_S - 1 keep their leading digits.
+size of each E_S - 1 keep their leading digits.  One detector is 1 - E_S.
 
 Detector number operators are positive quadratic forms n_M = a^dag Q_M a
 over a shared mode register; a weighted mode sum sum_j w_jM a_j^dag a_j
@@ -28,7 +28,9 @@ moments only modes of one side.  Where a subset's group parts fall on the
 two sides so, its 2r x 2r doubled matrix is unitarily the direct sum of a
 half-size r x r matrix and its conjugate, and one spectrum of size r
 serves twice; a subset whose modes carry no pair amplitude is the
-one-sided case, the spectrum of its normal block.
+one-sided case, the spectrum of its normal block.  One builder makes the
+pair matrix [[N^T, M], [M*, N + v I]]: v = 1 (the conjugate of the doubled
+moment matrix) for the state check, v = 0 for a subset that does not split.
 """
 
 from __future__ import annotations
@@ -127,16 +129,16 @@ class ClickQuery:
         return float(sum(self.dark_means.get(name, 0.0) for name in subset))
 
 
-def _doubled(normal, anomalous, shift=0.0):
+def _pair_matrix(normal, anomalous, vacuum, shift=0.0):
     """The lower triangle, all that cholesky and eigvalsh read, of the
-    doubled matrix [[N, conj(M)], [M, N^T + I]] + shift I."""
+    Hermitian pair matrix [[N^T, M], [M*, N + vacuum I]] + shift I."""
     n = normal.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = normal
-    out[n:, :n] = anomalous
-    out[n:, n:] = normal.T
+    out[:n, :n] = normal.T
+    out[n:, :n] = anomalous.conj()
+    out[n:, n:] = normal
     out.flat[::2 * n + 1] += shift
-    out.flat[n * (2 * n + 1)::2 * n + 1] += 1.0
+    out.flat[n * (2 * n + 1)::2 * n + 1] += vacuum
     return out
 
 
@@ -158,7 +160,7 @@ def _validate_moments(normal, anomalous, query):
     # eigenvalue exceeds -PSD_TOLERANCE * scale; the eigenvalue itself is
     # only needed for the message
     try:
-        np.linalg.cholesky(_doubled(normal, anomalous, PSD_TOLERANCE * scale))
+        np.linalg.cholesky(_pair_matrix(normal, anomalous, 1.0, PSD_TOLERANCE * scale))
     except np.linalg.LinAlgError:
         minimum = physicality_min_eig(normal, anomalous)
         if minimum < -PSD_TOLERANCE * scale:
@@ -169,8 +171,9 @@ def _validate_moments(normal, anomalous, query):
 
 
 def physicality_min_eig(normal, anomalous):
-    """Smallest eigenvalue of the doubled matrix [[N, conj(M)], [M, N^T + I]]."""
-    return float(np.linalg.eigvalsh(_doubled(normal, anomalous))[0])
+    """Smallest eigenvalue of the doubled matrix [[N, conj(M)], [M, N^T + I]],
+    that of its conjugate, the pair matrix with vacuum 1."""
+    return float(np.linalg.eigvalsh(_pair_matrix(normal, anomalous, 1.0))[0])
 
 
 def _pair_spectrum(n_b, m_b, starts):
@@ -193,12 +196,7 @@ def _pair_spectrum(n_b, m_b, starts):
             half = n_b + m_b.conj()
             half[:cut] = half[:cut].conj()
             return np.repeat(np.linalg.eigvalsh(half), 2)
-    r = n_b.shape[0]
-    doubled = np.zeros((2 * r, 2 * r), dtype=complex)   # eigvalsh reads the lower triangle
-    doubled[:r, :r] = n_b.T
-    doubled[r:, :r] = m_b.conj()
-    doubled[r:, r:] = n_b
-    return np.linalg.eigvalsh(doubled)
+    return np.linalg.eigvalsh(_pair_matrix(n_b, m_b, 0.0))
 
 
 def no_click_expectation(normal, anomalous, query, subset, log=False):
@@ -268,7 +266,7 @@ def coincidence_probability(normal, anomalous, query, subset):
     P = sum_S (-1)^|S| [psi(ln E_S) + r_S / 2], psi(x) = expm1(x) - x.  Each
     term is second order in the eigenvalues, not first, so the cancellation
     between the 2^|subset| terms costs that much less precision.  A single
-    detector sums expm1(ln E_S) as it is.
+    detector is `singles_probability`.
     Tiny negative results above -1e-12 are clamped to zero; anything lower
     signals a model bug and raises.
     """
@@ -276,6 +274,8 @@ def coincidence_probability(normal, anomalous, query, subset):
     subset = tuple(subset)
     if not subset:
         return 1.0  # every detector of an empty set clicks
+    if len(subset) == 1:
+        return singles_probability(normal, anomalous, query, *subset)
     signs, logs, eigs = [], [], []
     for r in range(len(subset) + 1):
         for chosen in combinations(subset, r):
@@ -283,15 +283,12 @@ def coincidence_probability(normal, anomalous, query, subset):
             signs.append((-1) ** r)
             logs.append(log_e)
             eigs.append(lam)
-    signs, logs = np.array(signs, float), np.array(logs)
-    if len(subset) < 2:
-        terms = signs * np.expm1(logs)
-    else:
-        owner = np.repeat(np.arange(len(eigs)), [lam.size for lam in eigs])
-        lam = np.concatenate(eigs)
-        remainder = -np.bincount(owner, weights=_minus_identity(np.log1p, _LOG1P_SERIES, lam),
-                                 minlength=len(eigs))
-        terms = signs * (_minus_identity(np.expm1, _EXPM1_SERIES, logs) + 0.5 * remainder)
+    owner = np.repeat(np.arange(len(eigs)), [lam.size for lam in eigs])
+    lam = np.concatenate(eigs)
+    remainder = -np.bincount(owner, weights=_minus_identity(np.log1p, _LOG1P_SERIES, lam),
+                             minlength=len(eigs))
+    terms = np.array(signs, float) * (_minus_identity(np.expm1, _EXPM1_SERIES, np.array(logs))
+                                      + 0.5 * remainder)
     total = math.fsum(terms)
     if total < 0.0:
         if total < NEGATIVE_PROBABILITY_FLOOR:

@@ -108,10 +108,13 @@ _GETTERS = {"grid_points": "getint", "points": "getint",
             **dict.fromkeys(["shape", "signal_shape", "idler_shape", "signal_files",
                              "idler_files", "raman_file"], "get")}
 
-# Ranges no physics layer sees: flux calibration clamps efficiencies at 1.
+# Ranges no physics layer sees: flux calibration clamps efficiencies at 1,
+# and `Scenario.grids` divides by the grid sizes before any other check.
 _RANGES = {"detectors.quantum_efficiency": (0, 1), "detectors.signal_transmission": (0, 1),
            "detectors.idler_transmission": (0, 1), "detectors.dark_count_probability": (0, 1),
-           "scan.points": (1, np.inf), "scenario.pulses": (1, np.inf)}
+           "scan.points": (1, np.inf), "scenario.pulses": (1, np.inf),
+           "filters.grid_points": (2, np.inf)}
+_POSITIVE = ("filters.grid_span_factor", "filters.signal_bandwidth_ghz", "pump.center_nm")
 
 PRESET_NAMES = ("multimode", "single_mode")
 
@@ -173,6 +176,8 @@ def load_scenario(config_text, overrides=None):
             problems.append(f"{name} = {value} is not finite")
         elif name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
             problems.append(f"{name} = {value} is outside {list(_RANGES[name])}")
+        elif name in _POSITIVE and not value > 0:
+            problems.append(f"{name} = {value} must be > 0")
     if problems:
         raise ExperimentError("; ".join(problems))
     return Scenario(config=cp)
@@ -218,6 +223,11 @@ class Scenario:
         wp = self.pump_center
         detune = TWO_PI * 1e12 * cp.getfloat("source", "detuning_thz")
         offset = round(detune / spacing) * spacing
+        if 2 * abs(offset) <= span:
+            raise ExperimentError(f"source.detuning_thz puts the band centres "
+                                  f"{2 * abs(offset) / TWO_PI / 1e12:.3g} THz apart, within their "
+                                  f"span {span / TWO_PI / 1e12:.3g} THz (filters.grid_span_factor "
+                                  "x filters.signal_bandwidth_ghz): the bands would overlap")
         grid_s = FrequencyGrid(center=wp - offset, span=span, n_points=n_points)
         grid_a = FrequencyGrid(center=wp + offset, span=span, n_points=n_points)
         half = max(8.0 * span, TWO_PI * 0.5e12)

@@ -123,6 +123,24 @@ class TestScanFit:
         vis = float(body.splitlines()[0].split("=")[1])
         assert 0.0 < vis < 1.0
 
+    @pytest.mark.parametrize("observable, visibility", [
+        ("fourfold", 0.3), ("twofold", 0.6), ("twofold_accsub", 0.75)])
+    def test_fit_each_observable(self, tmp_path, capsys, observable, visibility):
+        # p4 dips by 0.3, p2_ab by 0.6, and p2_ab less its flat accidental
+        # level 0.2 p2_ab(far) by 0.6 / 0.8
+        tau = np.linspace(-60e-12, 60e-12, 25)
+        dip = np.exp(-tau**2 / (2 * (10e-12) ** 2))
+        p2 = 1e-3 * (1 - 0.6 * dip)
+        flat = np.full_like(tau, 0.03)
+        scan = experiment.DelayScan(tau=tau, p4=1e-6 * (1 - 0.3 * dip), p2_ab=p2,
+                                    p2_acc=np.full_like(tau, 0.2e-3),
+                                    singles=dict.fromkeys("ABCD", flat))
+        csv = tmp_path / "scan.csv"
+        csv.write_text(scan.to_csv())
+        assert main(["fit", "--input", str(csv), "--observable", observable]) == 0
+        out = capsys.readouterr().out
+        assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(visibility, abs=1e-6)
+
     def test_identical_invocations_identical_files(self, tmp_path):
         cfg = tmp_path / "scenario.ini"
         cfg.write_text(CHEAP)
@@ -235,6 +253,13 @@ class TestOracleCheck:
         assert capsys.readouterr().err.startswith("error: ExperimentError: ")
         assert sweeps == []
 
+    def test_deviation_above_tolerance_exits_3(self, capsys):
+        assert main(["oracle-check", "--states", "2", "--tolerance", "0"]) == 3
+        out, err = capsys.readouterr()
+        worst = float(out.strip().splitlines()[-1].split("=")[1])
+        assert worst > 0
+        assert err == f"error: max deviation {worst:.3e} exceeds 0.0e+00\n"
+
 
 class TestExitCodes:
     """Each failure keeps its type; `main` maps the type to the exit code."""
@@ -278,6 +303,14 @@ class TestExitCodes:
         # read only by another pump or filter shape
         ("pump.power_fwhm_ghz=68.3", "pump.power_fwhm_ghz"),
         ("filters.signal_files=x.txt", "filters.signal_files"),
+        # the grids divide by these before any physics layer checks them
+        ("filters.grid_points=1", "filters.grid_points"),
+        ("filters.grid_points=0", "filters.grid_points"),
+        ("filters.grid_span_factor=0", "filters.grid_span_factor"),
+        ("filters.grid_span_factor=-4", "filters.grid_span_factor"),
+        ("filters.signal_bandwidth_ghz=0", "filters.signal_bandwidth_ghz"),
+        ("filters.signal_bandwidth_ghz=-24.6", "filters.signal_bandwidth_ghz"),
+        ("pump.center_nm=0", "pump.center_nm"),
     ])
     def test_bad_key_is_named(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "scenario.ini"
@@ -286,6 +319,33 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ExperimentError: ")
         assert key in err
+
+    @pytest.mark.parametrize("preset, detuning", [("single_mode", "0"), ("single_mode", "0.1"),
+                                                  ("single_mode", "-0.1"), ("multimode", "0")])
+    def test_overlapping_bands_exit_2_before_any_work(self, capsys, monkeypatch,
+                                                      preset, detuning):
+        # single_mode's bands are 0.28 THz wide: centres 0.2 THz apart share frequencies
+        work = []
+        monkeypatch.setattr(experiment, "pump_spectrum", lambda *args: work.append(args))
+        code, err = self.run(capsys, ["calibrate", "--preset", preset,
+                                      "--set", f"source.detuning_thz={detuning}"])
+        assert code == 2 and work == []
+        assert err.startswith("error: ExperimentError: source.detuning_thz ")
+        assert "filters.grid_span_factor" in err and "filters.signal_bandwidth_ghz" in err
+
+    def test_unparsable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[scenario\npulses = 1e10\n")
+        code, err = self.run(capsys, ["scan", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("error: ExperimentError: config parse failure: ")
+
+    def test_scan_csv_with_another_header(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("tau_ps, p4\n0, 1e-6\n")
+        code, err = self.run(capsys, ["fit", "--input", str(scan)])
+        assert code == 2
+        assert err.startswith("error: ExperimentError: unexpected CSV header 'tau_ps, p4'")
 
     @pytest.mark.parametrize("row", [
         pytest.param("0, 1e-6, 1e-3, 1e-3, 0.03, 0.03, 0.05", id="ragged"),

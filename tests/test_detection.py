@@ -423,6 +423,68 @@ class TestPairSplit:
         assert sizes[tuple("ABCD")] == 2 and set(sizes.values()) == {1, 2}
 
 
+class TestOneFormula:
+    """One pair-matrix builder serves the state check and the unsplit
+    spectra; one detector's coincidence is its singles probability."""
+
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_one_detector_coincidence_is_singles_on_presets(self, preset):
+        sc = experiment.preset_scenario(preset)
+        normal, anomalous, query = detection_mode_projection(sc.source, sc.source, sc.bases,
+                                                             0.0, sc.detectors)
+        for name in "ABCD":
+            p = singles_probability(normal, anomalous, query, name)
+            assert coincidence_probability(normal, anomalous, query, (name,)) == p
+            assert 0.0 < p < 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_detector_coincidence_is_singles_on_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = moments_from_state_spec(TestPairSplit.two_sided(rng), 6)
+        query = TestPairSplit.query(rng, {"A": [0, 1], "B": [1, 2], "C": [3, 4], "D": [5]})
+        for name in "ABCD":
+            p = singles_probability(n, m, query, name)
+            assert coincidence_probability(n, m, query, name) == p
+            log_e = reference_log_no_click(n, m, query, (name,))
+            assert p == pytest.approx(-np.expm1(log_e), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsplit_spectrum_is_that_of_the_whole_pair_matrix(self, monkeypatch, seed):
+        # single-mode squeezing on every mode: no cut splits any subset, so
+        # each spectrum comes from one eigvalsh of the whole 2r x 2r matrix
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: sizes.append(a.shape[0]) or eigvalsh(a))
+        rng = np.random.default_rng(seed + 40)
+        spec = [("thermal", mode, rng.uniform(0.01, 0.3)) for mode in range(4)]
+        spec += [("squeeze", mode, rng.uniform(0.05, 0.3), rng.uniform(0, 2 * np.pi))
+                 for mode in range(4)]
+        spec += [("tmsv", (0, 2), 0.2), ("bs", (0, 1), 0.4, 2.2), ("bs", (2, 3), 1.1, 0.3)]
+        n, m = moments_from_state_spec(spec, 4)
+        query = ClickQuery(forms={name: random_form(rng, 4, modes) for name, modes in
+                                  {"A": [0, 1], "B": [1], "C": [2], "D": [3]}.items()})
+        for r in range(1, 5):
+            for subset in combinations("ABCD", r):
+                _, eigs = no_click_expectation(n, m, query, subset, log=True)
+                vals, vecs = np.linalg.eigh(sum(query.forms[name] for name in subset))
+                root = vecs[:, vals > detection.WEIGHT_FLOOR] * np.sqrt(
+                    vals[vals > detection.WEIGHT_FLOOR])
+                b = root.T @ n @ root.conj()
+                a = root.conj().T @ m @ root.conj()
+                assert sizes.pop() == eigs.size == 2 * root.shape[1]
+                whole = eigvalsh(np.block([[b.T, a], [a.conj(), b]]))
+                np.testing.assert_allclose(eigs, whole, rtol=0, atol=1e-13)
+
+    def test_physicality_min_eig_matches_the_doubled_matrix(self):
+        rng = np.random.default_rng(3)
+        n, m = moments_from_state_spec(TestPairSplit.two_sided(rng)
+                                       + [("squeeze", 2, 0.3, 0.7)], 6)
+        doubled = np.block([[n, m.conj()], [m, n.T + np.eye(6)]])
+        assert detection.physicality_min_eig(n, m) == pytest.approx(
+            np.linalg.eigvalsh(doubled)[0], abs=1e-13)
+
+
 class TestCoincidence:
     def test_independent_blocks_factorize(self):
         n = np.diag([0.2, 0.5]).astype(complex)

@@ -431,6 +431,16 @@ class TestConfigPaths:
             preset_scenario("single_mode", overrides=wide).pump
         preset_scenario("single_mode", overrides=wide + ["filters.grid_span_factor=10"]).pump
 
+    def test_negative_detuning_mirrors_the_bands(self):
+        # Stokes above the pump: the same grids with the bands swapped, and the scan runs
+        plus, minus = (load_scenario(CHEAP, overrides=[f"source.detuning_thz={d}"])
+                       for d in (1.2, -1.2))
+        assert minus.grids["stokes"].center == plus.grids["antistokes"].center
+        assert minus.grids["antistokes"].center == plus.grids["stokes"].center
+        assert minus.grids["stokes"].center > minus.grids["pump"].center
+        scan = run_delay_scan(minus)
+        assert np.all(np.isfinite(scan.p4)) and scan.p4[len(scan.tau) // 2] < scan.p4[0]
+
     def test_tabulated_filter_in_scenario(self, tmp_path):
         from homsim.grids import nm_from_angular
         sc0 = load_scenario(CHEAP)

@@ -78,6 +78,19 @@ class TestProfiles:
         with pytest.raises(ModeAnalysisError, match="extrapolation"):
             make_profile("tabulated", {"files": [narrow]}, grid)
 
+    def test_tabulated_gain_rescaled_to_unit_peak(self, tmp_path):
+        # a table above 0 dB is scaled to a peak amplitude of one; its
+        # shape is that of the same table lowered to below 0 dB
+        from homsim.grids import angular_from_nm
+        grid = FrequencyGrid(center=angular_from_nm(1550.0), span=0.5e11, n_points=51)
+        gain, loss = tmp_path / "gain.txt", tmp_path / "loss.txt"
+        gain.write_text("1549.0 2.0\n1551.0 6.0\n")
+        loss.write_text("1549.0 -4.0\n1551.0 0.0\n")
+        raised = make_profile("tabulated", {"files": [gain]}, grid).amplitude
+        lowered = make_profile("tabulated", {"files": [loss]}, grid).amplitude
+        assert raised.max() == 1.0 and lowered.max() < 1.0
+        np.testing.assert_allclose(raised, lowered / lowered.max(), rtol=1e-12)
+
     def test_ragged_table_names_its_path(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("1549.0 -3.0\n1550.0 -3.0 -1.0\n1551.0 -3.0\n")
