@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .experiment import PRESET_NAMES, ExperimentError
+from .experiment import OBSERVABLES, POSITIVE, PRESET_NAMES, ExperimentError, check_bound
 
 EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
 EXIT_OTHER = 3
@@ -36,8 +37,9 @@ def _parse_c_range(text):
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ExperimentError(f"--c-range wants start:stop:step, got {text!r}") from None
-    if not (0.0 <= start <= stop < np.inf and 0.0 < step < np.inf):
-        raise ExperimentError(f"--c-range needs finite 0 <= start <= stop, step > 0; got {text!r}")
+    check_bound("--c-range start", start, (0, np.inf))
+    check_bound("--c-range stop", stop, (start, np.inf))
+    check_bound("--c-range step", step, POSITIVE)
     return np.arange(start, stop + step / 2, step)
 
 
@@ -58,14 +60,11 @@ def _output(path):
 def _load_scenario(args):
     from .experiment import load_scenario, preset_scenario
 
-    overrides = args.set or []
     if args.preset:
-        return preset_scenario(args.preset, overrides=overrides)
+        return preset_scenario(args.preset, overrides=args.set)
     if not args.config:
         raise ExperimentError("need --preset or --config")
-    with open(args.config) as fh:
-        text = fh.read()
-    return load_scenario(text, overrides=overrides)
+    return load_scenario(Path(args.config).read_text(), overrides=args.set)
 
 
 def cmd_modes(args):
@@ -73,17 +72,14 @@ def cmd_modes(args):
     from .modes import eigenvalue_curve, rect_rect_basis
 
     c_values = _parse_c_range(args.c_range)
-    if args.n_modes < 1:
-        raise ExperimentError(f"--n-modes must be at least 1, got {args.n_modes}")
-    if args.eigenmodes is not None and not 0.0 < args.eigenmodes < np.inf:
-        raise ExperimentError(f"--eigenmodes must be finite and > 0, got {args.eigenmodes}")
+    check_bound("--n-modes", args.n_modes, (1, np.inf))
+    if args.eigenmodes is not None:
+        check_bound("--eigenmodes", args.eigenmodes, POSITIVE)
     with _output(args.output) as out:
-        rows = eigenvalue_curve(c_values, n_modes=args.n_modes)
         head = "c, " + ", ".join(f"chi_{j}" for j in range(args.n_modes))
-        lines = [head]
-        for row in rows:
-            lines.append(", ".join(_fixed(v, 8) for v in row))
-        text = "\n".join(lines) + "\n"
+        rows = [", ".join(_fixed(v, 8) for v in row)
+                for row in eigenvalue_curve(c_values, n_modes=args.n_modes)]
+        text = "\n".join([head, *rows]) + "\n"
         if args.eigenmodes is not None:
             basis = rect_rect_basis(args.eigenmodes)
             text += (f"\n# eigenmodes at c = {args.eigenmodes} "
@@ -125,9 +121,7 @@ def cmd_scan(args):
 def cmd_fit(args):
     from .experiment import DelayScan, fit_visibility
 
-    with open(args.input) as fh:
-        text = fh.read()
-    scan = DelayScan.from_csv(text)
+    scan = DelayScan.from_csv(Path(args.input).read_text())
     with _output(args.output) as out:
         out.write(fit_visibility(scan, observable=args.observable).summary())
     return 0
@@ -136,14 +130,10 @@ def cmd_fit(args):
 def cmd_oracle_check(args):
     from .fock import random_equivalence_comparison
 
-    if not 0.0 <= args.tolerance < np.inf:
-        raise ExperimentError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    if args.states < 1:
-        raise ExperimentError(f"--states must be at least 1, got {args.states}")
-    if args.seed < 0:
-        raise ExperimentError(f"--seed must be >= 0, got {args.seed}")
-    worst, checked = random_equivalence_comparison(n_states=args.states,
-                                                   seed=args.seed)
+    check_bound("--tolerance", args.tolerance, (0, np.inf))
+    check_bound("--states", args.states, (1, np.inf))
+    check_bound("--seed", args.seed, (0, np.inf))
+    worst, checked = random_equivalence_comparison(n_states=args.states, seed=args.seed)
     sys.stdout.write(f"states = {args.states}\ncomparisons = {checked}\n"
                      f"max_deviation = {worst:.3e}\n")
     if worst > args.tolerance:
@@ -181,8 +171,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="Gaussian dip fit of a scan CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--observable", choices=("fourfold", "twofold_accsub", "twofold"),
-                   default="fourfold")
+    p.add_argument("--observable", choices=OBSERVABLES, default="fourfold")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fit)
 

@@ -27,7 +27,7 @@ before applying its own projection).
 from __future__ import annotations
 
 import configparser
-import io
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -64,6 +64,8 @@ from .source import (
 
 CSV_HEADER = "tau_ps, p4, p2_ab, p2_acc, pA, pB, pC, pD"
 DEFAULT_SCAN_HALFWIDTHS = 3.0
+# Largest pump grid, 2**16 + 1 samples: the presets' at filters.grid_points = 4097
+MAX_PUMP_POINTS = 65537
 
 
 class ExperimentError(ValueError):
@@ -80,60 +82,75 @@ class FitError(RuntimeError):
 # configuration
 # ---------------------------------------------------------------------------
 
-_REQUIRED = {
-    "scenario": ["pulses"],
-    "pump": ["shape", "center_nm", "energy_pj"],
-    "source": ["detuning_thz", "length_m", "temperature_k", "pair_probability"],
-    "filters": ["signal_shape", "idler_shape", "signal_bandwidth_ghz"],
-    "detectors": ["signal_transmission", "idler_transmission",
-                  "quantum_efficiency", "dark_count_probability"],
+REQUIRED = "required"
+POSITIVE = "> 0"
+
+# Every key a scenario may set, by "section.key": its type; its default (written
+# into the parser before the scenario text, so `Scenario.config` holds it),
+# REQUIRED, or None if optional; its bound (`check_bound`), where no physics
+# layer checks it; the shapes it names, if it picks a pump or filter shape; and
+# (shape key, *shapes) if only those shapes read it.
+ScenarioKey = namedtuple("ScenarioKey", "kind default bound shapes read_when",
+                         defaults=(float, REQUIRED, None, (), ()))
+SCENARIO_KEYS = {
+    "scenario.pulses": ScenarioKey(bound=(1, np.inf)),
+    "pump.shape": ScenarioKey(str, shapes=("cw_carved_rect", "transform_limited_gaussian")),
+    "pump.center_nm": ScenarioKey(bound=POSITIVE),
+    "pump.duration_ps": ScenarioKey(read_when=("pump.shape", "cw_carved_rect")),
+    "pump.rise_time_ps": ScenarioKey(default=0.0),
+    "pump.power_fwhm_ghz": ScenarioKey(read_when=("pump.shape", "transform_limited_gaussian")),
+    **dict.fromkeys(["pump.energy_pj", "source.detuning_thz", "source.length_m",
+                     "source.temperature_k", "source.pair_probability"], ScenarioKey()),
+    "source.raman_scale": ScenarioKey(default=1.0),
+    "source.raman_file": ScenarioKey(str, default=None),
+    "filters.signal_shape": ScenarioKey(str, shapes=("rectangular", "gaussian", "tabulated")),
+    # sizes the grids, whatever the signal shape
+    "filters.signal_bandwidth_ghz": ScenarioKey(bound=POSITIVE),
+    "filters.signal_files": ScenarioKey(str, read_when=("filters.signal_shape", "tabulated")),
+    "filters.idler_shape": ScenarioKey(str, shapes=("rectangular", "gaussian", "tabulated")),
+    "filters.idler_bandwidth_ghz": ScenarioKey(read_when=("filters.idler_shape",
+                                                          "rectangular", "gaussian")),
+    "filters.idler_files": ScenarioKey(str, read_when=("filters.idler_shape", "tabulated")),
+    "filters.grid_points": ScenarioKey(int, DEFAULT_GRID_POINTS, (2, np.inf)),
+    "filters.grid_span_factor": ScenarioKey(default=DEFAULT_SPAN_FACTOR, bound=POSITIVE),
+    **dict.fromkeys(["detectors.signal_transmission", "detectors.idler_transmission",
+                     "detectors.quantum_efficiency", "detectors.dark_count_probability"],
+                    ScenarioKey(bound=(0, 1))),
+    "scan.points": ScenarioKey(int, 41, (1, np.inf)),
+    # set both or neither
+    **dict.fromkeys(["scan.tau_min_ps", "scan.tau_max_ps"], ScenarioKey(default=None)),
 }
-
-# Written into the parser before the scenario, so `Scenario` reads each one.
-_DEFAULTS = {"pump": {"rise_time_ps": 0.0}, "source": {"raman_scale": 1.0},
-             "filters": {"grid_points": DEFAULT_GRID_POINTS,
-                         "grid_span_factor": DEFAULT_SPAN_FACTOR},
-             "scan": {"points": 41}}
-
-# The keys each pump and filter shape reads, under the key that names it.
-_SHAPE_KEYS = {("pump", "shape"): {"cw_carved_rect": ["duration_ps"],
-                                   "transform_limited_gaussian": ["power_fwhm_ghz"]},
-               **{("filters", f"{arm}_shape"): {"rectangular": [f"{arm}_bandwidth_ghz"],
-                                                "gaussian": [f"{arm}_bandwidth_ghz"],
-                                                "tabulated": [f"{arm}_files"]}
-                  for arm in ("signal", "idler")}}
-
-# The getter of each key that is not a float, by name (no name is in two sections).
-_GETTERS = {"grid_points": "getint", "points": "getint",
-            **dict.fromkeys(["shape", "signal_shape", "idler_shape", "signal_files",
-                             "idler_files", "raman_file"], "get")}
-
-# Ranges no physics layer sees: flux calibration clamps efficiencies at 1,
-# and `Scenario.grids` divides by the grid sizes before any other check.
-_RANGES = {"detectors.quantum_efficiency": (0, 1), "detectors.signal_transmission": (0, 1),
-           "detectors.idler_transmission": (0, 1), "detectors.dark_count_probability": (0, 1),
-           "scan.points": (1, np.inf), "scenario.pulses": (1, np.inf),
-           "filters.grid_points": (2, np.inf)}
-_POSITIVE = ("filters.grid_span_factor", "filters.signal_bandwidth_ghz", "pump.center_nm")
 
 PRESET_NAMES = ("multimode", "single_mode")
 
 
-def _preset_text(name):
-    if name not in PRESET_NAMES:
-        raise ExperimentError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
-    path = resources.files("homsim.presets") / f"{name}.ini"
-    return path.read_text()
+def check_bound(name, value, bound):
+    """Raise ExperimentError "<name> = <value> <problem>" unless `value` is
+    finite (if a float) and within `bound`: None, a closed range (lo, hi),
+    or POSITIVE.  Scenario keys and command-line arguments share this rule."""
+    if isinstance(value, float) and not np.isfinite(value):
+        problem = "is not finite"
+    elif bound == POSITIVE and not value > 0:
+        problem = "must be > 0"
+    elif isinstance(bound, tuple) and not bound[0] <= value <= bound[1]:
+        problem = f"is outside {list(bound)}"
+    else:
+        return
+    raise ExperimentError(f"{name} = {value} {problem}")
 
 
 def load_scenario(config_text, overrides=None):
     """Parse a scenario from INI-style text (see the shipped preset files).
 
     `overrides` is an optional list of "section.key=value" strings applied
-    after parsing, last one wins.  Every key is checked against the tables above.
+    after parsing, last one wins.  Every key is checked against
+    SCENARIO_KEYS, and every problem is reported in one ExperimentError.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-    cp.read_dict(_DEFAULTS)
+    for name, key in SCENARIO_KEYS.items():
+        if key.default not in (REQUIRED, None):
+            section, option = name.split(".")
+            cp.read_dict({section: {option: key.default}})
     try:
         cp.read_string(config_text)
     except configparser.Error as exc:
@@ -144,55 +161,48 @@ def load_scenario(config_text, overrides=None):
         target, value = ov.split("=", 1)
         section, key = target.split(".", 1)
         cp.read_dict({section.strip(): {key.strip(): value.strip()}})
-    known = {(s, k) for table in (_REQUIRED, _DEFAULTS) for s, keys in table.items() for k in keys}
-    known |= {("source", "raman_file"), ("scan", "tau_min_ps"), ("scan", "tau_max_ps")}
-    missing = [f"{section}.{key}" for section, keys in _REQUIRED.items()
-               for key in keys if not cp.has_option(section, key)]
-    problems, unread = [], {}
-    for (section, key), shapes in _SHAPE_KEYS.items():
-        shape = cp.get(section, key, fallback=None)
-        if shape is not None and shape not in shapes:
-            problems.append(f"{section}.{key}: unknown shape {shape!r}, not one of {list(shapes)}")
-        read = shapes.get(shape, [])
-        known.update((section, k) for k in read)
-        unread.update({(section, k): f"not read when {section}.{key} = {shape}"
-                       for keys in shapes.values() for k in keys if k not in read})
-        missing += [f"{section}.{k}" for k in read if not cp.has_option(section, k)]
+    scenario = Scenario(config=cp)
+    given = [f"{section}.{key}" for section in cp.sections() for key in cp.options(section)]
+    problems, missing, unread = [], [], {}
+    for name, key in SCENARIO_KEYS.items():
+        if key.shapes and (shape := scenario.value(name)) not in (None, *key.shapes):
+            problems.append(f"{name}: unknown shape {shape!r}, not one of {list(key.shapes)}")
+        if key.read_when and (shape := scenario.value(key.read_when[0])) not in key.read_when[1:]:
+            unread[name] = f"not read when {key.read_when[0]} = {shape}"
+        elif key.default == REQUIRED and name not in given:
+            missing.append(name)
     if missing:
-        problems.append("missing required fields: " + ", ".join(dict.fromkeys(missing)))
-    if cp.has_option("scan", "tau_min_ps") != cp.has_option("scan", "tau_max_ps"):
+        problems.append("missing required fields: " + ", ".join(missing))
+    if ("scan.tau_min_ps" in given) != ("scan.tau_max_ps" in given):
         problems.append("scan.tau_min_ps, scan.tau_max_ps: set both or neither")
-    for section, key in [(s, k) for s in cp.sections() for k in cp.options(s)]:
-        name = f"{section}.{key}"
-        if (section, key) not in known:
-            problems.append(f"{name}: {unread.get((section, key), 'unknown key')}")
+    for name in given:
+        if name not in SCENARIO_KEYS or name in unread:
+            problems.append(f"{name}: {unread.get(name, 'unknown key')}")
             continue
         try:
-            value = getattr(cp, _GETTERS.get(key, "getfloat"))(section, key)
+            check_bound(name, scenario.value(name), SCENARIO_KEYS[name].bound)
+        except ExperimentError as exc:
+            problems.append(str(exc))
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
-            continue
-        if isinstance(value, float) and not np.isfinite(value):
-            problems.append(f"{name} = {value} is not finite")
-        elif name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
-            problems.append(f"{name} = {value} is outside {list(_RANGES[name])}")
-        elif name in _POSITIVE and not value > 0:
-            problems.append(f"{name} = {value} must be > 0")
     if problems:
         raise ExperimentError("; ".join(problems))
-    return Scenario(config=cp)
+    return scenario
 
 
 def preset_scenario(name, overrides=None):
-    return load_scenario(_preset_text(name), overrides=overrides)
+    if name not in PRESET_NAMES:
+        raise ExperimentError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
+    text = (resources.files("homsim.presets") / f"{name}.ini").read_text()
+    return load_scenario(text, overrides=overrides)
 
 
-def _filter_spec(cp, arm, grid):
-    shape = cp.get("filters", f"{arm}_shape")
+def _filter_spec(scenario, arm, grid):
+    shape = scenario.value(f"filters.{arm}_shape")
     if shape == "tabulated":
-        files = [f.strip() for f in cp.get("filters", f"{arm}_files").split(",")]
+        files = [f.strip() for f in scenario.value(f"filters.{arm}_files").split(",")]
         return make_profile("tabulated", {"files": files}, grid)
-    bw = TWO_PI * 1e9 * cp.getfloat("filters", f"{arm}_bandwidth_ghz")
+    bw = TWO_PI * 1e9 * scenario.value(f"filters.{arm}_bandwidth_ghz")
     width = "bandwidth" if shape == "rectangular" else "fwhm"
     return make_profile(shape, {width: bw}, grid)
 
@@ -204,53 +214,59 @@ class Scenario:
     config: configparser.ConfigParser
 
     # -- raw accessors ------------------------------------------------
-    @property
-    def pulses(self):
-        return self.config.getfloat("scenario", "pulses")
+    def value(self, name):
+        """The value of SCENARIO_KEYS[name] ("section.key") as its declared
+        type, or None when it is not set; KeyError for an undeclared name."""
+        kind = SCENARIO_KEYS[name].kind
+        text = self.config.get(*name.split("."), fallback=None)
+        return None if text is None else kind(text)
 
     @property
-    def pump_center(self):
-        return angular_from_nm(self.config.getfloat("pump", "center_nm"))
+    def pulses(self):
+        return self.value("scenario.pulses")
 
     # -- lattice ------------------------------------------------------
     @cached_property
     def grids(self):
-        cp = self.config
-        n_points = cp.getint("filters", "grid_points")
-        bw = TWO_PI * 1e9 * cp.getfloat("filters", "signal_bandwidth_ghz")
-        span = cp.getfloat("filters", "grid_span_factor") * bw
+        n_points = self.value("filters.grid_points")
+        bw = TWO_PI * 1e9 * self.value("filters.signal_bandwidth_ghz")
+        span = self.value("filters.grid_span_factor") * bw
         spacing = span / (n_points - 1)
-        wp = self.pump_center
-        detune = TWO_PI * 1e12 * cp.getfloat("source", "detuning_thz")
+        half = max(8.0 * span, TWO_PI * 0.5e12)
+        samples = 2 * half / spacing
+        if samples >= MAX_PUMP_POINTS + 1:
+            raise ExperimentError(f"filters.grid_points, filters.grid_span_factor and "
+                                  f"filters.signal_bandwidth_ghz ask for a pump grid of "
+                                  f"{samples:.0f} samples, above the cap of {MAX_PUMP_POINTS}")
+        wp = angular_from_nm(self.value("pump.center_nm"))
+        detune = TWO_PI * 1e12 * self.value("source.detuning_thz")
         offset = round(detune / spacing) * spacing
         if 2 * abs(offset) <= span:
             raise ExperimentError(f"source.detuning_thz puts the band centres "
                                   f"{2 * abs(offset) / TWO_PI / 1e12:.3g} THz apart, within their "
                                   f"span {span / TWO_PI / 1e12:.3g} THz (filters.grid_span_factor "
                                   "x filters.signal_bandwidth_ghz): the bands would overlap")
+        n_pump = int(samples) // 2 * 2 + 1
         grid_s = FrequencyGrid(center=wp - offset, span=span, n_points=n_points)
         grid_a = FrequencyGrid(center=wp + offset, span=span, n_points=n_points)
-        half = max(8.0 * span, TWO_PI * 0.5e12)
-        n_pump = int(2 * half / spacing) // 2 * 2 + 1
         grid_p = FrequencyGrid(center=wp, span=spacing * (n_pump - 1), n_points=n_pump)
         return {STOKES: grid_s, ANTISTOKES: grid_a, "pump": grid_p}
 
     @cached_property
     def pump(self):
-        cp = self.config
-        shape = cp.get("pump", "shape")
-        energy = cp.getfloat("pump", "energy_pj") * 1e-12
+        shape = self.value("pump.shape")
+        energy = self.value("pump.energy_pj") * 1e-12
         if shape == "cw_carved_rect":
-            params = {"duration": cp.getfloat("pump", "duration_ps") * 1e-12,
-                      "rise_time": cp.getfloat("pump", "rise_time_ps") * 1e-12}
+            params = {"duration": self.value("pump.duration_ps") * 1e-12,
+                      "rise_time": self.value("pump.rise_time_ps") * 1e-12}
         else:
-            params = {"power_fwhm": TWO_PI * 1e9 * cp.getfloat("pump", "power_fwhm_ghz")}
+            params = {"power_fwhm": TWO_PI * 1e9 * self.value("pump.power_fwhm_ghz")}
         return pump_spectrum(shape, params, energy, self.grids["pump"])
 
     @cached_property
     def filters(self):
-        return {"signal": _filter_spec(self.config, "signal", self.grids[STOKES]),
-                "idler": _filter_spec(self.config, "idler", self.grids[ANTISTOKES])}
+        return {"signal": _filter_spec(self, "signal", self.grids[STOKES]),
+                "idler": _filter_spec(self, "idler", self.grids[ANTISTOKES])}
 
     @cached_property
     def bases(self):
@@ -280,17 +296,14 @@ class Scenario:
 
     @cached_property
     def source_params(self):
-        cp = self.config
-        if cp.has_option("source", "raman_file"):
-            gain = load_raman_gain(cp.get("source", "raman_file"))
-        else:
-            gain = default_raman_gain()
-        gain = RamanGain(gain.detuning, gain.gain * cp.getfloat("source", "raman_scale"))
-        target = cp.getfloat("source", "pair_probability")
+        path = self.value("source.raman_file")
+        gain = default_raman_gain() if path is None else load_raman_gain(path)
+        gain = RamanGain(gain.detuning, gain.gain * self.value("source.raman_scale"))
+        target = self.value("source.pair_probability")
         return SourceParams(
             gamma_length=calibrate_gain(target, self.pair_modes, self.filters["signal"]),
-            length=cp.getfloat("source", "length_m"),
-            temperature=cp.getfloat("source", "temperature_k"),
+            length=self.value("source.length_m"),
+            temperature=self.value("source.temperature_k"),
             raman_gain=gain)
 
     @cached_property
@@ -333,8 +346,7 @@ class Scenario:
     def detectors(self):
         """Efficiencies from the measured flux transmissions, with the signal
         coupler's split and `conditioned_transmissions` divided out; at most 1."""
-        cp = self.config
-        t_s, t_i, qe, mu = (cp.getfloat("detectors", key) for key in (
+        t_s, t_i, qe, mu = (self.value(f"detectors.{key}") for key in (
             "signal_transmission", "idler_transmission", "quantum_efficiency",
             "dark_count_probability"))
         chi_s, chi_i = self.conditioned_transmissions
@@ -348,16 +360,15 @@ class Scenario:
 
     @cached_property
     def tau_list(self):
-        cp = self.config
-        if cp.has_option("scan", "tau_min_ps"):
-            lo = cp.getfloat("scan", "tau_min_ps") * 1e-12
-            hi = cp.getfloat("scan", "tau_max_ps") * 1e-12
+        if self.value("scan.tau_min_ps") is not None:
+            lo = self.value("scan.tau_min_ps") * 1e-12
+            hi = self.value("scan.tau_max_ps") * 1e-12
         else:
             half = DEFAULT_SCAN_HALFWIDTHS * self.dip_width
             lo, hi = -half, half
         if not hi > lo:
             raise ExperimentError("scan range is empty")
-        taus = np.linspace(lo, hi, cp.getint("scan", "points"))
+        taus = np.linspace(lo, hi, self.value("scan.points"))
         if len(taus) % 2:
             # linspace can miss the midpoint by an ulp of the range (2.6e-26 s
             # for -200..200 ps), which leaves a symmetric scan without tau = 0
@@ -368,6 +379,12 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
+
+# The scan columns a fit can take, by name.
+OBSERVABLES = {"fourfold": lambda scan: scan.p4,
+               "twofold_accsub": lambda scan: scan.p2_ab - scan.p2_acc,
+               "twofold": lambda scan: scan.p2_ab}
+
 
 @dataclass(frozen=True, eq=False)
 class DelayScan:
@@ -381,23 +398,15 @@ class DelayScan:
     dip_width: float = 0.0
 
     def observable(self, name):
-        if name == "fourfold":
-            return self.p4
-        if name == "twofold_accsub":
-            return self.p2_ab - self.p2_acc
-        if name == "twofold":
-            return self.p2_ab
-        raise ExperimentError(f"unknown observable {name!r}")
+        if name not in OBSERVABLES:
+            raise ExperimentError(f"unknown observable {name!r}")
+        return OBSERVABLES[name](self)
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for i, t in enumerate(self.tau):
-            row = [t * 1e12, self.p4[i], self.p2_ab[i], self.p2_acc[i],
-                   self.singles["A"][i], self.singles["B"][i],
-                   self.singles["C"][i], self.singles["D"][i]]
-            buf.write(", ".join(format(v, ".12e") for v in row) + "\n")
-        return buf.getvalue()
+        columns = [self.tau * 1e12, self.p4, self.p2_ab, self.p2_acc,
+                   *(self.singles[name] for name in "ABCD")]
+        rows = [", ".join(format(v, ".12e") for v in row) for row in zip(*columns)]
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text):
@@ -421,10 +430,8 @@ class DelayScan:
         if not rows:
             raise ExperimentError("scan CSV has no rows")
         data = np.array(rows)
-        return cls(tau=data[:, 0] * 1e-12, p4=data[:, 1],
-                   p2_ab=data[:, 2], p2_acc=data[:, 3],
-                   singles={"A": data[:, 4], "B": data[:, 5],
-                            "C": data[:, 6], "D": data[:, 7]})
+        return cls(tau=data[:, 0] * 1e-12, p4=data[:, 1], p2_ab=data[:, 2], p2_acc=data[:, 3],
+                   singles=dict(zip("ABCD", data[:, 4:].T)))
 
 
 def run_delay_scan(scenario):

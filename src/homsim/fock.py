@@ -34,6 +34,9 @@ from itertools import combinations
 import numpy as np
 
 TRACE_CAPTURE = 1.0 - 1e-9
+# Most evolved weight on any mode's top Fock level.  Random sweeps of 1200
+# states (seeds 0, 7, 11) put at most 4.4e-7 there at cutoff 12, 4.2e-8 at 14.
+TOP_LEVEL_WEIGHT = 1e-3
 MAX_MODES = 4
 MAX_CUTOFF = 40
 
@@ -149,9 +152,9 @@ def fock_state_diagonal(spec, n_modes, cutoff):
     Rejects truncations capturing less than 1 - 1e-9 of the trace before
     evolution; the lost weight counts the thermal tail beyond the cutoff
     and the kets below the eps floor (at most d * eps).  The truncated
-    generators are anti-Hermitian, so their exponentials are unitary and the
-    trace is conserved: no trace check can catch weight pushed against the
-    cutoff during evolution.
+    generators are anti-Hermitian, so the trace is conserved: weight the gates
+    push against the cutoff shows on the top Fock level, and more than
+    TOP_LEVEL_WEIGHT there on any mode is rejected.
     """
     if n_modes > MAX_MODES:
         raise FockOracleError(f"oracle supports at most {MAX_MODES} modes")
@@ -182,11 +185,11 @@ def fock_state_diagonal(spec, n_modes, cutoff):
             moved = block @ np.take(psi, rows, axis=0).reshape(idx.shape + (-1,))
             psi[rows] = moved.reshape(rows.shape + (-1,))
     diag = (np.abs(psi) ** 2) @ p_kept
-    captured = float(diag.sum())
-    if captured < TRACE_CAPTURE:
+    top = diag @ (digits == cutoff - 1).T
+    if top.max() > TOP_LEVEL_WEIGHT:
         raise FockOracleError(
-            f"truncation captures only {captured:.12f} of the trace; "
-            "raise the cutoff or lower the occupations")
+            f"truncation leaves {top.max():.3e} of the weight on mode {top.argmax()}'s "
+            "top Fock level; raise the cutoff or lower the occupations")
     return diag
 
 

@@ -107,6 +107,16 @@ class TestBadArguments:
         assert capsys.readouterr().err.startswith("error: ExperimentError: ")
         assert work == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["modes", "--c-range", "5:1:0.1"], "--c-range stop = 1.0 is outside [5.0, inf]"),
+        (["modes", "--n-modes", "0"], "--n-modes = 0 is outside [1, inf]"),
+        (["modes", "--eigenmodes", "0"], "--eigenmodes = 0.0 must be > 0"),
+        (["oracle-check", "--tolerance", "nan"], "--tolerance = nan is not finite"),
+    ])
+    def test_scenario_keys_and_arguments_share_one_message_format(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: ExperimentError: {message}\n"
+
 
 class TestScanFit:
     def test_scan_then_fit(self, tmp_path, capsys):
@@ -332,6 +342,30 @@ class TestExitCodes:
         assert code == 2 and work == []
         assert err.startswith("error: ExperimentError: source.detuning_thz ")
         assert "filters.grid_span_factor" in err and "filters.signal_bandwidth_ghz" in err
+
+    @pytest.mark.parametrize("preset, override", [
+        ("multimode", "filters.grid_span_factor=0.1"),
+        ("multimode", "filters.grid_span_factor=1e-3"),
+        # the band offset in grid steps would overflow
+        ("multimode", "filters.grid_span_factor=1e-320"),
+        ("multimode", "filters.grid_points=4098"),
+        ("single_mode", "filters.grid_points=4098"),
+        ("multimode", "filters.signal_bandwidth_ghz=1"),
+    ])
+    def test_oversized_pump_grid_exits_2_before_any_work(self, capsys, monkeypatch,
+                                                         preset, override):
+        work = []
+        monkeypatch.setattr(experiment, "pump_spectrum", lambda *args: work.append(args))
+        code, err = self.run(capsys, ["calibrate", "--preset", preset, "--set", override])
+        assert code == 2 and work == []
+        assert err.startswith("error: ExperimentError: filters.grid_points, "
+                              "filters.grid_span_factor and filters.signal_bandwidth_ghz ")
+        assert f"above the cap of {experiment.MAX_PUMP_POINTS}" in err
+
+    @pytest.mark.parametrize("preset", experiment.PRESET_NAMES)
+    def test_pump_grid_cap_admits_the_presets_at_4097_points(self, preset):
+        scenario = experiment.preset_scenario(preset, overrides=["filters.grid_points=4097"])
+        assert scenario.grids["pump"].n_points == experiment.MAX_PUMP_POINTS
 
     def test_unparsable_config(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"

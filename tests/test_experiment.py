@@ -1,7 +1,9 @@
+import configparser
 import copy
 import re
 import warnings
 from dataclasses import fields, replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from homsim import experiment
 from homsim.detection import ClickQuery, DetectionError
 from homsim.experiment import (
     CSV_HEADER,
+    REQUIRED,
+    SCENARIO_KEYS,
     DelayScan,
-    _DEFAULTS,
     ExperimentError,
     FitError,
     expected_counts,
@@ -100,9 +103,26 @@ class TestPresets:
 
     def test_config_holds_every_default(self):
         config = preset_scenario("single_mode").config
-        for section, keys in _DEFAULTS.items():
-            for key in keys:
-                assert config.has_option(section, key), f"{section}.{key}"
+        for name, key in SCENARIO_KEYS.items():
+            if key.default not in (REQUIRED, None):
+                assert config.has_option(*name.split(".")), name
+
+    @pytest.mark.parametrize("preset", experiment.PRESET_NAMES)
+    def test_preset_keys_are_declared(self, preset):
+        config = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        config.read_string((resources.files("homsim.presets") / f"{preset}.ini").read_text())
+        names = [f"{s}.{k}" for s in config.sections() for k in config.options(s)]
+        assert names and set(names) <= set(SCENARIO_KEYS)
+
+    def test_undeclared_key_cannot_be_read(self):
+        sc = load_scenario(CHEAP)
+        assert sc.value("scan.points") == 11 and sc.value("scan.tau_min_ps") is None
+        with pytest.raises(KeyError, match="scan.point"):
+            sc.value("scan.point")
+        # declared nowhere, though the parser holds it
+        sc.config.set("scan", "label", "x")
+        with pytest.raises(KeyError, match="scan.label"):
+            sc.value("scan.label")
 
     @pytest.mark.parametrize("override, problem", [
         ("detectors.dark_count_probability=nan", "is not finite"),

@@ -83,6 +83,14 @@ class TestOracleBasics:
         with pytest.raises(FockOracleError, match="truncation"):
             fock_state_diagonal([("thermal", 0, 5.0)], 1, 6)
 
+    def test_weight_pushed_to_the_cutoff_rejected(self):
+        # the gates conserve the trace, so only the top level shows the clipping:
+        # 21% of this state's weight sits on level 4
+        with pytest.raises(FockOracleError, match="2.114e-01 of the weight on mode 0's top"):
+            fock_state_diagonal([("tmsv", (0, 1), 2.0)], 2, 5)
+        diag = fock_state_diagonal([("tmsv", (0, 1), 2.0)], 2, 40)
+        assert diag.reshape(40, 40)[-1].sum() < fock.TOP_LEVEL_WEIGHT
+
     @pytest.mark.parametrize("spec", [
         [("tmsv", (0, 1), 0.05), ("thermal", 0, 0.05)],
         [("bs", (0, 1), 0.6, 0.3), ("thermal", 0, 0.2)],
