@@ -43,7 +43,6 @@ from .detection import (
 )
 from .fock import (
     fock_oracle_click_probability,
-    fock_oracle_expectation,
     moments_from_state_spec,
     random_equivalence_comparison,
 )

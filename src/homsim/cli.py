@@ -26,10 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import OBSERVABLES, POSITIVE, PRESET_NAMES, ExperimentError, check_bound
+from .experiment import (MAX_ROWS, OBSERVABLES, POSITIVE, PRESET_NAMES, ExperimentError,
+                         check_bound)
 
 EXIT_CODES = ((ExperimentError, 2), (OSError, 4))
 EXIT_OTHER = 3
+# Most states in one oracle sweep: about 45 s at 4.4 ms per state
+MAX_ORACLE_STATES = 10000
 
 
 def _parse_c_range(text):
@@ -40,6 +43,8 @@ def _parse_c_range(text):
     check_bound("--c-range start", start, (0, np.inf))
     check_bound("--c-range stop", stop, (start, np.inf))
     check_bound("--c-range step", step, POSITIVE)
+    # the length np.arange gives, counted before it allocates
+    check_bound("--c-range rows", np.ceil((stop - start) / step + 0.5), (1, MAX_ROWS))
     return np.arange(start, stop + step / 2, step)
 
 
@@ -131,7 +136,7 @@ def cmd_oracle_check(args):
     from .fock import random_equivalence_comparison
 
     check_bound("--tolerance", args.tolerance, (0, np.inf))
-    check_bound("--states", args.states, (1, np.inf))
+    check_bound("--states", args.states, (1, MAX_ORACLE_STATES))
     check_bound("--seed", args.seed, (0, np.inf))
     worst, checked = random_equivalence_comparison(n_states=args.states, seed=args.seed)
     sys.stdout.write(f"states = {args.states}\ncomparisons = {checked}\n"

@@ -66,6 +66,8 @@ CSV_HEADER = "tau_ps, p4, p2_ab, p2_acc, pA, pB, pC, pD"
 DEFAULT_SCAN_HALFWIDTHS = 3.0
 # Largest pump grid, 2**16 + 1 samples: the presets' at filters.grid_points = 4097
 MAX_PUMP_POINTS = 65537
+# Most delays in a scan, or c values in a `modes` table: about 40 s of multimode scan
+MAX_ROWS = 10001
 
 
 class ExperimentError(ValueError):
@@ -116,7 +118,7 @@ SCENARIO_KEYS = {
     **dict.fromkeys(["detectors.signal_transmission", "detectors.idler_transmission",
                      "detectors.quantum_efficiency", "detectors.dark_count_probability"],
                     ScenarioKey(bound=(0, 1))),
-    "scan.points": ScenarioKey(int, 41, (1, np.inf)),
+    "scan.points": ScenarioKey(int, 41, (1, MAX_ROWS)),
     # set both or neither
     **dict.fromkeys(["scan.tau_min_ps", "scan.tau_max_ps"], ScenarioKey(default=None)),
 }

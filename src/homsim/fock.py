@@ -16,13 +16,13 @@ shared with the Gaussian engine.  Because the preparation
 rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
 sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
 evolved, one-sided, and the weight they drop is counted in the capture
-check together with the thermal tail beyond the cutoff.
-Threshold-detector expectations then use
+check together with the thermal tail beyond the cutoff.  The diagonal is
+shaped (cutoff,) * n_modes, one axis per mode, and threshold-detector
+expectations contract each axis with
 
-    <n| :exp(-w a^dag a): |n> = (1 - w)^n,
+    <n| :exp(-w a^dag a): |n> = (1 - w)^n.
 
-so <:exp(-sum w_i n_i):> is a weighted sum over the evolved diagonal.  The
-same op list converts to (N, M) moments analytically, which is what the
+The same op list converts to (N, M) moments analytically, which is what the
 Gaussian engine consumes; agreement between the two paths validates both.
 """
 
@@ -33,12 +33,16 @@ from itertools import combinations
 
 import numpy as np
 
+from .detection import ClickQuery, no_click_expectation
+
 TRACE_CAPTURE = 1.0 - 1e-9
 # Most evolved weight on any mode's top Fock level.  Random sweeps of 1200
 # states (seeds 0, 7, 11) put at most 4.4e-7 there at cutoff 12, 4.2e-8 at 14.
 TOP_LEVEL_WEIGHT = 1e-3
 MAX_MODES = 4
 MAX_CUTOFF = 40
+# Most amplitudes (kets x joint Fock indices) evolved at once: 16 MiB
+MAX_CHUNK_AMPLITUDES = 2 ** 20
 
 
 class FockOracleError(ValueError):
@@ -140,14 +144,16 @@ def _gates(spec, cutoff):
 
 
 def fock_state_diagonal(spec, n_modes, cutoff):
-    """Diagonal of U rho_0 U^dag in the joint Fock basis.
+    """Diagonal of U rho_0 U^dag in the joint Fock basis, shaped
+    (cutoff,) * n_modes: axis i holds mode i's occupation.
 
     rho_0 = sum_n p_n |n><n| is diagonal, so the diagonal is
     sum_n p_n |U e_n|^2: the basis kets with p_n > eps * max(p) are evolved
-    as one (d, K) array, each gate applied one-sided and block by block.  A
-    block mixes, for each occupation of the other modes, only the joint rows
-    its index set picks, and no other block of the gate reads or writes
-    them, so each block updates its rows in place.
+    in (d, k) chunks of at most MAX_CHUNK_AMPLITUDES amplitudes, each gate
+    applied one-sided and block by block.  A block mixes, for each
+    occupation of the other modes, only the joint rows its index set picks,
+    and no other block of the gate reads or writes them, so each block
+    updates its rows in place.
 
     Rejects truncations capturing less than 1 - 1e-9 of the trace before
     evolution; the lost weight counts the thermal tail beyond the cutoff
@@ -163,29 +169,33 @@ def fock_state_diagonal(spec, n_modes, cutoff):
     _check_preparations(spec)
     p = _initial_weights(spec, n_modes, cutoff)
     kept = np.flatnonzero(p > np.finfo(float).eps * p.max())
-    p_kept = p[kept]
-    if p_kept.sum() < TRACE_CAPTURE:
+    if p[kept].sum() < TRACE_CAPTURE:
         raise FockOracleError(
-            f"truncation loses {1 - p_kept.sum():.3e} of the initial weight "
+            f"truncation loses {1 - p[kept].sum():.3e} of the initial weight "
             "(thermal tail beyond the cutoff)")
-    psi = np.zeros((p.size, kept.size), dtype=complex)
-    psi[kept, np.arange(kept.size)] = 1.0
-    digits = _occupations(n_modes, cutoff)
-    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
-    for modes, gate in _gates(spec, cutoff):
-        modes = list(modes)
-        if isinstance(gate, np.ndarray):
-            psi *= gate[digits[modes[0]]][:, None]
-            continue
-        # joint rows with the gate's modes in vacuum, and each local index's offset
-        base = np.flatnonzero(~digits[modes].any(axis=0))
-        offset = strides[modes] @ _occupations(len(modes), cutoff)
-        for idx, block in gate:
-            rows = offset[idx][..., None] + base
-            moved = block @ np.take(psi, rows, axis=0).reshape(idx.shape + (-1,))
-            psi[rows] = moved.reshape(rows.shape + (-1,))
-    diag = (np.abs(psi) ** 2) @ p_kept
-    top = diag @ (digits == cutoff - 1).T
+    shape = (cutoff,) * n_modes
+    index = np.arange(p.size).reshape(shape)
+    gates = list(_gates(spec, cutoff))
+    diag = np.zeros(p.size)
+    per_chunk = max(1, MAX_CHUNK_AMPLITUDES // p.size)
+    for start in range(0, kept.size, per_chunk):
+        chunk = kept[start:start + per_chunk]
+        psi = np.zeros((p.size, chunk.size), dtype=complex)
+        psi[chunk, np.arange(chunk.size)] = 1.0
+        for modes, gate in gates:
+            if isinstance(gate, np.ndarray):
+                phased = np.moveaxis(psi.reshape(shape + (-1,)), modes[0], -1)
+                phased *= gate
+                continue
+            # joint rows by (local index of the gate's modes, occupation of the others)
+            table = np.moveaxis(index, modes, range(len(modes))).reshape(cutoff ** len(modes), -1)
+            for idx, block in gate:
+                rows = table[idx]
+                moved = block @ np.take(psi, rows, axis=0).reshape(idx.shape + (-1,))
+                psi[rows] = moved.reshape(rows.shape + (-1,))
+        diag += (np.abs(psi) ** 2) @ p[chunk]
+    diag = diag.reshape(shape)
+    top = np.array([diag.take(cutoff - 1, axis=k).sum() for k in range(n_modes)])
     if top.max() > TOP_LEVEL_WEIGHT:
         raise FockOracleError(
             f"truncation leaves {top.max():.3e} of the weight on mode {top.argmax()}'s "
@@ -193,38 +203,30 @@ def fock_state_diagonal(spec, n_modes, cutoff):
     return diag
 
 
-def _occupations(n_modes, cutoff):
-    return np.indices([cutoff] * n_modes).reshape(n_modes, -1)
-
-
-def expectation_from_diagonal(diag, weights, n_modes, cutoff, dark_sum=0.0):
-    """<:exp(-sum_i w_i n_i):> e^{-mu} from a precomputed Fock diagonal."""
-    counts = _occupations(n_modes, cutoff)
+def expectation_from_diagonal(diag, weights, dark_sum=0.0):
+    """<:exp(-sum_i w_i n_i):> e^{-mu} from a shaped Fock diagonal: each mode
+    axis, last first, contracted with <n|:exp(-w a^dag a):|n> = (1 - w)^n."""
     w = np.asarray(weights, dtype=float)
-    factors = np.prod((1.0 - w)[:, None] ** counts, axis=0)
-    return float(np.exp(-dark_sum) * np.sum(diag * factors))
+    if w.shape != (diag.ndim,):
+        raise FockOracleError(f"{w.size} weights for a diagonal on {diag.ndim} modes")
+    total = diag
+    for w_i, size in zip(w[::-1], diag.shape[::-1]):
+        total = total @ (1.0 - w_i) ** np.arange(size)
+    return float(np.exp(-dark_sum) * total)
 
 
-def fock_oracle_expectation(spec, weights, n_modes, cutoff=16, dark_sum=0.0):
-    """<:exp(-sum_i w_i n_i):> e^{-mu} by direct summation over Fock states."""
-    diag = fock_state_diagonal(spec, n_modes, cutoff)
-    return expectation_from_diagonal(diag, weights, n_modes, cutoff, dark_sum)
-
-
-def fock_oracle_click_probability(spec, weight_sets, n_modes, subset,
-                                  cutoff=16, dark_means=None):
-    """P(all detectors in `subset` click); detectors are weight vectors."""
-    diag = fock_state_diagonal(spec, n_modes, cutoff)
+def fock_oracle_click_probability(diag, weight_sets, subset, dark_means=None):
+    """P(all detectors in `subset` click) from a shaped Fock diagonal, by
+    inclusion-exclusion over no-click expectations; detectors are weight
+    vectors, one weight per mode axis."""
     dark_means = dark_means or {}
     total = 0.0
     for r in range(len(subset) + 1):
         for chosen in combinations(subset, r):
-            w = np.zeros(n_modes)
-            mu = 0.0
-            for name in chosen:
-                w = w + np.asarray(weight_sets[name], dtype=float)
-                mu += dark_means.get(name, 0.0)
-            total += (-1) ** r * expectation_from_diagonal(diag, w, n_modes, cutoff, mu)
+            w = sum((np.asarray(weight_sets[name], dtype=float) for name in chosen),
+                    np.zeros(diag.ndim))
+            mu = sum(dark_means.get(name, 0.0) for name in chosen)
+            total += (-1) ** r * expectation_from_diagonal(diag, w, mu)
     return max(0.0, float(total))
 
 
@@ -292,8 +294,6 @@ def random_equivalence_comparison(n_states=200, seed=7, cutoff=12):
     Gaussian determinant engine and the Fock oracle, and returns the worst
     absolute deviation together with the number of comparisons.
     """
-    from .detection import ClickQuery, no_click_expectation
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
@@ -325,10 +325,8 @@ def random_equivalence_comparison(n_states=200, seed=7, cutoff=12):
         for r in range(len(names) + 1):
             for subset in combinations(names, r):
                 engine = no_click_expectation(n_mat, m_mat, query, subset)
-                w = np.zeros(n_modes)
-                for name in subset:
-                    w = w + weight_sets[name]
-                oracle = expectation_from_diagonal(diag, w, n_modes, cutoff)
+                w = sum((weight_sets[name] for name in subset), np.zeros(n_modes))
+                oracle = expectation_from_diagonal(diag, w)
                 worst = max(worst, abs(engine - oracle))
                 checked += 1
     return worst, checked

@@ -16,7 +16,11 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
-from homsim.fock import fock_oracle_click_probability, random_equivalence_comparison
+from homsim.fock import (
+    fock_oracle_click_probability,
+    fock_state_diagonal,
+    random_equivalence_comparison,
+)
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import build_kernel, make_profile, rect_rect_basis, schmidt_decompose
 
@@ -156,7 +160,7 @@ def test_criterion_5_ideal_hom_null():
     fit = fit_visibility(scan)
     spec = [("fock", 0, 1), ("fock", 1, 1), ("bs", (0, 1), np.pi / 4, 0.0)]
     p_fock = fock_oracle_click_probability(
-        spec, {"A": [1.0, 0.0], "B": [0.0, 1.0]}, 2, ("A", "B"), cutoff=6)
+        fock_state_diagonal(spec, 2, 6), {"A": [1.0, 0.0], "B": [0.0, 1.0]}, ("A", "B"))
     ok = fit.visibility > 0.99 and p_fock == pytest.approx(0.0, abs=1e-12)
     report(5, ok, f"pipeline V = {fit.visibility:.4f} at pair prob 1e-3; "
                   f"Fock-oracle HOM coincidence = {p_fock:.1e}")

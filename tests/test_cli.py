@@ -93,7 +93,11 @@ class TestBadArguments:
         ["modes", "--n-modes", "0"],
         ["modes", "--eigenmodes", "0"],
         ["modes", "--eigenmodes=-0.5"],
+        # too many rows: hours of work, counted before any array is built
+        ["modes", "--c-range", "0:5:1e-6"],
+        ["modes", "--c-range", "0:5:1e-320"],
         ["oracle-check", "--seed", "-1"],
+        ["oracle-check", "--states", "10001"],
     ], ids=" ".join)
     def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
         work = []
@@ -112,10 +116,23 @@ class TestBadArguments:
         (["modes", "--n-modes", "0"], "--n-modes = 0 is outside [1, inf]"),
         (["modes", "--eigenmodes", "0"], "--eigenmodes = 0.0 must be > 0"),
         (["oracle-check", "--tolerance", "nan"], "--tolerance = nan is not finite"),
+        (["modes", "--c-range", "0:5:1e-6"], "--c-range rows = 5000001.0 is outside [1, 10001]"),
+        (["oracle-check", "--states", "100000000"],
+         "--states = 100000000 is outside [1, 10000]"),
     ])
     def test_scenario_keys_and_arguments_share_one_message_format(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: ExperimentError: {message}\n"
+
+    @pytest.mark.parametrize("c_range, rows", [("0:1:1e-4", 10001), ("0.7:0.7:1", 1),
+                                               ("0.1:5:0.1", 50)])
+    def test_row_count_is_the_table_length(self, monkeypatch, c_range, rows):
+        # the bound counts the rows np.arange gives: the cap itself passes
+        tables = []
+        monkeypatch.setattr(modes, "eigenvalue_curve",
+                            lambda c_values, n_modes: tables.append(c_values) or [])
+        assert main(["modes", "--c-range", c_range]) == 0
+        assert len(tables[0]) == rows
 
 
 class TestScanFit:
@@ -252,7 +269,8 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("argv", [
         ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance=-1e-6"],
-        ["--states", "0"], ["--states=-3"]], ids=lambda argv: "=".join(argv).lstrip("-"))
+        ["--states", "0"], ["--states=-3"], ["--states", "10001"]],
+        ids=lambda argv: "=".join(argv).lstrip("-"))
     def test_bad_arguments_exit_2_before_the_sweep(self, capsys, monkeypatch, argv):
         # a nan tolerance could never be exceeded, a negative one always,
         # and no states make no comparison
@@ -306,6 +324,8 @@ class TestExitCodes:
         ("source.length_m=abc", "source.length_m"),
         ("scan.points=5%", "scan.points"),
         ("scan.points=0", "scan.points"),
+        ("scan.points=10002", "scan.points"),
+        ("scan.points=100000000", "scan.points"),
         ("detectors.quantum_efficiency=1.5", "detectors.quantum_efficiency"),
         ("scan.tau_min_ps=-5", "scan.tau_min_ps"),
         ("detectors.dark_count_probability=nan", "detectors.dark_count_probability"),

@@ -8,7 +8,6 @@ from homsim.fock import (
     FockOracleError,
     expectation_from_diagonal,
     fock_oracle_click_probability,
-    fock_oracle_expectation,
     fock_state_diagonal,
     moments_from_state_spec,
     random_equivalence_comparison,
@@ -16,7 +15,8 @@ from homsim.fock import (
 
 
 def _dense_diagonal(spec, n_modes, cutoff):
-    """diag(U rho_0 U^dag) with every gate built on the full joint space.
+    """diag(U rho_0 U^dag) with every gate built on the full joint space,
+    shaped (cutoff,) * n_modes as the oracle returns it.
 
     Ladder operators are embedded by kron with identities, so a gate on any
     mode pair, in either order, needs no axis bookkeeping.
@@ -61,23 +61,47 @@ def _dense_diagonal(spec, n_modes, cutoff):
             continue
         u = expm(gen)
         rho = u @ rho @ u.conj().T
-    return np.real(np.diag(rho))
+    return np.real(np.diag(rho)).reshape((cutoff,) * n_modes)
 
 
 class TestOracleBasics:
     def test_vacuum_is_one(self):
-        assert fock_oracle_expectation([], [1.0], 1, cutoff=4) == pytest.approx(1.0)
+        diag = fock_state_diagonal([], 1, 4)
+        assert expectation_from_diagonal(diag, [1.0]) == pytest.approx(1.0)
 
     def test_thermal_closed_form(self):
         nbar, w = 0.3, 0.65
-        val = fock_oracle_expectation([("thermal", 0, nbar)], [w], 1, cutoff=30)
+        diag = fock_state_diagonal([("thermal", 0, nbar)], 1, 30)
+        val = expectation_from_diagonal(diag, [w])
         assert val == pytest.approx(1 / (1 + w * nbar), rel=1e-9)
 
     def test_tmsv_closed_form_cutoff_40(self):
         nbar, w = 0.35, 0.6
-        val = fock_oracle_expectation([("tmsv", (0, 1), nbar)], [w, w], 2, cutoff=40)
+        diag = fock_state_diagonal([("tmsv", (0, 1), nbar)], 2, 40)
+        val = expectation_from_diagonal(diag, [w, w])
         expect = 1 / ((1 + w * nbar) ** 2 - w**2 * nbar * (nbar + 1))
         assert val == pytest.approx(expect, rel=1e-9)
+
+    def test_weights_must_match_the_diagonal_modes(self):
+        # the diagonal carries its mode count and cutoff as its shape
+        diag = fock_state_diagonal([("tmsv", (0, 1), 0.1)], 2, 8)
+        assert diag.shape == (8, 8)
+        with pytest.raises(FockOracleError, match="3 weights for a diagonal on 2 modes"):
+            expectation_from_diagonal(diag, [0.5, 0.5, 0.5])
+
+    def test_chunks_sum_to_the_one_chunk_diagonal(self, monkeypatch):
+        spec = [("thermal", 0, 0.05), ("thermal", 1, 0.03), ("thermal", 2, 0.04),
+                ("tmsv", (0, 1), 0.05), ("bs", (1, 2), 0.7, 0.4), ("phase", 2, 0.9),
+                ("squeeze", 0, 0.1, 0.3)]
+        cutoff = 8
+        whole = fock_state_diagonal(spec, 3, cutoff)
+        p = fock._initial_weights(spec, 3, cutoff)
+        kets = np.count_nonzero(p > np.finfo(float).eps * p.max())
+        assert kets * cutoff ** 3 <= fock.MAX_CHUNK_AMPLITUDES
+        # a third of the kets per chunk: three chunks or more
+        monkeypatch.setattr(fock, "MAX_CHUNK_AMPLITUDES", cutoff ** 3 * (kets // 3))
+        chunked = fock_state_diagonal(spec, 3, cutoff)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
 
     def test_truncation_rejected(self):
         with pytest.raises(FockOracleError, match="truncation"):
@@ -89,7 +113,7 @@ class TestOracleBasics:
         with pytest.raises(FockOracleError, match="2.114e-01 of the weight on mode 0's top"):
             fock_state_diagonal([("tmsv", (0, 1), 2.0)], 2, 5)
         diag = fock_state_diagonal([("tmsv", (0, 1), 2.0)], 2, 40)
-        assert diag.reshape(40, 40)[-1].sum() < fock.TOP_LEVEL_WEIGHT
+        assert diag[-1].sum() < fock.TOP_LEVEL_WEIGHT
 
     @pytest.mark.parametrize("spec", [
         [("tmsv", (0, 1), 0.05), ("thermal", 0, 0.05)],
@@ -126,12 +150,12 @@ class TestOracleBasics:
     def test_hom_null_single_photons(self):
         # two ideal single photons on a 50:50 splitter never coincide
         spec = [("fock", 0, 1), ("fock", 1, 1), ("bs", (0, 1), np.pi / 4, 0.0)]
-        p = fock_oracle_click_probability(
-            spec, {"A": [1.0, 0.0], "B": [0.0, 1.0]}, 2, ("A", "B"), cutoff=6)
+        diag = fock_state_diagonal(spec, 2, 6)
+        detectors = {"A": [1.0, 0.0], "B": [0.0, 1.0]}
+        p = fock_oracle_click_probability(diag, detectors, ("A", "B"))
         assert p == pytest.approx(0.0, abs=1e-12)
         # each output clicks half the time
-        p_a = fock_oracle_click_probability(
-            spec, {"A": [1.0, 0.0], "B": [0.0, 1.0]}, 2, ("A",), cutoff=6)
+        p_a = fock_oracle_click_probability(diag, detectors, ("A",))
         assert p_a == pytest.approx(0.5, rel=1e-10)
 
     def test_heralded_pair_coincidence_equals_pair_probability(self):
@@ -139,7 +163,7 @@ class TestOracleBasics:
         nbar = 1e-3
         spec = [("tmsv", (0, 1), nbar)]
         p = fock_oracle_click_probability(
-            spec, {"A": [1.0, 0.0], "C": [0.0, 1.0]}, 2, ("A", "C"), cutoff=8)
+            fock_state_diagonal(spec, 2, 8), {"A": [1.0, 0.0], "C": [0.0, 1.0]}, ("A", "C"))
         assert p == pytest.approx(nbar, rel=2e-3)
 
 
@@ -218,7 +242,7 @@ class TestEngineOracleEquivalence:
                 w = np.zeros(n_modes)
                 for name in subset:
                     w = w + np.asarray(weight_sets[name], float)
-                oracle = expectation_from_diagonal(diag, w, n_modes, cutoff)
+                oracle = expectation_from_diagonal(diag, w)
                 assert engine == pytest.approx(oracle, abs=tol), (spec, subset)
 
     def test_thermal_and_squeeze_and_bs(self):
@@ -253,8 +277,8 @@ class TestEngineOracleEquivalence:
         query = ClickQuery(forms={k: np.diag(np.asarray(v, float))
                                   for k, v in weight_sets.items()})
         engine = coincidence_probability(n, m, query, ("A", "B", "C"))
-        oracle = fock_oracle_click_probability(spec, weight_sets, 3,
-                                               ("A", "B", "C"), cutoff=12)
+        oracle = fock_oracle_click_probability(fock_state_diagonal(spec, 3, 12),
+                                               weight_sets, ("A", "B", "C"))
         assert engine == pytest.approx(oracle, abs=1e-7)
 
     def test_sweep_deviation_is_oracle_truncation(self):

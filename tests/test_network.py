@@ -6,7 +6,11 @@ import pytest
 
 from homsim.detection import coincidence_probability, no_click_expectation, singles_probability
 from homsim.experiment import preset_scenario
-from homsim.fock import expectation_from_diagonal, fock_state_diagonal, moments_from_state_spec
+from homsim.fock import (
+    fock_oracle_click_probability,
+    fock_state_diagonal,
+    moments_from_state_spec,
+)
 from homsim.grids import TWO_PI, FrequencyGrid
 from homsim.modes import FilterProfile, ModeBasis, build_kernel, make_profile, schmidt_decompose
 from homsim.network import (
@@ -433,14 +437,11 @@ def assert_scan_matches_oracle(right, left, bases, tau, detector_models):
         herald = dets.idler_efficiency * chi_a
         weights = {"A": np.array([*port, 0, 0]), "B": np.array([*port[::-1], 0, 0]),
                    "C": np.array([0, 0, herald, 0]), "D": np.array([0, 0, 0, herald])}
+        dark_means = dict.fromkeys(weights, dets.dark_mean)
         for subset in SCAN_SUBSETS:
             got = (singles_probability(normal, anomalous, query, *subset) if len(subset) == 1
                    else coincidence_probability(normal, anomalous, query, subset))
-            expected = sum((-1) ** k * expectation_from_diagonal(
-                               diag, sum((weights[name] for name in chosen), np.zeros(4)),
-                               4, ORACLE_CUTOFF, k * dets.dark_mean)
-                           for k in range(len(subset) + 1)
-                           for chosen in combinations(subset, k))
+            expected = fock_oracle_click_probability(diag, weights, subset, dark_means)
             # criterion 4's bound of 1e-7; the two routes agree to about
             # 1e-15, so each value is also held to 1e-7 of itself, down to 1e-13
             assert abs(got - expected) <= 1e-7, (subset, tau, dets)
@@ -452,20 +453,32 @@ class TestScanAgainstFockOracle:
     a one-mode-per-band register: the delay, the port and herald forms and
     the register assembly, with no Gaussian formula on the oracle's side."""
 
-    def test_single_mode_preset_spools(self, monkeypatch):
-        # the c < 1 preset with the cutoff raised to keep one mode per band;
-        # a lower pair probability and Raman level keep the oracle's
-        # thermal kets, and so its run time, small at cutoff 14
-        sc = preset_scenario("single_mode", ["source.pair_probability=0.002",
-                                             "source.raman_scale=0.05"])
+    @staticmethod
+    def single_mode_preset(monkeypatch, overrides):
+        """The c < 1 preset with the cutoff raised to keep one mode per band,
+        and its detectors next to unit-efficiency ones."""
+        sc = preset_scenario("single_mode", overrides)
         chi = sc.bases["signal"].eigenvalues
         monkeypatch.setattr("homsim.modes.MODE_RETENTION_CUTOFF", 0.5 * (chi[0] + chi[1]))
         assert [basis.retained() for basis in sc.bases.values()] == [1, 1]
-        spool = sc.source
         unit = DetectorModel(signal_efficiency=1.0, idler_efficiency=1.0,
                              dark_mean=sc.detectors.dark_mean)
+        return sc, (sc.detectors, unit)
+
+    def test_single_mode_preset_spools(self, monkeypatch):
+        # a lower pair probability and Raman level keep the oracle's
+        # thermal kets, and so its run time, small at cutoff 14
+        sc, detectors = self.single_mode_preset(monkeypatch, ["source.pair_probability=0.002",
+                                                              "source.raman_scale=0.05"])
         for tau in (0.0, 0.4 * sc.dip_width, 3.0 * sc.dip_width):
-            assert_scan_matches_oracle(spool, spool, sc.bases, tau, (sc.detectors, unit))
+            assert_scan_matches_oracle(sc.source, sc.source, sc.bases, tau, detectors)
+
+    def test_single_mode_preset_at_its_own_occupations(self, monkeypatch):
+        # the preset's pair probability 0.039 and Raman level: thermal noise
+        # on all four modes keeps 715 kets, which the oracle evolves in chunks
+        sc, detectors = self.single_mode_preset(monkeypatch, [])
+        assert (sc.value("source.pair_probability"), sc.value("source.raman_scale")) == (0.039, 1.0)
+        assert_scan_matches_oracle(sc.source, sc.source, sc.bases, 0.0, detectors)
 
     def test_random_spools_and_chains(self):
         rng = np.random.default_rng(20)
