@@ -187,6 +187,11 @@ def load_scenario(config_text, overrides=None):
             problems.append(str(exc))
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
+    if not problems and scenario.value("pump.shape") == "cw_carved_rect":
+        rise, duration = scenario.value("pump.rise_time_ps"), scenario.value("pump.duration_ps")
+        if not 0 <= rise < duration:
+            problems.append(f"pump.rise_time_ps = {rise} must satisfy 0 <= pump.rise_time_ps "
+                            f"< pump.duration_ps = {duration}")
     if problems:
         raise ExperimentError("; ".join(problems))
     return scenario

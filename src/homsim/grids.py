@@ -20,6 +20,10 @@ C_LIGHT = 299792458.0
 SPACING_RTOL = 1e-9
 # offset between two grid lattices, in spacings, below which they coincide
 ALIGNMENT_RTOL = 1e-6
+# largest |a - a[::-1, ::-1]|, in eps * max|a|, at which `mirror_eigh` splits a:
+# the band kernels are exactly mirror-symmetric, and the pair amplitudes of
+# the presets' pumps are so to about 3 eps
+MIRROR_TOL = 16.0
 
 
 def angular_from_nm(wavelength_nm):
@@ -46,6 +50,49 @@ def load_two_column_table(path, what, error):
     if table.shape[1] != 2 or table.shape[0] < 2:
         raise error(f"{what} {path!r} needs two columns and at least two rows")
     return table
+
+
+def mirror_eigh(a):
+    """`np.linalg.eigh(a)` of a Hermitian matrix, in two halves when `a` is
+    mirror-symmetric about its centre.
+
+    A matrix equal to its row-and-column reversal (to MIRROR_TOL eps
+    max|a|) commutes with the reversal J, so it has a basis of eigenvectors
+    that are even or odd about the centre (Cantoni and Butler, Linear
+    Algebra Appl. 13, 275 (1976)).  With h = n // 2, the top-left block A
+    and C[i, j] = a[i, n-1-j] of the first h rows, the even ones are
+    [y; J y] / sqrt 2 for the eigenvectors y of A + C, and the odd ones
+    [z; -J z] / sqrt 2 for those of A - C.  For odd n the even block also
+    takes the centre row and column, scaled by sqrt 2 off the diagonal,
+    and the even vectors its last entry at the centre sample.  Mirror
+    samples of each mode are then equal in magnitude exactly.  The
+    eigenvalues come ascending, as from eigh; any other matrix takes one
+    plain eigh.
+    """
+    n = a.shape[0]
+    h = n // 2
+    top = a[:n - h]
+    eps = np.finfo(float).eps
+    if h == 0 or (np.max(np.abs(top - a[:h - 1:-1, ::-1]))
+                  > MIRROR_TOL * eps * np.max(np.abs(top))):
+        return np.linalg.eigh(a)
+    root2, back = np.sqrt(2.0), slice(None, n - h - 1, -1)
+    cross = a[:h, back]
+    even = np.empty((n - h, n - h), dtype=np.result_type(a, 1.0))
+    even[:h, :h] = a[:h, :h] + cross
+    even[h:, :h] = root2 * a[h:n - h, :h]
+    even[:, h:] = root2 * a[:n - h, h:n - h]
+    even[h:, h:] = a[h:n - h, h:n - h]
+    even_vals, even_vecs = np.linalg.eigh(even)
+    odd_vals, odd_vecs = np.linalg.eigh(a[:h, :h] - cross)
+    order = np.argsort(np.concatenate((even_vals, odd_vals)), kind="stable")
+    vecs = np.zeros((n, n), dtype=even_vecs.dtype)
+    vecs[:h, :n - h] = even_vecs[:h] / root2
+    vecs[h:n - h, :n - h] = even_vecs[h:]
+    vecs[back, :n - h] = vecs[:h, :n - h]
+    vecs[:h, n - h:] = odd_vecs / root2
+    vecs[back, n - h:] = -vecs[:h, n - h:]
+    return np.concatenate((even_vals, odd_vals))[order], vecs[:, order]
 
 
 @dataclass(frozen=True)

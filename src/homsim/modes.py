@@ -22,17 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid, angular_from_nm, load_two_column_table
+from .grids import TWO_PI, FrequencyGrid, angular_from_nm, load_two_column_table, mirror_eigh
 
 # Modes with chi below this are dropped from detection projections.
 MODE_RETENTION_CUTOFF = 1e-3
 
 EIGENVALUE_FLOOR = 1e-12
 EIGENVALUE_CEILING_TOL = 1e-6
-# Relative margin within which samples tie for the largest |phi| of a mode:
-# far above the solver's rounding of two mirror samples (at most 8e-11 on
-# the modes with chi >= 1e-6 of the presets' filters and of rect-rect chains
-# at c = 0.5-3.8), far below the difference of neighbouring samples.
+# Relative margin within which samples tie for the largest |phi| of a mode,
+# for kernels that take the plain eigh (`mirror_eigh`): far above that
+# solver's rounding of two mirror samples (at most 8e-11 on the modes with
+# chi >= 1e-6 of the presets' filters and of rect-rect chains at
+# c = 0.5-3.8), far below the difference of neighbouring samples.
 PHASE_TIE_TOL = 1e-9
 
 DEFAULT_GRID_POINTS = 513
@@ -215,7 +216,9 @@ def schmidt_decompose(kernel):
     block over that support, and the eigenmodes of the k non-zero ones as
     unit vectors of shape (n, k), zero off the support.  A Gaussian
     filter's support is the whole grid; an all-zero filter gives an empty
-    basis.
+    basis.  The block is diagonalised by `mirror_eigh`: a filter symmetric
+    about the grid centre makes it equal to its row-and-column reversal,
+    so its modes are even or odd and it splits into two half-size eigh calls.
     """
     nonzero = kernel.entries != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
@@ -224,7 +227,7 @@ def schmidt_decompose(kernel):
     herm_defect = np.max(np.abs(block - block.conj().T), initial=0.0)
     if herm_defect > 1e-10 * max(1.0, np.max(np.abs(block), initial=0.0)):
         raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
-    block_vals, block_vecs = np.linalg.eigh(block)
+    block_vals, block_vecs = mirror_eigh(block)
     vals = block_vals[::-1].copy()
     if vals.size and vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
@@ -237,8 +240,9 @@ def schmidt_decompose(kernel):
     vecs[support] = block_vecs[:, ::-1][:, :k]
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
-    # mirror samples, equal up to the solver's rounding, so the first sample
-    # within PHASE_TIE_TOL of the largest is taken
+    # mirror samples, exactly equal from the split eigh; a kernel that takes
+    # the plain eigh rounds them apart, so the first sample within
+    # PHASE_TIE_TOL of the largest is taken
     mags = np.abs(vecs)
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)
     ref = vecs[first, np.arange(k)]

@@ -33,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid, load_two_column_table
+from .grids import TWO_PI, FrequencyGrid, load_two_column_table, mirror_eigh
 
 # reduced Planck and Boltzmann constants in SI units, from the exact SI-2019
 # h and k_B; bit-equal to scipy.constants.hbar and scipy.constants.k
@@ -379,17 +379,19 @@ def factor_pair_amplitude(pump, grids):
 
     Phi(w_s + w_a) dw is a Hankel matrix in Phi's dtype.  On square grids
     (every scenario's) it is symmetric, and a real one (every shipped pump)
-    is factored by one `np.linalg.eigh`, Phi dw = V diag(lam) V^T: the
-    Takagi factors of J = i Phi dw are s = |lam| in descending order,
-    u = i V sign(lam) and vt = V^T.  A complex or non-square Phi takes one
-    `np.linalg.svd`, after which the i of J multiplies the kept columns of
-    u.
+    is factored by one eigh, Phi dw = V diag(lam) V^T: the Takagi factors
+    of J = i Phi dw are s = |lam| in descending order, u = i V sign(lam)
+    and vt = V^T.  The eigh is `mirror_eigh`, which splits Phi dw into an
+    even and an odd half when it equals its row-and-column reversal, as a
+    pump spectrum symmetric about the grid centre (both shipped shapes)
+    makes it.  A complex or non-square Phi takes one `np.linalg.svd`,
+    after which the i of J multiplies the kept columns of u.
     """
     grid_s, grid_a = grids[STOKES], grids[ANTISTOKES]
     amplitude = _pair_sum_matrix(pump, grid_s, grid_a)
     amplitude *= grid_s.spacing
     if np.isrealobj(amplitude) and grid_s.n_points == grid_a.n_points:
-        lam, v = np.linalg.eigh(amplitude)
+        lam, v = mirror_eigh(amplitude)
         order = np.argsort(-np.abs(lam), kind="stable")
         lam, v = lam[order], v[:, order]
         u, s, vt = v * np.sign(lam), np.abs(lam), v.T

@@ -303,7 +303,7 @@ class TestExitCodes:
         ("scan", ["pump.shape=foo"], 2, "ExperimentError"),
         ("scan", ["scan.tau_min_ps=5", "scan.tau_max_ps=1"], 2, "ExperimentError"),
         ("scan", ["source.raman_file={tmp}/missing.txt"], 4, "FileNotFoundError"),
-        ("calibrate", ["pump.rise_time_ps=200"], 3, "SourceModelError"),
+        ("calibrate", ["pump.rise_time_ps=200"], 2, "ExperimentError"),
         # a key that the chosen shape needs is missing
         ("calibrate", ["pump.shape=transform_limited_gaussian"], 2, "ExperimentError"),
         ("scan", ["filters.signal_shape=tabulated"], 2, "ExperimentError"),
@@ -362,6 +362,17 @@ class TestExitCodes:
         assert code == 2 and work == []
         assert err.startswith("error: ExperimentError: source.detuning_thz ")
         assert "filters.grid_span_factor" in err and "filters.signal_bandwidth_ghz" in err
+
+    @pytest.mark.parametrize("rise", ["100", "250", "-1"])
+    def test_rise_time_rule_exits_2_before_any_work(self, capsys, monkeypatch, rise):
+        # multimode's pump is 100 ps long: its rise time must lie in [0, 100) ps
+        work = []
+        monkeypatch.setattr(experiment, "pump_spectrum", lambda *args: work.append(args))
+        code, err = self.run(capsys, ["calibrate", "--preset", "multimode",
+                                      "--set", f"pump.rise_time_ps={rise}"])
+        assert code == 2 and work == []
+        assert err == (f"error: ExperimentError: pump.rise_time_ps = {float(rise)} must satisfy "
+                       "0 <= pump.rise_time_ps < pump.duration_ps = 100.0\n")
 
     @pytest.mark.parametrize("preset, override", [
         ("multimode", "filters.grid_span_factor=0.1"),

@@ -306,6 +306,25 @@ class TestExactIdentities:
         np.testing.assert_array_equal(singles["C"], np.full_like(singles["C"], singles["C"][0]))
 
 
+@pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+def test_raman_product_identity(preset):
+    # gamma L is solved from the pair probability, so the pump energy E
+    # enters only the Raman block, as E times the length L and the Raman
+    # scale s: (E, L) -> (aE, L/a) and (E, s) -> (aE, s/a) leave every
+    # probability of the scan unchanged
+    base = preset_scenario(preset, ["scan.points=9"])
+    energy = base.value("pump.energy_pj")
+    length, scale = base.value("source.length_m"), base.value("source.raman_scale")
+    ref = run_delay_scan(base)
+    for a in (2.0, 0.5):
+        for other in (f"source.length_m={length / a!r}", f"source.raman_scale={scale / a!r}"):
+            scan = run_delay_scan(preset_scenario(
+                preset, ["scan.points=9", f"pump.energy_pj={a * energy!r}", other]))
+            for name in ("p4", "p2_ab", "p2_acc"):
+                got, want = getattr(scan, name), getattr(ref, name)
+                assert np.max(np.abs(got / want - 1)) <= 1e-8, (a, other, name)
+
+
 class TestCounts:
     def test_arithmetic(self):
         scan = synthetic_scan(0.0, base=1e-9, n=5)
@@ -540,10 +559,12 @@ class TestSetup:
 
     def test_one_pair_amplitude_eigh_per_scenario(self, monkeypatch):
         # the carved pump's spectrum is real and the band grids are square,
-        # so the pair amplitude is real symmetric and takes one real eigh and
-        # no svd: the i of the pair amplitude never enters a grid-sized
-        # array.  The bands' kernels are equal, so the one kernel eigh runs
-        # on the flat-top filters' 31-sample passband
+        # so the pair amplitude is real symmetric and takes one real
+        # mirror-split eigh and no svd: the i of the pair amplitude never
+        # enters a grid-sized array.  The bands' kernels are equal, so the one
+        # kernel decomposition runs on the flat-top filters' 31-sample
+        # passband.  Both matrices are mirror-symmetric, so each is an eigh of
+        # its even half and one of its odd half
         calls = {"svd": [], "eigh": []}
         for name, log in calls.items():
             def counting(*args, _real=getattr(np.linalg, name), _log=log, **kwargs):
@@ -555,7 +576,29 @@ class TestSetup:
         for stage in SETUP_STAGES:
             getattr(sc, stage)
         assert calls == {"svd": [],
-                         "eigh": [((31, 31), np.float64), ((121, 121), np.float64)]}
+                         "eigh": [((16, 16), np.float64), ((15, 15), np.float64),
+                                  ((61, 61), np.float64), ((60, 60), np.float64)]}
+
+    def test_plain_eigh_gives_the_same_scans(self, preset_scans, monkeypatch):
+        # the mirror-split decompositions against one plain eigh per matrix:
+        # the same physics to the rounding of the solvers
+        shapes = []
+
+        def plain_eigh(a):
+            shapes.append(a.shape)
+            return np.linalg.eigh(a)
+
+        monkeypatch.setattr("homsim.modes.mirror_eigh", plain_eigh)
+        monkeypatch.setattr("homsim.source.mirror_eigh", plain_eigh)
+        for name, split in preset_scans.items():
+            scan = run_delay_scan(preset_scenario(name))
+            np.testing.assert_array_equal(scan.tau, split.tau)
+            assert np.max(np.abs(scan.p4 / split.p4 - 1)) <= 1e-8
+            assert abs(fit_visibility(scan).visibility
+                       - fit_visibility(split).visibility) <= 1e-9
+        # single_mode's flat-top passband and multimode's whole Gaussian
+        # grid, and each preset's pair amplitude
+        assert shapes == [(129, 129), (513, 513), (513, 513), (513, 513)]
 
     @pytest.mark.parametrize("overrides, shared", [
         ([], True), (["filters.idler_bandwidth_ghz=40"], False)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homsim.grids import FrequencyGrid, TWO_PI
+from homsim.grids import MIRROR_TOL, TWO_PI, FrequencyGrid, mirror_eigh
 from homsim.modes import (
     EIGENVALUE_FLOOR,
     PHASE_TIE_TOL,
@@ -26,6 +26,57 @@ def slepian_gauss_legendre(c, nodes=400):
     kernel = np.sinc(c * (x[:, None] - x[None, :]) / np.pi) * (c / np.pi)
     a = np.sqrt(w)[:, None] * kernel * np.sqrt(w)[None, :]
     return np.linalg.eigvalsh(a)[::-1]
+
+
+def mirror_symmetric(n, dtype, seed=0):
+    """A random Hermitian matrix equal to its row-and-column reversal."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if dtype == complex:
+        a = a + 1j * rng.normal(size=(n, n))
+    a = a + a.conj().T
+    return a + a[::-1, ::-1]
+
+
+class TestMirrorEigh:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65])
+    def test_matches_eigh_with_mirror_modes(self, monkeypatch, n, dtype):
+        a = mirror_symmetric(n, dtype)
+        ref_vals, ref_vecs = np.linalg.eigh(a)
+        shapes, real_eigh = [], np.linalg.eigh
+
+        def recording_eigh(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        vals, vecs = mirror_eigh(a)
+        # an even half of ceil(n/2) samples and an odd half of floor(n/2)
+        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+        assert vals.dtype == np.float64 and vecs.dtype == a.dtype
+        assert np.all(np.diff(vals) >= 0)
+        scale = 4 * n * np.finfo(float).eps * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(vals - ref_vals)) <= scale
+        assert np.max(np.abs(a @ vecs - vecs * vals)) <= scale
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) <= 4 * n * np.finfo(float).eps
+        # each mode is even or odd about the centre, exactly
+        np.testing.assert_array_equal(np.abs(vecs), np.abs(vecs[::-1]))
+        parity = np.sign(np.real(np.sum(vecs * vecs[::-1].conj(), axis=0)))
+        np.testing.assert_array_equal(vecs[::-1], vecs * parity)
+        # the random spectrum is simple: the same modes up to a phase
+        overlap = np.abs(np.sum(ref_vecs.conj() * vecs, axis=0))
+        assert np.max(np.abs(overlap - 1)) <= 1e-9
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65])
+    def test_other_matrices_take_plain_eigh(self, n, dtype):
+        # a defect above MIRROR_TOL eps max|a|, or a single sample, gives
+        # eigh's own result, bit for bit
+        a = mirror_symmetric(n, dtype, seed=1)
+        a[0, 0] += 2 * MIRROR_TOL * np.finfo(float).eps * np.max(np.abs(a))
+        for got, ref in zip(mirror_eigh(a), np.linalg.eigh(a)):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestProfiles:
@@ -260,9 +311,9 @@ class TestSchmidt:
         real, herm = (schmidt_decompose(build_kernel(f, 3.0)) for f in (filt, as_complex))
         assert real.eigenmodes.dtype == herm.eigenmodes.dtype == np.complex128
         assert np.max(np.abs(real.eigenvalues - herm.eigenvalues)) <= 1e-12
-        # an odd mode peaks at two mirror samples that the two solvers round
-        # apart; the phase convention takes the first of them, so the modes
-        # agree sign for sign
+        # an odd mode peaks at two mirror samples, exactly equal from the
+        # split solver; the phase convention takes the first of them, so the
+        # modes agree sign for sign
         k = real.retained()
         assert np.max(np.abs(real.eigenmodes[:, :k] - herm.eigenmodes[:, :k])) <= 1e-12
 
@@ -305,7 +356,9 @@ class TestSchmidt:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         basis = schmidt_decompose(kern)
-        assert shapes == [(m, m)]
+        # the passband is mirror-symmetric, so its block splits into an even
+        # and an odd half
+        assert shapes == [((m + 1) // 2,) * 2, (m // 2,) * 2]
         assert basis.eigenvalues.shape == (m,)
         assert basis.eigenmodes.shape == (grid.n_points, np.count_nonzero(full_vals))
         assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15
@@ -360,10 +413,18 @@ class TestCurve:
             chis = rect_rect_basis(row[0], n_points=9).eigenvalues
             assert chis.size == 3
             np.testing.assert_array_equal(row[1:], [*chis, 0.0])
-        np.testing.assert_allclose(rows, [
-            [0.1, 0.06355605056982956, 0.0001058912907930813, 3.5376135497053444e-08, 0.0],
-            [1.0, 0.5462536830616829, 0.08679535298187122, 0.0035707363240273147, 0.0],
-        ], rtol=1e-14, atol=0)
+        # 40-digit mpmath eigsy of the same 3-sample blocks.  A backward-stable
+        # eigh holds each eigenvalue to a few eps * chi_0 absolutely: the
+        # plain solver measures <= 0.98 eps * chi_0, the mirror-split one 0.68
+        reference = np.array([
+            [0.1, 0.063556050569829551761, 1.0589129079308784442e-4,
+             3.5376135502801382189e-8, 0.0],
+            [1.0, 0.54625368306168289159, 0.086795352981871229381,
+             3.5707363240273169754e-3, 0.0],
+        ])
+        np.testing.assert_array_equal(rows[:, [0, 4]], reference[:, [0, 4]])
+        err = np.abs(rows[:, 1:4] - reference[:, 1:4])
+        assert np.all(err <= 4 * np.finfo(float).eps * reference[:, 1:2])
 
     def test_row_near_c38(self):
         rows = eigenvalue_curve([3.8], n_modes=3)
