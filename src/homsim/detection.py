@@ -22,7 +22,9 @@ general forms.  A ClickQuery is checked once, when built, and splits its
 detectors into groups whose forms share no register mode (ports {A, B},
 herald C, herald D in the scan); each group part's form is factored once
 per query; the moments of every engine call are checked, once per query
-and state.  Pair sources are phase-insensitive across their two bands:
+and state, and the query keeps (ln E_S, eigs) of each subset it has
+evaluated on the state it last accepted, so a subset is evaluated once
+per state.  Pair sources are phase-insensitive across their two bands:
 pair amplitude joins only the Stokes and anti-Stokes sides, and normal
 moments only modes of one side.  Where a subset's group parts fall on the
 two sides so, its 2r x 2r doubled matrix is unitarily the direct sum of a
@@ -61,7 +63,9 @@ class ClickQuery:
     form over a subset's detectors is factored on first use, by one eigh on
     the group's support block, and kept; a subset's weighted modes are its
     groups' factors side by side (exact: the supports are disjoint).  It
-    keeps a copy of the last moments it accepted, so a state is checked once.
+    keys the last state it accepted by the shape, dtype and bytes of N and
+    M, so a state is checked once, and keeps each subset's (ln E_S, eigs)
+    on that state, by its set of names, so a subset is evaluated once.
     """
 
     forms: dict = field(default_factory=dict)     # name -> Hermitian matrix
@@ -70,7 +74,8 @@ class ClickQuery:
     # (support indices, sorted names) per group; group part -> V W^(1/2)
     _groups: list = field(init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
-    _checked: list = field(default_factory=list, init=False, repr=False)  # [N, M]
+    # [key of the last accepted (N, M), {frozenset(subset): (ln E_S, eigs)} on it]
+    _state: list = field(default_factory=lambda: [None, {}], init=False, repr=False)
 
     def __post_init__(self):
         forms = {name: np.array(form) for name, form in self.forms.items()}
@@ -143,9 +148,11 @@ def _pair_matrix(normal, anomalous, vacuum, shift=0.0):
 
 
 def _validate_moments(normal, anomalous, query):
-    """Reject an unphysical state unless it equals, in value, the last one `query` accepted."""
-    if query._checked and all(map(np.array_equal, query._checked, (normal, anomalous))):
-        return
+    """Reject an unphysical state unless it has the shape, dtype and bytes of
+    the last one `query` accepted; return the query's results on the state."""
+    key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in (normal, anomalous))
+    if query._state[0] == key:                # one memcmp per array, no hash
+        return query._state[1]
     if normal.shape != (query.n_modes,) * 2 or anomalous.shape != normal.shape:
         raise DetectionError(f"query of {query.n_modes} modes does not match register of "
                              f"moments {normal.shape}, {anomalous.shape}")
@@ -167,7 +174,17 @@ def _validate_moments(normal, anomalous, query):
             raise DetectionError(
                 f"moments violate physicality (min doubled eigenvalue {minimum:.2e})"
             ) from None
-    query._checked[:] = normal.copy(), anomalous.copy()
+    query._state[:] = key, {}
+    return query._state[1]
+
+
+def _names(subset):
+    """The detector names of `subset` as a tuple; DetectionError for a name given twice."""
+    subset = tuple(subset)
+    if len(set(subset)) < len(subset):
+        repeated = next(name for name in subset if subset.count(name) > 1)
+        raise DetectionError(f"detector {repeated!r} is named twice in subset {subset}")
+    return subset
 
 
 def physicality_min_eig(normal, anomalous):
@@ -218,22 +235,30 @@ def no_click_expectation(normal, anomalous, query, subset, log=False):
     sum eigs = tr H = 2 Re tr B, so
     ln E_S = -mu - Re tr B - (1/2) sum (log1p(eigs) - eigs).  An eigenvalue
     at or below -1 (det <= 0, possible only for unphysical moments) raises
-    DetectionError; so do moments that fail the check of `_validate_moments`.
+    DetectionError; so do moments that fail the check of `_validate_moments`,
+    and a subset that names a detector twice.  The query keeps the pair for
+    each set of names on the state it last accepted, so a subset given
+    again, in any order, returns the same pair; eigs is read-only.
     """
-    _validate_moments(normal, anomalous, query)
-    log_e = -query.dark_sum(subset)
-    eigs = np.empty(0)
-    if subset:
-        root, starts = query.weighted_modes(subset)
-        if root.shape[1]:
-            # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
-            conj = root.conj()
-            n_b = root.T @ normal @ conj
-            m_b = conj.T @ anomalous @ conj
-            eigs = _pair_spectrum(n_b, m_b, starts)
-            if eigs[0] <= -1.0:
-                raise DetectionError("singular doubled moment matrix (det(I + GW) <= 0)")
-            log_e -= float(n_b.trace().real + 0.5 * (np.log1p(eigs) - eigs).sum())
+    results = _validate_moments(normal, anomalous, query)
+    subset = _names(subset)
+    if (key := frozenset(subset)) not in results:
+        log_e = -query.dark_sum(subset)
+        eigs = np.empty(0)
+        if subset:
+            root, starts = query.weighted_modes(subset)
+            if root.shape[1]:
+                # weighted moments of the eigenmodes b_i = sum_m conj(V[m, i]) a_m
+                conj = root.conj()
+                n_b = root.T @ normal @ conj
+                m_b = conj.T @ anomalous @ conj
+                eigs = _pair_spectrum(n_b, m_b, starts)
+                if eigs[0] <= -1.0:
+                    raise DetectionError("singular doubled moment matrix (det(I + GW) <= 0)")
+                log_e -= float(n_b.trace().real + 0.5 * (np.log1p(eigs) - eigs).sum())
+        eigs.flags.writeable = False
+        results[key] = log_e, eigs
+    log_e, eigs = results[key]
     return (log_e, eigs) if log else math.exp(log_e)
 
 
@@ -271,7 +296,7 @@ def coincidence_probability(normal, anomalous, query, subset):
     signals a model bug and raises.
     """
     _validate_moments(normal, anomalous, query)
-    subset = tuple(subset)
+    subset = _names(subset)
     if not subset:
         return 1.0  # every detector of an empty set clicks
     if len(subset) == 1:

@@ -45,7 +45,9 @@ from .modes import (
 )
 from .network import (
     DetectorModel,
+    correlation_bandwidth,
     detection_mode_projection,
+    filter_bandwidth,
     hom_dip_width_estimate,
     retained_register,
 )
@@ -214,6 +216,13 @@ def _filter_spec(scenario, arm, grid):
     return make_profile(shape, {width: bw}, grid)
 
 
+def _unresolved(key, what, grid):
+    raise ExperimentError(
+        f"{key} gives {what} no resolved width on its grid of spacing "
+        f"{grid.spacing / TWO_PI / 1e9:.4g} GHz: change {key}, or refine the grid "
+        "with filters.grid_points")
+
+
 @dataclass
 class Scenario:
     """Materialized experiment description; heavy pieces build lazily."""
@@ -268,12 +277,21 @@ class Scenario:
                       "rise_time": self.value("pump.rise_time_ps") * 1e-12}
         else:
             params = {"power_fwhm": TWO_PI * 1e9 * self.value("pump.power_fwhm_ghz")}
-        return pump_spectrum(shape, params, energy, self.grids["pump"])
+        pump = pump_spectrum(shape, params, energy, self.grids["pump"])
+        if correlation_bandwidth(pump) <= 0:
+            key = "pump.duration_ps" if shape == "cw_carved_rect" else "pump.power_fwhm_ghz"
+            _unresolved(key, "the pump's pair-sum spectrum", pump.grid)
+        return pump
 
     @cached_property
     def filters(self):
-        return {"signal": _filter_spec(self, "signal", self.grids[STOKES]),
-                "idler": _filter_spec(self, "idler", self.grids[ANTISTOKES])}
+        filters = {"signal": _filter_spec(self, "signal", self.grids[STOKES]),
+                   "idler": _filter_spec(self, "idler", self.grids[ANTISTOKES])}
+        if filter_bandwidth(filters["signal"]) <= 0:
+            tabulated = self.value("filters.signal_shape") == "tabulated"
+            key = "filters.signal_files" if tabulated else "filters.signal_bandwidth_ghz"
+            _unresolved(key, "the signal filter", filters["signal"].grid)
+        return filters
 
     @cached_property
     def bases(self):

@@ -152,6 +152,19 @@ def _fwhm(x, y):
     return float(above[-1] - above[0])
 
 
+def filter_bandwidth(signal_filter):
+    """FWHM of the filter's power on its grid, in rad/s; 0 when its grid
+    resolves no width (one sample above half the peak, or no power)."""
+    return _fwhm(signal_filter.grid.points, signal_filter.power)
+
+
+def correlation_bandwidth(pump):
+    """FWHM of |Phi|^2, the pump autoconvolution over the pair sums, in
+    rad/s; 0 when the pump grid resolves no width."""
+    phi = pump.autoconvolution
+    return _fwhm(np.arange(len(phi)) * pump.grid.spacing, np.abs(phi) ** 2)
+
+
 def hom_dip_width_estimate(signal_filter, pump):
     """Rough temporal width of the coincidence dip, used for scan ranges.
 
@@ -162,10 +175,7 @@ def hom_dip_width_estimate(signal_filter, pump):
     factor of about two.  The filter's width is the FWHM of the chain
     kernel's diagonal, which for the rectangular gate is |h|^2 T exactly.
     """
-    b_filter = _fwhm(signal_filter.grid.points, signal_filter.power)
-    phi = pump.autoconvolution
-    omega_sum = np.arange(len(phi)) * pump.grid.spacing
-    b_corr = _fwhm(omega_sum, np.abs(phi) ** 2)
+    b_filter, b_corr = filter_bandwidth(signal_filter), correlation_bandwidth(pump)
     if b_filter <= 0 or b_corr <= 0:
         raise NetworkError("degenerate zero-bandwidth input")
     return TWO_PI / min(b_filter, b_corr)

@@ -374,6 +374,34 @@ class TestExitCodes:
         assert err == (f"error: ExperimentError: pump.rise_time_ps = {float(rise)} must satisfy "
                        "0 <= pump.rise_time_ps < pump.duration_ps = 100.0\n")
 
+    @pytest.mark.parametrize("preset, overrides, key", [
+        # 200 GHz bands, spanned 4x by 513 samples, space the grid 1.56 GHz
+        # apart: a 1 GHz pump holds one sample above half its peak
+        ("single_mode", ["filters.signal_bandwidth_ghz=200", "filters.idler_bandwidth_ghz=200",
+                         "pump.power_fwhm_ghz=1"], "pump.power_fwhm_ghz"),
+        # a 4 ns rectangle is 0.22 GHz wide, on a 0.19 GHz grid
+        ("multimode", ["pump.duration_ps=4000", "pump.rise_time_ps=0"], "pump.duration_ps"),
+    ])
+    def test_unresolved_pump_exits_2_before_bases_and_source(self, capsys, monkeypatch,
+                                                             preset, overrides, key):
+        work = []
+        for name in ("build_kernel", "factor_pair_amplitude", "source_moments"):
+            monkeypatch.setattr(experiment, name, lambda *args, name=name: work.append(name))
+        argv = ["scan", "--preset", preset, "--set", "scan.points=5"]
+        for override in overrides:
+            argv += ["--set", override]
+        code, err = self.run(capsys, argv)
+        assert code == 2 and work == []
+        assert err.startswith(f"error: ExperimentError: {key} ")
+        assert "filters.grid_points" in err
+
+    def test_unresolved_signal_filter_is_named(self):
+        # three samples 140 GHz apart: only the centre one lies in the 69.9 GHz band
+        scenario = experiment.preset_scenario("single_mode", ["filters.grid_points=3"])
+        with pytest.raises(experiment.ExperimentError,
+                           match="^filters.signal_bandwidth_ghz .*filters.grid_points"):
+            scenario.filters
+
     @pytest.mark.parametrize("preset, override", [
         ("multimode", "filters.grid_span_factor=0.1"),
         ("multimode", "filters.grid_span_factor=1e-3"),

@@ -145,8 +145,9 @@ class TestNoClick:
     def test_singular_determinant_rejected(self, monkeypatch):
         # W^(1/2) G W^(1/2) = [[0.1, 5], [5, 0.1]] has eigenvalue -4.9 and
         # [[0, 1], [1, 0]] has -1 (det = 0): both unphysical, so the moments
-        # check is patched out to reach the determinant itself
-        monkeypatch.setattr(detection, "_validate_moments", lambda *args: None)
+        # check is patched out, to an empty store of results, to reach the
+        # determinant itself
+        monkeypatch.setattr(detection, "_validate_moments", lambda *args: {})
         q = ClickQuery(forms={"A": np.diag([1.0])})
         for nbar, pair in [(0.1, 5.0), (0.0, 1.0)]:
             n = np.array([[nbar]], complex)
@@ -162,6 +163,19 @@ class TestNoClick:
             val = no_click_expectation(n, m, q, subset)
             assert no_click_expectation(n, m, q, subset, log=True)[0] == pytest.approx(
                 np.log(val), rel=1e-13, abs=1e-16)
+
+    def test_repeated_detector_rejected(self):
+        # E_AA would count A's dark mean twice and its form once: on this
+        # state "AA" gave 0.0062 for P(A) = 0.138
+        n, m = tmsv(0.1)
+        q = ClickQuery(forms={"A": np.diag([0.5, 0.0]), "B": np.diag([0.0, 0.5])},
+                       dark_means={"A": 0.1, "B": 0.1})
+        for subset in ["AA", ("A", "B", "A")]:
+            with pytest.raises(DetectionError, match="'A' is named twice"):
+                coincidence_probability(n, m, q, subset)
+            with pytest.raises(DetectionError, match="'A' is named twice"):
+                no_click_expectation(n, m, q, subset)
+        assert singles_probability(n, m, q, "A") == pytest.approx(0.13825007806, rel=1e-9)
 
     def test_complex_form_equals_rotated_state(self):
         # n_Q = a^dag Q a with Q = U^dag W U is diag(W) after the mode map
@@ -256,9 +270,14 @@ class TestMomentsCheck:
         n, m, q = self.four_detectors()
         calls = self.count_cholesky(monkeypatch)
         before = singles_probability(n, m, q, "C")
+        pair_before, _ = no_click_expectation(n, m, q, "AC", log=True)
         n[2, 2] += 0.05                                   # still physical: more light
         after = singles_probability(n, m, q, "C")
         assert len(calls) == 2 and after > before
+        # the kept results went with the old state: "AC" is evaluated again
+        spectra = count_eigvalsh(monkeypatch)
+        pair_after, _ = no_click_expectation(n, m, q, "AC", log=True)
+        assert len(spectra) == 1 and pair_after < pair_before
         m[0, 2] = m[2, 0] = 5.0                           # |M| far above sqrt(N(N+1))
         for entry in self.ENTRY_POINTS.values():
             with pytest.raises(DetectionError, match="physicality"):
@@ -270,6 +289,62 @@ class TestMomentsCheck:
         calls = self.count_cholesky(monkeypatch)
         experiment.run_delay_scan(sc)
         assert len(calls) == len(sc.tau_list)
+
+
+def count_eigvalsh(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+class TestSubsetResults:
+    """The query keeps (ln E_S, eigs) per set of names on its last state."""
+
+    SUBSETS = [s for r in range(5) for s in combinations("ABCD", r)]
+
+    @pytest.mark.parametrize("preset", ["single_mode", "multimode"])
+    def test_kept_results_equal_fresh_ones_on_presets(self, preset):
+        sc = experiment.preset_scenario(preset)
+        assert len(self.SUBSETS) == 16
+        for tau in sc.tau_list:
+            # a query that has answered one delay of the scan, and a fresh one
+            normal, anomalous, used = detection_mode_projection(sc.source, sc.source,
+                                                                sc.bases, tau, sc.detectors)
+            coincidence_probability(normal, anomalous, used, "ABCD")
+            coincidence_probability(normal, anomalous, used, "AB")
+            for name in "ABCD":
+                singles_probability(normal, anomalous, used, name)
+            fresh = detection_mode_projection(sc.source, sc.source, sc.bases, tau,
+                                              sc.detectors)
+            for subset in reversed(self.SUBSETS):
+                kept = no_click_expectation(normal, anomalous, used, subset, log=True)
+                new = no_click_expectation(*fresh, subset, log=True)
+                assert kept[0] == new[0] and kept[1].tobytes() == new[1].tobytes()
+
+    def test_one_entry_per_set_of_names(self, monkeypatch):
+        n, m, q = TestMomentsCheck.four_detectors()
+        spectra = count_eigvalsh(monkeypatch)
+        first = no_click_expectation(n, m, q, "CA", log=True)
+        assert len(spectra) == 1
+        second = no_click_expectation(n, m, q, ("A", "C"), log=True)
+        assert len(spectra) == 1 and second[0] == first[0] and second[1] is first[1]
+        assert no_click_expectation(n, m, q, "AC") == np.exp(first[0])
+        no_click_expectation(n, m, q, "AB")
+        assert len(spectra) == 2
+
+    def test_kept_eigenvalues_are_read_only(self):
+        n, m, q = TestMomentsCheck.four_detectors()
+        for subset in ["AC", ""]:
+            _, eigs = no_click_expectation(n, m, q, subset, log=True)
+            assert not eigs.flags.writeable
+            with pytest.raises(ValueError):
+                eigs[...] = 0.0
 
 
 def random_form(rng, n_modes, modes, unitary=None):

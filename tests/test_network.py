@@ -353,15 +353,17 @@ class TestEngineProperties:
         # the ports sit on the Stokes side and the heralds on the anti-Stokes
         # side, so every subset's doubled matrix splits into two halves of
         # its weighted-mode count r: no 2r x 2r spectrum, even where a
-        # subset holds both sides
+        # subset holds both sides.  The query keeps each subset's result on
+        # its state, so a delay takes one spectrum per distinct subset
         pump, moments, bases = build_scene()
+        distinct = [s for r in range(1, 5) for s in combinations("ABCD", r)]
         normal, anomalous, query = detection_mode_projection(moments, moments, bases,
                                                              7e-12, UNIT)
-        calls = [s for r in range(1, 5) for s in combinations("ABCD", r)]
-        calls += [("A",), ("B",), ("A", "B")] + [(name,) for name in "ABCD"]
-        # r: half the size of each subset's doubled spectrum
+        # r: half the size of each subset's doubled spectrum, from another query
         halves = [no_click_expectation(normal, anomalous, query, s, log=True)[1].size // 2
-                  for s in calls]
+                  for s in distinct]
+        normal, anomalous, query = detection_mode_projection(moments, moments, bases,
+                                                             7e-12, UNIT)
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -371,6 +373,8 @@ class TestEngineProperties:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         coincidence_probability(normal, anomalous, query, ("A", "B", "C", "D"))
+        assert len(sizes) == 15 and sizes == halves       # in call order
+        # the repeated subsets of p2 and the singles take none
         coincidence_probability(normal, anomalous, query, ("A", "B"))
         for name in "ABCD":
             singles_probability(normal, anomalous, query, name)
