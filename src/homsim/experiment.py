@@ -55,6 +55,7 @@ from .source import (
     ANTISTOKES,
     STOKES,
     RamanGain,
+    SourceModelError,
     SourceParams,
     calibrate_gain,
     default_raman_gain,
@@ -273,14 +274,18 @@ class Scenario:
         shape = self.value("pump.shape")
         energy = self.value("pump.energy_pj") * 1e-12
         if shape == "cw_carved_rect":
+            widths = ("pump.duration_ps", "pump.rise_time_ps")
             params = {"duration": self.value("pump.duration_ps") * 1e-12,
                       "rise_time": self.value("pump.rise_time_ps") * 1e-12}
         else:
+            widths = ("pump.power_fwhm_ghz",)
             params = {"power_fwhm": TWO_PI * 1e9 * self.value("pump.power_fwhm_ghz")}
-        pump = pump_spectrum(shape, params, energy, self.grids["pump"])
+        try:
+            pump = pump_spectrum(shape, params, energy, self.grids["pump"])
+        except SourceModelError as exc:
+            raise ExperimentError(f"{', '.join(('pump.energy_pj', *widths))}: {exc}") from exc
         if correlation_bandwidth(pump) <= 0:
-            key = "pump.duration_ps" if shape == "cw_carved_rect" else "pump.power_fwhm_ghz"
-            _unresolved(key, "the pump's pair-sum spectrum", pump.grid)
+            _unresolved(widths[0], "the pump's pair-sum spectrum", pump.grid)
         return pump
 
     @cached_property

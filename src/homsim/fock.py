@@ -3,16 +3,20 @@
 States on up to four modes are built by brute force: diagonal preparations
 (thermal mixtures, Fock states; at most one per mode, before any gate acts
 on it) followed by Gaussian gates (two-mode squeezers, beamsplitters, phase
-shifts, single-mode squeezers) applied as matrix exponentials of the
-truncated generators.  Each generator conserves a quantum number of its
-modes: n1 + n2 for a beamsplitter, n1 - n2 for a two-mode squeezer, n mod 2
-for a single-mode squeezer.  It couples no two Fock indices of different
-label, so its expm is exactly the direct sum of the expm of its blocks, each
-of size <= cutoff.  Every truncated generator G is anti-Hermitian, so the
-oracle exponentiates a block from the eigendecomposition of the Hermitian
-iG = V diag(lambda) V^dag as exp(G) = V diag(exp(-i lambda)) V^dag, and
-applies the gates block by block: still brute force, with no closed form
-shared with the Gaussian engine.  Because the preparation
+shifts, single-mode squeezers) applied as exponentials of the truncated
+generators.  Each generator conserves a quantum number of its modes:
+n1 + n2 for a beamsplitter, n1 - n2 for a two-mode squeezer, n mod 2 for a
+single-mode squeezer.  It couples no two Fock indices of different label,
+so its exponential is exactly the direct sum of those of its blocks, each
+of size <= cutoff.  A gate of strength theta and phase phi has the
+generator theta D G D^dag, where G is its kind's generator at unit strength
+and phase 0 and D = exp(i phi N) for a diagonal number operator N (n1 for a
+beamsplitter, n/2 for a single-mode squeezer, 0 for a two-mode squeezer).
+G is anti-Hermitian, so each block of the Hermitian iG = V diag(lambda) V^dag
+is diagonalised once per cutoff, and every gate's block is
+D V diag(exp(-i theta lambda)) V^dag D^dag: exact on the truncated space,
+since N is diagonal in the Fock basis.  Still brute force, with no closed
+form shared with the Gaussian engine.  Because the preparation
 rho_0 = sum_n p_n |n><n| is diagonal, the evolved diagonal is
 sum_n p_n |U e_n|^2: only the basis kets with p_n above eps * max(p) are
 evolved, one-sided, and the weight they drop is counted in the capture
@@ -22,8 +26,9 @@ expectations contract each axis with
 
     <n| :exp(-w a^dag a): |n> = (1 - w)^n.
 
-The same op list converts to (N, M) moments analytically, which is what the
-Gaussian engine consumes; agreement between the two paths validates both.
+The same op list converts to (N, M) moments analytically, each gate one
+symplectic map of the doubled moment matrix, which is what the Gaussian
+engine consumes; agreement between the two paths validates both.
 """
 
 from __future__ import annotations
@@ -80,65 +85,62 @@ def _initial_weights(spec, n_modes, cutoff):
 
 @lru_cache
 def _generator_blocks(cutoff):
-    """Per gate kind, its generator's pieces cut into conserved blocks.
+    """Per gate kind, its phase operator N and the spectra of its generator's
+    conserved blocks at unit strength and phase 0.
 
-    A list of (index sets (m, b), pieces (m, b, b)) per kind, one entry per
-    block size b, the m blocks of that size stacked.  An index is the joint
-    Fock index n1 * cutoff + n2 of the gate's modes (n for one mode); the
-    pieces are the ladder-operator products the gate's generator combines.
+    (N, [(index sets (m, b), (eigenvalues (m, b), eigenvectors (m, b, b)))]),
+    one entry per block size b, the m blocks of that size stacked, from one
+    batched `eigh` of the Hermitian iG.  An index is the joint Fock index
+    n1 * cutoff + n2 of the gate's modes (n for one mode), and N is diagonal
+    over it.  Built on a cutoff's first use, so `import homsim` pays nothing.
     """
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     ad = a.T
     ad2 = ad @ ad
+    n = np.arange(cutoff)
     n1, n2 = np.divmod(np.arange(cutoff ** 2), cutoff)
-    kinds = {"tmsv": (n1 - n2, [np.kron(ad, ad) - np.kron(a, a)]),
-             "bs": (n1 + n2, [np.kron(ad, a), np.kron(a, ad)]),
-             "squeeze": (np.arange(cutoff) % 2, [ad2, ad2.T])}
+    kinds = {"tmsv": (n1 - n2, np.kron(ad, ad) - np.kron(a, a), np.zeros(cutoff ** 2)),
+             "bs": (n1 + n2, np.kron(ad, a) - np.kron(a, ad), n1),
+             "squeeze": (n % 2, 0.5 * (ad2 - ad2.T), n / 2)}
     out = {}
-    for kind, (labels, pieces) in kinds.items():
+    for kind, (labels, gen, number) in kinds.items():
         sets = [np.flatnonzero(labels == label) for label in np.unique(labels)]
         stacks = [np.array([i for i in sets if i.size == size])
                   for size in sorted({i.size for i in sets})]
-        out[kind] = [(idx, [g[idx[:, :, None], idx[:, None, :]] for g in pieces])
-                     for idx in stacks]
+        out[kind] = number, [(idx, np.linalg.eigh(1j * gen[idx[:, :, None], idx[:, None, :]]))
+                             for idx in stacks]
     return out
 
 
-def _expm_anti_hermitian(gen):
-    """exp(G) for a stack (m, b, b) of anti-Hermitian G, from one batched
-    `eigh` of the Hermitian iG: exp(G) = V diag(exp(-i lambda)) V^dag."""
-    lam, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+# (modes, strength theta, phase phi) of each gate kind's op arguments
+_GATE_ARGS = {"tmsv": lambda pair, nbar: (pair, np.arcsinh(np.sqrt(nbar)), 0.0),
+              "bs": lambda pair, theta, phi: (pair, theta, phi),
+              "squeeze": lambda mode, r, phi: ((mode,), r, phi)}
 
 
 def _gates(spec, cutoff):
     """(modes, gate) per gate op, over the joint Fock index of its modes.
 
     A phase gate is its diagonal.  Any other gate is a list of (index sets
-    (m, b), unitary blocks (m, b, b)): the brute-force exponential of each
-    block of its truncated generator, built from the pieces of
-    `_generator_blocks`, by the `eigh` of the block's Hermitian iG.
+    (m, b), unitary blocks (m, b, b)), each block D V diag(exp(-i theta
+    lambda)) V^dag D^dag from the spectra `_generator_blocks` keeps, with
+    D = exp(i phi N) restricted to the block: no `eigh` after a cutoff's
+    first use.
     """
-    blocks = _generator_blocks(cutoff)
-    for op in spec:
-        kind = op[0]
+    spectra = _generator_blocks(cutoff)
+    for kind, *args in spec:
         if kind == "phase":
-            _, mode, theta = op
+            mode, theta = args
             yield (mode,), np.exp(1j * theta * np.arange(cutoff))
-        elif kind == "tmsv":
-            _, pair, nbar = op
-            r = np.arcsinh(np.sqrt(nbar))
-            yield pair, [(idx, _expm_anti_hermitian(r * gen)) for idx, (gen,) in blocks[kind]]
-        elif kind == "bs":
-            _, pair, theta, phi = op
-            yield pair, [(idx, _expm_anti_hermitian(
-                              theta * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
-                         for idx, (up, down) in blocks[kind]]
-        elif kind == "squeeze":
-            _, mode, r, phi = op
-            yield (mode,), [(idx, _expm_anti_hermitian(
-                                 0.5 * r * (np.exp(1j * phi) * up - np.exp(-1j * phi) * down)))
-                            for idx, (up, down) in blocks[kind]]
+        elif kind in _GATE_ARGS:
+            modes, theta, phi = _GATE_ARGS[kind](*args)
+            number, blocks = spectra[kind]
+            gate = []
+            for idx, (lam, v) in blocks:
+                dv = np.exp(1j * phi * number[idx])[:, :, None] * v
+                gate.append((idx, (dv * np.exp(-1j * theta * lam)[:, None, :])
+                             @ dv.conj().transpose(0, 2, 1)))
+            yield modes, gate
         elif kind not in ("thermal", "fock"):
             raise FockOracleError(f"unknown state op {kind!r}")
 
@@ -233,33 +235,21 @@ def fock_oracle_click_probability(diag, weight_sets, subset, dark_means=None):
 def moments_from_state_spec(spec, n_modes):
     """(N, M) moments generated by the same op list, for the Gaussian engine.
 
-    Under a linear map a'_i = sum_j U[i,j] a_j + V[i,j] a_j^dag:
-
-        N' = conj(U) N U^T + conj(U) conj(M) V^T + conj(V) M U^T
-             + conj(V) (N^T + I) V^T
-        M' = U M U^T + U (N^T + I) V^T + V N U^T + V conj(M) V^T
+    With A = (a; a^dag), the state is Gamma = <A A^dag> = [[N^T + I, M],
+    [conj(M), N]].  A gate maps a'_i = sum_j U[i,j] a_j + V[i,j] a_j^dag,
+    i.e. A' = S A with S = [[U, V], [conj(V), conj(U)]], so
+    Gamma' = S Gamma S^dag.
     """
     _check_preparations(spec)
-    n = np.zeros((n_modes, n_modes), dtype=complex)
-    m = np.zeros((n_modes, n_modes), dtype=complex)
     eye = np.eye(n_modes)
-
-    def apply(u, v):
-        nonlocal n, m
-        n_new = (u.conj() @ n @ u.T + u.conj() @ m.conj() @ v.T
-                 + v.conj() @ m @ u.T + v.conj() @ (n.T + eye) @ v.T)
-        m_new = (u @ m @ u.T + u @ (n.T + eye) @ v.T
-                 + v @ n @ u.T + v @ m.conj() @ v.T)
-        n = 0.5 * (n_new + n_new.conj().T)
-        m = 0.5 * (m_new + m_new.T)
-
+    gamma = np.diag(np.repeat([1.0 + 0j, 0.0], n_modes))
     for op in spec:
         kind = op[0]
         u = eye.astype(complex)
         v = np.zeros((n_modes, n_modes), dtype=complex)
         if kind == "thermal":
             _, mode, nbar = op
-            n[mode, mode] += nbar
+            gamma[[mode, n_modes + mode], [mode, n_modes + mode]] += nbar
             continue
         elif kind == "fock":
             raise FockOracleError("Fock preparations are not Gaussian")
@@ -282,8 +272,10 @@ def moments_from_state_spec(spec, n_modes):
             v[mode, mode] = np.exp(1j * phi) * np.sinh(r)
         else:
             raise FockOracleError(f"unknown state op {kind!r}")
-        apply(u, v)
-    return n, m
+        s = np.block([[u, v], [v.conj(), u.conj()]])
+        gamma = s @ gamma @ s.conj().T
+    n, m = gamma[n_modes:, n_modes:], gamma[:n_modes, n_modes:]
+    return 0.5 * (n + n.conj().T), 0.5 * (m + m.T)
 
 
 def random_equivalence_comparison(n_states=200, seed=7, cutoff=12):

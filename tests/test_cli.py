@@ -459,19 +459,32 @@ class TestExitCodes:
     def test_uncontained_pump_names_the_span_key(self, capsys):
         code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
                                       "--set", "pump.power_fwhm_ghz=3000"])
-        assert code == 3
-        assert err.startswith("error: SourceModelError: ")
+        assert code == 2
+        assert err.startswith("error: ExperimentError: pump.energy_pj, pump.power_fwhm_ghz: "
+                              "grid holds only")
         assert "filters.grid_span_factor" in err
 
     def test_coarse_pump_grid_names_its_keys(self, capsys):
         # multimode's dual window 2 pi / dw is 5.2 ns: a 6 ns pulse does not fit
         code, err = self.run(capsys, ["calibrate", "--preset", "multimode",
                                       "--set", "pump.duration_ps=6000"])
-        assert code == 3
-        assert err.startswith("error: SourceModelError: grid spacing too coarse")
+        assert code == 2
+        assert err.startswith("error: ExperimentError: pump.energy_pj, pump.duration_ps, "
+                              "pump.rise_time_ps: grid spacing too coarse")
         for key in ("pump.duration_ps", "pump.rise_time_ps", "filters.grid_points",
                     "filters.grid_span_factor", "filters.signal_bandwidth_ghz"):
             assert key in err
+
+    @pytest.mark.parametrize("override, problem", [
+        ("pump.energy_pj=-1", "pump energy must be positive"),
+        ("pump.power_fwhm_ghz=-5", "power_fwhm must be positive"),
+    ])
+    def test_invalid_pump_names_its_keys(self, capsys, override, problem):
+        # pump_spectrum's own message names no key; the pump stage adds them
+        code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
+                                      "--set", override])
+        assert code == 2
+        assert err == f"error: ExperimentError: pump.energy_pj, pump.power_fwhm_ghz: {problem}\n"
 
     def test_missing_files(self, tmp_path, capsys):
         missing = tmp_path / "missing"

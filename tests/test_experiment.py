@@ -466,7 +466,7 @@ class TestConfigPaths:
         # the pump grid scales with filters.grid_span_factor, and raising it
         # is what the error asks for
         wide = ["pump.power_fwhm_ghz=3000"]
-        with pytest.raises(SourceModelError, match="raise filters.grid_span_factor$"):
+        with pytest.raises(ExperimentError, match="raise filters.grid_span_factor$"):
             preset_scenario("single_mode", overrides=wide).pump
         preset_scenario("single_mode", overrides=wide + ["filters.grid_span_factor=10"]).pump
 

@@ -183,8 +183,12 @@ def _dense_generator(op, cutoff):
     return 1j * op[2] * np.diag(np.arange(cutoff))
 
 
-GATE_OPS = [("tmsv", (0, 1), 0.35), ("bs", (0, 1), 0.7, 0.4),
-            ("squeeze", 0, 0.3, 1.1), ("phase", 0, 0.9)]
+# each kind at phases 0, one positive and one negative phase, tmsv at two strengths
+GATE_OPS = {"tmsv": ("tmsv", (0, 1), 0.35), "tmsv-weak": ("tmsv", (0, 1), 0.05),
+            "bs": ("bs", (0, 1), 0.7, 0.4), "bs-phi0": ("bs", (0, 1), 0.7, 0.0),
+            "bs-phi-2.3": ("bs", (0, 1), 0.7, -2.3),
+            "squeeze": ("squeeze", 0, 0.3, 1.1), "squeeze-phi0": ("squeeze", 0, 0.3, 0.0),
+            "squeeze-phi-2.3": ("squeeze", 0, 0.3, -2.3), "phase": ("phase", 0, 0.9)}
 
 
 def _gate_blocks(op, cutoff):
@@ -196,7 +200,7 @@ def _gate_blocks(op, cutoff):
 
 
 class TestBlockGates:
-    @pytest.mark.parametrize("op", GATE_OPS, ids=lambda op: op[0])
+    @pytest.mark.parametrize("op", GATE_OPS.values(), ids=list(GATE_OPS))
     def test_blocks_assemble_the_dense_gate(self, op):
         # the blocks must partition the joint index and hold every entry of
         # the dense generator: a wrong conserved label drops couplings and
@@ -214,7 +218,7 @@ class TestBlockGates:
             assert not np.any(gen[inside == 0]), cutoff
             assert np.abs(full - expm(gen)).max() <= 1e-13, cutoff
 
-    @pytest.mark.parametrize("op", GATE_OPS, ids=lambda op: op[0])
+    @pytest.mark.parametrize("op", GATE_OPS.values(), ids=list(GATE_OPS))
     def test_blocks_are_unitary(self, op):
         # exp(G) of the anti-Hermitian truncated generator, taken from the eigh
         # of iG, is unitary to rounding; scipy's Pade expm of the mid-sized
@@ -226,6 +230,87 @@ class TestBlockGates:
                 for product in (blocks @ blocks.conj().transpose(0, 2, 1),
                                 blocks.conj().transpose(0, 2, 1) @ blocks):
                     assert np.abs(product - eye).max() <= 1e-14, cutoff
+
+
+    def test_spectra_are_kept_per_cutoff(self, monkeypatch):
+        # a cutoff's block spectra are diagonalised on its first use only:
+        # another op list at that cutoff, with other strengths and phases,
+        # takes no eigh
+        list(fock._gates(list(GATE_OPS.values()), 11))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
+        gates = list(fock._gates([("bs", (1, 0), 0.2, -1.0), ("squeeze", 1, 0.1, 0.5),
+                                  ("tmsv", (0, 1), 0.2), ("phase", 1, 0.3)], 11))
+        assert len(gates) == 4 and calls == []
+
+
+def _four_term_moments(spec, n_modes):
+    """(N, M) by the four-term update of each gate's map
+    a'_i = sum_j U[i,j] a_j + V[i,j] a_j^dag, written out in full:
+
+        N' = conj(U) N U^T + conj(U) conj(M) V^T + conj(V) M U^T
+             + conj(V) (N^T + I) V^T
+        M' = U M U^T + U (N^T + I) V^T + V N U^T + V conj(M) V^T
+    """
+    eye = np.eye(n_modes)
+    n = np.zeros((n_modes, n_modes), dtype=complex)
+    m = np.zeros((n_modes, n_modes), dtype=complex)
+    for op in spec:
+        u = eye.astype(complex)
+        v = np.zeros((n_modes, n_modes), dtype=complex)
+        if op[0] == "thermal":
+            n[op[1], op[1]] += op[2]
+            continue
+        if op[0] == "tmsv":
+            _, (i, j), nbar = op
+            r = np.arcsinh(np.sqrt(nbar))
+            u[i, i] = u[j, j] = np.cosh(r)
+            v[i, j] = v[j, i] = np.sinh(r)
+        elif op[0] == "bs":
+            _, (i, j), theta, phi = op
+            u[i, i] = u[j, j] = np.cos(theta)
+            u[i, j] = np.exp(1j * phi) * np.sin(theta)
+            u[j, i] = -np.exp(-1j * phi) * np.sin(theta)
+        elif op[0] == "phase":
+            u[op[1], op[1]] = np.exp(1j * op[2])
+        else:
+            _, k, r, phi = op
+            u[k, k] = np.cosh(r)
+            v[k, k] = np.exp(1j * phi) * np.sinh(r)
+        n_new = (u.conj() @ n @ u.T + u.conj() @ m.conj() @ v.T
+                 + v.conj() @ m @ u.T + v.conj() @ (n.T + eye) @ v.T)
+        m_new = (u @ m @ u.T + u @ (n.T + eye) @ v.T
+                 + v @ n @ u.T + v @ m.conj() @ v.T)
+        n = 0.5 * (n_new + n_new.conj().T)
+        m = 0.5 * (m_new + m_new.T)
+    return n, m
+
+
+class TestMoments:
+    def test_symplectic_map_matches_four_term_update(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n_modes = int(rng.integers(1, 5))
+            spec = [("thermal", k, float(rng.uniform(0, 0.3)))
+                    for k in range(n_modes) if rng.random() < 0.6]
+            for _ in range(rng.integers(1, 7)):
+                i, j = (int(x) for x in rng.permutation(max(n_modes, 2))[:2])
+                kind = rng.choice(["tmsv", "bs", "phase", "squeeze"] if n_modes > 1
+                                  else ["phase", "squeeze"])
+                if kind == "tmsv":
+                    spec.append(("tmsv", (i, j), float(rng.uniform(0, 0.5))))
+                elif kind == "bs":
+                    spec.append(("bs", (i, j), float(rng.uniform(-3, 3)),
+                                 float(rng.uniform(-4, 4))))
+                elif kind == "phase":
+                    spec.append(("phase", i % n_modes, float(rng.uniform(-4, 4))))
+                else:
+                    spec.append(("squeeze", i % n_modes, float(rng.uniform(0, 0.6)),
+                                 float(rng.uniform(-4, 4))))
+            n, m = moments_from_state_spec(spec, n_modes)
+            n_ref, m_ref = _four_term_moments(spec, n_modes)
+            assert np.abs(n - n_ref).max() <= 1e-14, spec
+            assert np.abs(m - m_ref).max() <= 1e-14, spec
 
 
 class TestEngineOracleEquivalence:
