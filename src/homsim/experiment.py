@@ -104,9 +104,10 @@ SCENARIO_KEYS = {
     "pump.duration_ps": ScenarioKey(read_when=("pump.shape", "cw_carved_rect")),
     "pump.rise_time_ps": ScenarioKey(default=0.0),
     "pump.power_fwhm_ghz": ScenarioKey(read_when=("pump.shape", "transform_limited_gaussian")),
-    **dict.fromkeys(["pump.energy_pj", "source.detuning_thz", "source.length_m",
-                     "source.temperature_k", "source.pair_probability"], ScenarioKey()),
-    "source.raman_scale": ScenarioKey(default=1.0),
+    **dict.fromkeys(["pump.energy_pj", "source.detuning_thz", "source.pair_probability"],
+                    ScenarioKey()),
+    **dict.fromkeys(["source.length_m", "source.temperature_k"], ScenarioKey(bound=POSITIVE)),
+    "source.raman_scale": ScenarioKey(default=1.0, bound=(0, np.inf)),
     "source.raman_file": ScenarioKey(str, default=None),
     "filters.signal_shape": ScenarioKey(str, shapes=("rectangular", "gaussian", "tabulated")),
     # sizes the grids, whatever the signal shape

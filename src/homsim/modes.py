@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid, angular_from_nm, load_two_column_table, mirror_eigh
+from .grids import TWO_PI, FrequencyGrid, angular_from_nm, eigh_above, load_two_column_table
 
 # Modes with chi below this are dropped from detection projections.
 MODE_RETENTION_CUTOFF = 1e-3
@@ -30,10 +30,11 @@ MODE_RETENTION_CUTOFF = 1e-3
 EIGENVALUE_FLOOR = 1e-12
 EIGENVALUE_CEILING_TOL = 1e-6
 # Relative margin within which samples tie for the largest |phi| of a mode,
-# for kernels that take the plain eigh (`mirror_eigh`): far above that
-# solver's rounding of two mirror samples (at most 8e-11 on the modes with
+# for kernels that `eigh_above` does not split: far above that solver's
+# rounding of two mirror samples (at most 3e-11 on the modes with
 # chi >= 1e-6 of the presets' filters and of rect-rect chains at
-# c = 0.5-3.8), far below the difference of neighbouring samples.
+# c = 0.5-3.8, solved unsplit; 6e-11 from a plain eigh), far below the
+# difference of neighbouring samples.
 PHASE_TIE_TOL = 1e-9
 
 DEFAULT_GRID_POINTS = 513
@@ -142,7 +143,8 @@ def make_profile(kind, params, grid):
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """kappa(w_m, w_n) sampled on a grid; Hermitian with real diagonal."""
+    """kappa(w_m, w_n) sampled on a grid; Hermitian and positive
+    semidefinite, as every gate+filter kernel is."""
 
     grid: FrequencyGrid
     entries: np.ndarray
@@ -213,12 +215,21 @@ def schmidt_decompose(kernel):
     A row and column of the kernel are exactly zero wherever the filter is
     (the flat-top filter outside its passband), so every mode with chi > 0
     lies on the kernel's support.  The basis holds the m eigenvalues of the
-    block over that support, and the eigenmodes of the k non-zero ones as
-    unit vectors of shape (n, k), zero off the support.  A Gaussian
-    filter's support is the whole grid; an all-zero filter gives an empty
-    basis.  The block is diagonalised by `mirror_eigh`: a filter symmetric
-    about the grid centre makes it equal to its row-and-column reversal,
-    so its modes are even or odd and it splits into two half-size eigh calls.
+    block over that support, those below EIGENVALUE_FLOOR as zeros, and the
+    eigenmodes of the k non-zero ones as unit vectors of shape (n, k), zero
+    off the support.  A Gaussian filter's support is the whole grid; an
+    all-zero filter gives an empty basis.
+
+    Only the k eigenpairs at or above the floor are computed, by
+    `eigh_above`: a filter symmetric about the grid centre makes the block
+    equal to its row-and-column reversal, so its modes are even or odd and
+    it splits into two halves.  Each half's leading eigenpairs come from a
+    small Rayleigh-Ritz subspace, accepted on two certificates: the half's
+    trace less the sum of the Ritz values is at most EIGENVALUE_FLOOR, so
+    no eigenvalue the subspace misses reaches the floor (the kernel is
+    positive semidefinite), and each kept pair's residual |A v - chi v| is
+    within a small multiple of eps max(chi).  The subspace doubles until
+    both hold; at half the half's size one dense eigh takes over.
     """
     nonzero = kernel.entries != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
@@ -227,21 +238,21 @@ def schmidt_decompose(kernel):
     herm_defect = np.max(np.abs(block - block.conj().T), initial=0.0)
     if herm_defect > 1e-10 * max(1.0, np.max(np.abs(block), initial=0.0)):
         raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
-    block_vals, block_vecs = mirror_eigh(block)
-    vals = block_vals[::-1].copy()
-    if vals.size and vals[0] > 1.0 + EIGENVALUE_CEILING_TOL:
+    top_vals, top_vecs = eigh_above(block, EIGENVALUE_FLOOR)
+    k = top_vals.size
+    if k and top_vals[-1] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
-            f"leading eigenvalue {vals[0]:.8f} exceeds 1; check |h|, |f| <= 1 "
+            f"leading eigenvalue {top_vals[-1]:.8f} exceeds 1; check |h|, |f| <= 1 "
             "or refine the grid")
-    vals[vals < EIGENVALUE_FLOOR] = 0.0
-    k = int(np.count_nonzero(vals))
+    vals = np.zeros(support.size)
+    vals[:k] = top_vals[::-1]
     # complex for every kernel: real modes change how `raman_moments`' FFT rounds
     vecs = np.zeros((kernel.grid.n_points, k), dtype=complex)
-    vecs[support] = block_vecs[:, ::-1][:, :k]
+    vecs[support] = top_vecs[:, ::-1]
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
-    # mirror samples, exactly equal from the split eigh; a kernel that takes
-    # the plain eigh rounds them apart, so the first sample within
+    # mirror samples, exactly equal from the split solver; a kernel that is
+    # not split rounds them apart, so the first sample within
     # PHASE_TIE_TOL of the largest is taken
     mags = np.abs(vecs)
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)

@@ -374,6 +374,23 @@ class TestExitCodes:
         assert err == (f"error: ExperimentError: pump.rise_time_ps = {float(rise)} must satisfy "
                        "0 <= pump.rise_time_ps < pump.duration_ps = 100.0\n")
 
+    @pytest.mark.parametrize("override, problem", [
+        ("source.length_m=-1", "must be > 0"),
+        ("source.temperature_k=-5", "must be > 0"),
+        ("source.raman_scale=-1", "is outside [0, inf]"),
+    ])
+    def test_invalid_source_key_exits_2_before_any_work(self, capsys, monkeypatch,
+                                                        override, problem):
+        # the source layer refuses these too, but only after the pump, the
+        # bases and the pair amplitude, and naming no key
+        work = []
+        monkeypatch.setattr(experiment, "pump_spectrum", lambda *args: work.append(args))
+        code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
+                                      "--set", override])
+        key, value = override.split("=")
+        assert code == 2 and work == []
+        assert err == f"error: ExperimentError: {key} = {float(value)} {problem}\n"
+
     @pytest.mark.parametrize("preset, overrides, key", [
         # 200 GHz bands, spanned 4x by 513 samples, space the grid 1.56 GHz
         # apart: a 1 GHz pump holds one sample above half its peak

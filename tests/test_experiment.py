@@ -1,13 +1,18 @@
 import configparser
 import copy
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsim
 from homsim import experiment
 from homsim.detection import ClickQuery, DetectionError
 from homsim.experiment import (
@@ -26,7 +31,7 @@ from homsim.experiment import (
 from homsim.grids import FrequencyGrid
 from homsim.modes import MODE_RETENTION_CUTOFF, build_kernel, schmidt_decompose
 from homsim.network import retained_register
-from homsim.source import SourceModelError, default_raman_gain
+from homsim.source import default_raman_gain
 
 CHEAP = """
 [scenario]
@@ -458,9 +463,10 @@ class TestConfigPaths:
         np.testing.assert_array_equal(gain.gain, 2.5 * default.gain)
 
     def test_negative_raman_scale_rejected(self):
-        sc = load_scenario(CHEAP, overrides=["source.raman_scale=-1"])
-        with pytest.raises(SourceModelError, match="non-negative"):
-            sc.source_params
+        # by its key, when the scenario loads, before the source layer's
+        # own "non-negative" check could see it
+        with pytest.raises(ExperimentError, match=r"^source.raman_scale = -1.0 is outside"):
+            load_scenario(CHEAP, overrides=["source.raman_scale=-1"])
 
     def test_pump_containment_names_the_span_key(self):
         # the pump grid scales with filters.grid_span_factor, and raising it
@@ -579,16 +585,41 @@ class TestSetup:
                          "eigh": [((16, 16), np.float64), ((15, 15), np.float64),
                                   ((61, 61), np.float64), ((60, 60), np.float64)]}
 
+    @pytest.mark.parametrize("preset", experiment.PRESET_NAMES)
+    def test_set_up_and_scan_never_import_numpy_random(self, preset):
+        # the Schmidt solver's probe block is a fixed hash, not a generator:
+        # importing numpy.random alone raises a process's peak RSS by ~6 MiB
+        stages = (*SETUP_STAGES, "pair_modes", "conditioned_transmissions", "dip_width")
+        code = ("import sys\n"
+                "from homsim.experiment import fit_visibility, preset_scenario, run_delay_scan\n"
+                f"sc = preset_scenario({preset!r}, ['scan.points=9'])\n"
+                f"for stage in {stages!r}:\n"
+                "    getattr(sc, stage)\n"
+                "fit_visibility(run_delay_scan(sc))\n"
+                "print('numpy.random' in sys.modules)\n")
+        # a fresh interpreter that imports this same homsim package
+        path = [str(Path(homsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
+
     def test_plain_eigh_gives_the_same_scans(self, preset_scans, monkeypatch):
-        # the mirror-split decompositions against one plain eigh per matrix:
-        # the same physics to the rounding of the solvers
+        # the mirror-split, certified low-rank kernel decomposition and the
+        # mirror-split pair amplitude against one plain eigh per matrix: the
+        # same physics to the rounding of the solvers
         shapes = []
 
         def plain_eigh(a):
             shapes.append(a.shape)
             return np.linalg.eigh(a)
 
-        monkeypatch.setattr("homsim.modes.mirror_eigh", plain_eigh)
+        def plain_eigh_above(a, floor):
+            vals, vecs = plain_eigh(a)
+            return vals[vals >= floor], vecs[:, vals >= floor]
+
+        monkeypatch.setattr("homsim.modes.eigh_above", plain_eigh_above)
         monkeypatch.setattr("homsim.source.mirror_eigh", plain_eigh)
         for name, split in preset_scans.items():
             scan = run_delay_scan(preset_scenario(name))

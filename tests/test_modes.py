@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from homsim.grids import MIRROR_TOL, TWO_PI, FrequencyGrid, mirror_eigh
+from homsim import grids
+from homsim.grids import MIRROR_TOL, TWO_PI, FrequencyGrid, eigh_above, mirror_eigh
+from homsim.experiment import PRESET_NAMES, preset_scenario
 from homsim.modes import (
+    DEFAULT_SPAN_FACTOR,
     EIGENVALUE_FLOOR,
     PHASE_TIE_TOL,
     FilterProfile,
@@ -77,6 +80,132 @@ class TestMirrorEigh:
         a[0, 0] += 2 * MIRROR_TOL * np.finfo(float).eps * np.max(np.abs(a))
         for got, ref in zip(mirror_eigh(a), np.linalg.eigh(a)):
             np.testing.assert_array_equal(got, ref)
+
+
+def psd_with_spectrum(lams, dtype, mirror, seed=0):
+    """A Hermitian PSD matrix with eigenvalues `lams` (to rounding), exactly
+    equal to its row-and-column reversal when `mirror` holds."""
+    n = lams.size
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, n))
+    if dtype == complex:
+        v = v + 1j * rng.normal(size=(n, n))
+    if mirror:
+        # alternate even and odd columns, which stay so through the QR
+        v[:, ::2] += v[::-1, ::2]
+        v[:, 1::2] -= v[::-1, 1::2]
+    q = np.linalg.qr(v)[0]
+    a = (q * lams) @ q.conj().T
+    a = (a + a.conj().T) / 2
+    return (a + a[::-1, ::-1]) / 2 if mirror else a
+
+
+def record_eigh_shapes(monkeypatch):
+    """The list to which every later np.linalg.eigh call appends its shape."""
+    calls, real_eigh = [], np.linalg.eigh
+
+    def recording_eigh(m, *args, **kwargs):
+        calls.append(m.shape)
+        return real_eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
+
+
+def spectrum_of(kind, n):
+    """Eigenvalues for `psd_with_spectrum`: a few (low rank) or more than
+    n/4 (rank above n/4) falling geometrically from 1 to 1e-11, the rest
+    zero; n of them spread over [0.5, 1] (flat); or 16 ones, which fill a
+    first Ritz block, and four at 1e-11 that it misses (gap)."""
+    if kind == "flat":
+        return np.linspace(0.5, 1.0, n)
+    if kind == "gap":
+        return np.concatenate((np.ones(16), np.full(4, 1e-11), np.zeros(max(n - 20, 0))))[:n]
+    rank = min(n, 4 if kind == "low rank" else n // 4 + 4)
+    return np.concatenate((np.logspace(0, -11, rank), np.zeros(n - rank)))
+
+
+class TestEighAbove:
+    SPECTRA = ["low rank", "rank above n/4", "flat", "gap"]
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("mirror", [False, True], ids=["plain", "mirror"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65])
+    def test_matches_eigh_above_the_floor(self, n, dtype, mirror, spectrum):
+        a = psd_with_spectrum(spectrum_of(spectrum, n), dtype, mirror)
+        ref = np.linalg.eigvalsh(a)
+        ref = ref[ref >= EIGENVALUE_FLOOR]
+        vals, vecs = eigh_above(a, EIGENVALUE_FLOOR)
+        eps = np.finfo(float).eps
+        assert vals.dtype == np.float64 and vecs.dtype == a.dtype
+        assert vecs.shape == (n, ref.size)
+        assert np.all(np.diff(vals) >= 0)
+        scale = 4 * n * eps * np.max(ref)
+        assert np.max(np.abs(vals - ref)) <= scale
+        assert np.max(np.abs(a @ vecs - vecs * vals)) <= scale
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(ref.size))) <= 4 * n * eps
+        if mirror:
+            # each mode is even or odd about the centre, exactly
+            np.testing.assert_array_equal(np.abs(vecs), np.abs(vecs[::-1]))
+            parity = np.sign(np.real(np.sum(vecs * vecs[::-1].conj(), axis=0)))
+            np.testing.assert_array_equal(vecs[::-1], vecs * parity)
+
+    @pytest.mark.parametrize("n, spectrum, shapes", [
+        # a 16-column Ritz block holds a low-rank matrix
+        (65, "low rank", [(16, 16)]),
+        (64, "low rank", [(16, 16)]),
+        # 20 eigenvalues above the floor need a block of 32 ...
+        (65, "rank above n/4", [(16, 16), (32, 32)]),
+        # ... which is half of 64 samples, where one dense eigh takes over
+        (64, "rank above n/4", [(16, 16), (64, 64)]),
+        (65, "flat", [(16, 16), (32, 32), (65, 65)]),
+        # the first block finds the 16 leading pairs to rounding, and only
+        # the trace shows the four it misses
+        (65, "gap", [(16, 16), (32, 32)]),
+        # at most 32 samples, the first block is already half the matrix
+        (32, "low rank", [(32, 32)]),
+    ])
+    def test_block_doubles_until_certified(self, monkeypatch, n, spectrum, shapes):
+        a = psd_with_spectrum(spectrum_of(spectrum, n), float, mirror=False)
+        calls = record_eigh_shapes(monkeypatch)
+        eigh_above(a, EIGENVALUE_FLOOR)
+        assert calls == shapes
+
+    def test_residual_certificate_is_enforced(self, monkeypatch):
+        # no Ritz pair's residual is exactly zero, so with no tolerance a
+        # low-rank matrix that the first block holds falls through to the
+        # dense eigh, with the same pairs to rounding
+        a = psd_with_spectrum(spectrum_of("low rank", 65), float, mirror=False)
+        calls = record_eigh_shapes(monkeypatch)
+        monkeypatch.setattr(grids, "RITZ_RESIDUAL_TOL", 0.0)
+        vals = eigh_above(a, EIGENVALUE_FLOOR)[0]
+        assert calls == [(16, 16), (32, 32), (65, 65)]
+        np.testing.assert_allclose(vals, np.logspace(0, -11, 4)[::-1], rtol=1e-3)
+
+    @pytest.mark.parametrize("kind", ["rectangular", "gaussian"])
+    @pytest.mark.parametrize("c", [0.01, 0.785, 3.0, 10.0])
+    def test_no_kernel_eigenvalue_above_the_floor_is_missed(self, kind, c):
+        B = 4.0 * c
+        grid = FrequencyGrid(center=0.0, span=DEFAULT_SPAN_FACTOR * B, n_points=513)
+        width = "bandwidth" if kind == "rectangular" else "fwhm"
+        kern = build_kernel(make_profile(kind, {width: B}, grid), 1.0)
+        assert_complete(kern)
+
+    @pytest.mark.parametrize("points", [513, 1025])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_no_preset_eigenvalue_above_the_floor_is_missed(self, preset, points):
+        sc = preset_scenario(preset, [f"filters.grid_points={points}"])
+        assert_complete(build_kernel(sc.filters["signal"], sc.pump.duration))
+
+
+def assert_complete(kern):
+    """The basis keeps every eigenvalue of eigvalsh at or above the floor."""
+    ref = np.linalg.eigvalsh(kern.scaled)[::-1]
+    ref = ref[ref >= EIGENVALUE_FLOOR]
+    basis = schmidt_decompose(kern)
+    assert np.count_nonzero(basis.eigenvalues) == ref.size > 0
+    assert np.max(np.abs(basis.eigenvalues[:ref.size] - ref)) <= 1e-14
 
 
 class TestProfiles:
@@ -325,9 +454,9 @@ class TestSchmidt:
         phase = np.exp(1j * np.random.default_rng(5).normal(size=grid.n_points))
         gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
         kern = build_kernel(FilterProfile(grid=grid, amplitude=gauss.amplitude * phase), 3.0)
-        vals, vecs = np.linalg.eigh(kern.scaled)
-        k = np.count_nonzero(vals >= EIGENVALUE_FLOOR)
-        vecs = vecs[:, ::-1][:, :k].copy()
+        vals, vecs = eigh_above(kern.scaled, EIGENVALUE_FLOOR)
+        k = vals.size
+        vecs = vecs[:, ::-1].astype(complex)
         for j in range(k):
             mags = np.abs(vecs[:, j])
             ref = vecs[np.flatnonzero(mags >= (1 - PHASE_TIE_TOL) * mags.max())[0], j]
@@ -357,8 +486,11 @@ class TestSchmidt:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         basis = schmidt_decompose(kern)
         # the passband is mirror-symmetric, so its block splits into an even
-        # and an odd half
-        assert shapes == [((m + 1) // 2,) * 2, (m // 2,) * 2]
+        # half of 33 samples, whose leading pairs come from a 16-column Ritz
+        # block, and an odd half of 32, at half of which the block would
+        # start, so it takes one dense eigh
+        assert m == 65
+        assert shapes == [(16, 16), (32, 32)]
         assert basis.eigenvalues.shape == (m,)
         assert basis.eigenmodes.shape == (grid.n_points, np.count_nonzero(full_vals))
         assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15
