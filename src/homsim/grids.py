@@ -43,9 +43,10 @@ def nm_from_angular(omega):
 def load_two_column_table(path, what, error):
     """The rows of a two-column numeric text file ('#' comments allowed).
 
-    A table that cannot be parsed, or has other than two columns or fewer
-    than two rows, raises `error` with a message that starts with `what`
-    and names the path.
+    A table that cannot be parsed, has other than two columns or fewer
+    than two rows, or holds a NaN or infinite value, raises `error` with a
+    message that starts with `what` and names the path (and the row of the
+    first non-finite value, counted as numpy's parser counts them).
     """
     try:
         table = np.loadtxt(path, comments="#", ndmin=2)
@@ -53,6 +54,10 @@ def load_two_column_table(path, what, error):
         raise error(f"{what} {path!r}: {exc}") from exc
     if table.shape[1] != 2 or table.shape[0] < 2:
         raise error(f"{what} {path!r} needs two columns and at least two rows")
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise error(f"{what} {path!r}: non-finite value at row {bad[0] + 1} "
+                    f"({table[bad[0], 0]:g}, {table[bad[0], 1]:g})")
     return table
 
 
@@ -194,8 +199,10 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.span > 0:
-            raise ValueError(f"span must be positive, got {self.span}")
+        if not 0 < self.span < np.inf:
+            raise ValueError(f"span must be finite and positive, got {self.span}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         idx = np.arange(self.n_points) - (self.n_points - 1) / 2.0
         object.__setattr__(self, "points", self.center + idx * self.spacing)
 

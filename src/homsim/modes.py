@@ -60,8 +60,8 @@ class FilterProfile:
         amp = np.asarray(self.amplitude)
         if amp.shape != (self.grid.n_points,):
             raise ModeAnalysisError("amplitude length does not match grid")
-        if np.max(np.abs(amp)) > 1.0 + 1e-12:
-            raise ModeAnalysisError("filter amplitude exceeds 1 (not passive)")
+        if not np.all(np.abs(amp) <= 1.0 + 1e-12):
+            raise ModeAnalysisError("filter amplitude is not finite or exceeds 1 (not passive)")
         object.__setattr__(self, "amplitude", amp)
 
     @property
@@ -143,45 +143,48 @@ def make_profile(kind, params, grid):
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """kappa(w_m, w_n) sampled on a grid; Hermitian and positive
-    semidefinite, as every gate+filter kernel is."""
+    """kappa(w_m, w_n) = conj(h_m) h_n F(w_m - w_n) of a filter h behind a
+    rectangular gate of duration T, F(D) = T sinc(D T / 2), held as h and T.
+    F is the Gram function of the gate's exponentials, so a finite T > 0 and
+    a finite |h| <= 1 make it Hermitian and positive semidefinite: no matrix
+    is stored, and none is checked."""
 
-    grid: FrequencyGrid
-    entries: np.ndarray
+    profile: FilterProfile
+    gate_duration: float
 
     def __post_init__(self):
-        k = np.asarray(self.entries)
-        if k.shape != (self.grid.n_points, self.grid.n_points):
-            raise ModeAnalysisError("kernel shape does not match grid")
+        if not 0 < self.gate_duration < np.inf:
+            raise ModeAnalysisError(f"gate duration {self.gate_duration} is not finite and > 0")
+
+    def block(self, index):
+        """kappa on the samples `index`, ascending, from F(|m - n| dw) laid out
+        as a Toeplitz view: F(D) = F(-D) exactly, so a real filter's is symmetric."""
+        grid, T = self.profile.grid, self.gate_duration
+        f_of_diff = T * np.sinc(np.arange(grid.n_points) * grid.spacing * T / 2 / np.pi)
+        # row m of the window reads F at the differences |m - n'|, n' = 0 .. n-1
+        mirrored = np.concatenate((f_of_diff[:0:-1], f_of_diff))
+        F = np.lib.stride_tricks.sliding_window_view(mirrored, grid.n_points)[::-1]
+        h = self.profile.amplitude[index]
+        return np.conj(h)[:, None] * h[None, :] * F[np.ix_(index, index)]
+
+    @property
+    def entries(self):
+        """The dense n x n kernel, built on each call."""
+        return self.block(np.arange(self.profile.grid.n_points))
 
     @property
     def scaled(self):
         """K * dw / 2pi, the matrix whose eigenvalues are the chi_j."""
-        return self.entries * (self.grid.spacing / TWO_PI)
+        return self.entries * (self.profile.grid.spacing / TWO_PI)
 
     def trace_chi(self):
-        """sum_j chi_j via the diagonal: (dw/2pi) sum_m K[m,m]."""
-        return float(np.real(np.trace(self.entries))) * self.grid.spacing / TWO_PI
+        """sum_j chi_j = T sum_m |h_m|^2 dw / 2pi."""
+        return float(self.profile.grid.integrate(self.profile.power)) * self.gate_duration / TWO_PI
 
 
 def build_kernel(filt, gate_duration):
-    """Assemble kappa[m,n] = conj(h_m) h_n F(w_m - w_n) for a rectangular
-    gate of duration T, whose F(D) = T sinc(D T / 2).
-
-    On a uniform grid F depends only on |m - n|, so it is evaluated once per
-    non-negative difference and mirrored into a Toeplitz matrix; F(D) = F(-D)
-    then holds exactly, and a real filter's kernel is exactly symmetric.
-    """
-    if not gate_duration > 0:
-        raise ModeAnalysisError("gate duration must be positive (zero is degenerate)")
-    grid = filt.grid
-    n = grid.n_points
-    f_of_diff = gate_duration * np.sinc(np.arange(n) * grid.spacing * gate_duration / 2 / np.pi)
-    # row m of the window reads F at the differences |m - n'|, n' = 0 .. n-1
-    mirrored = np.concatenate((f_of_diff[:0:-1], f_of_diff))
-    F = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    h = filt.amplitude
-    return KernelMatrix(grid=grid, entries=np.conj(h)[:, None] * h[None, :] * F)
+    """The `KernelMatrix` of `filt` behind a rectangular gate of duration T."""
+    return KernelMatrix(profile=filt, gate_duration=gate_duration)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +217,10 @@ def schmidt_decompose(kernel):
 
     A row and column of the kernel are exactly zero wherever the filter is
     (the flat-top filter outside its passband), so every mode with chi > 0
-    lies on the kernel's support.  The basis holds the m eigenvalues of the
-    block over that support, those below EIGENVALUE_FLOOR as zeros, and the
-    eigenmodes of the k non-zero ones as unit vectors of shape (n, k), zero
-    off the support.  A Gaussian filter's support is the whole grid; an
+    lies on the filter's support, and only the block over it is formed.  The
+    basis holds its m eigenvalues, those below EIGENVALUE_FLOOR as zeros, and
+    the eigenmodes of the k non-zero ones as unit vectors of shape (n, k),
+    zero off the support.  A Gaussian filter's support is the whole grid; an
     all-zero filter gives an empty basis.
 
     Only the k eigenpairs at or above the floor are computed, by
@@ -226,28 +229,24 @@ def schmidt_decompose(kernel):
     it splits into two halves.  Each half's leading eigenpairs come from a
     small Rayleigh-Ritz subspace, accepted on two certificates: the half's
     trace less the sum of the Ritz values is at most EIGENVALUE_FLOOR, so
-    no eigenvalue the subspace misses reaches the floor (the kernel is
-    positive semidefinite), and each kept pair's residual |A v - chi v| is
-    within a small multiple of eps max(chi).  The subspace doubles until
-    both hold; at half the half's size one dense eigh takes over.
+    no eigenvalue the subspace misses reaches the floor (every
+    `KernelMatrix` is positive semidefinite), and each kept pair's
+    residual |A v - chi v| is within a small multiple of eps max(chi).  The
+    subspace doubles until both hold; at half the half's size one dense
+    eigh takes over.
     """
-    nonzero = kernel.entries != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    # every entry off the block is exactly zero, so the checks read the block
-    block = kernel.entries[np.ix_(support, support)] * (kernel.grid.spacing / TWO_PI)
-    herm_defect = np.max(np.abs(block - block.conj().T), initial=0.0)
-    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(block), initial=0.0)):
-        raise ModeAnalysisError(f"kernel is not Hermitian (defect {herm_defect:.2e})")
+    support = np.flatnonzero(kernel.profile.amplitude)
+    grid = kernel.profile.grid
+    block = kernel.block(support) * (grid.spacing / TWO_PI)
     top_vals, top_vecs = eigh_above(block, EIGENVALUE_FLOOR)
     k = top_vals.size
     if k and top_vals[-1] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
-            f"leading eigenvalue {top_vals[-1]:.8f} exceeds 1; check |h|, |f| <= 1 "
-            "or refine the grid")
+            f"leading eigenvalue {top_vals[-1]:.8f} exceeds 1; refine the grid")
     vals = np.zeros(support.size)
     vals[:k] = top_vals[::-1]
     # complex for every kernel: real modes change how `raman_moments`' FFT rounds
-    vecs = np.zeros((kernel.grid.n_points, k), dtype=complex)
+    vecs = np.zeros((grid.n_points, k), dtype=complex)
     vecs[support] = top_vecs[:, ::-1]
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
@@ -258,13 +257,13 @@ def schmidt_decompose(kernel):
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)
     ref = vecs[first, np.arange(k)]
     vecs *= np.conj(ref) / np.hypot(ref.real, ref.imag)
-    return ModeBasis(grid=kernel.grid, eigenvalues=vals, eigenmodes=vecs)
+    return ModeBasis(grid=grid, eigenvalues=vals, eigenmodes=vecs)
 
 
 def effective_c(bandwidth, duration):
     """Time-bandwidth parameter c = B*T/4 of a gate+filter chain."""
-    if bandwidth < 0 or duration < 0:
-        raise ModeAnalysisError("bandwidth and duration must be non-negative")
+    if not (0 <= bandwidth < np.inf and 0 <= duration < np.inf):
+        raise ModeAnalysisError("bandwidth and duration must be finite and non-negative")
     return bandwidth * duration / 4.0
 
 
@@ -274,8 +273,8 @@ def rect_rect_basis(c, n_points=DEFAULT_GRID_POINTS):
     Uses T = 1 and B = 4c; by scale invariance the eigenvalues depend on c
     only.
     """
-    if not c > 0:
-        raise ModeAnalysisError("c must be positive")
+    if not 0 < c < np.inf:
+        raise ModeAnalysisError(f"c must be finite and positive, got {c}")
     B = 4.0 * c
     grid = FrequencyGrid(center=0.0, span=DEFAULT_SPAN_FACTOR * B, n_points=n_points)
     filt = make_profile("rectangular", {"bandwidth": B}, grid)
@@ -289,8 +288,8 @@ def eigenvalue_curve(c_values, n_modes=3, n_points=DEFAULT_GRID_POINTS):
     """
     rows = np.zeros((len(c_values), n_modes + 1))
     for i, c in enumerate(c_values):
-        if c < 0:
-            raise ModeAnalysisError("c must be non-negative")
+        if not 0 <= c < np.inf:
+            raise ModeAnalysisError(f"c must be finite and non-negative, got {c}")
         if c > 0:
             chis = rect_rect_basis(c, n_points=n_points).eigenvalues[:n_modes]
             rows[i, :len(chis) + 1] = c, *chis

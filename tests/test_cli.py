@@ -350,6 +350,24 @@ class TestExitCodes:
         assert err.startswith("error: ExperimentError: ")
         assert key in err
 
+    @pytest.mark.parametrize("overrides, kind", [
+        (["source.raman_file={table}"], "SourceModelError"),
+        (["filters.signal_shape=tabulated", "filters.signal_files={table}"],
+         "ModeAnalysisError"),
+    ], ids=["raman_gain", "tabulated_filter"])
+    def test_non_finite_table_exits_3_naming_its_path(self, tmp_path, capsys, overrides, kind):
+        # a NaN row is refused where the table is read, not dropped later
+        # (a Raman gain table) or left to fail as an IndexError (a filter)
+        table = tmp_path / "nan_table.txt"
+        table.write_text("1300.0 0.0\n1310.0 nan\n1320.0 0.0\n")
+        argv = ["calibrate", "--preset", "single_mode"]
+        for ov in overrides:
+            argv += ["--set", ov.format(table=table)]
+        code, err = self.run(capsys, argv)
+        assert code == 3
+        assert err.startswith(f"error: {kind}: ")
+        assert "nan_table.txt" in err and "non-finite value at row 2" in err
+
     @pytest.mark.parametrize("preset, detuning", [("single_mode", "0"), ("single_mode", "0.1"),
                                                   ("single_mode", "-0.1"), ("multimode", "0")])
     def test_overlapping_bands_exit_2_before_any_work(self, capsys, monkeypatch,

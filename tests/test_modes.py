@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,20 @@ class TestEighAbove:
         kern = build_kernel(make_profile(kind, {width: B}, grid), 1.0)
         assert_complete(kern)
 
+    @pytest.mark.parametrize("gap", [slice(254, 259), slice(230, 236)],
+                             ids=["centred", "off_centre"])
+    def test_no_eigenvalue_of_a_split_passband_is_missed(self, gap):
+        # a zero gap inside the passband leaves a support of two runs; the
+        # block is formed on both, mirror-symmetric when the gap is centred
+        grid = FrequencyGrid(center=0.0, span=DEFAULT_SPAN_FACTOR * 12.0, n_points=513)
+        amp = make_profile("rectangular", {"bandwidth": 12.0}, grid).amplitude.copy()
+        amp[gap] = 0.0
+        support = np.flatnonzero(amp)
+        assert np.count_nonzero(np.diff(support) > 1) == 1
+        kern = build_kernel(FilterProfile(grid=grid, amplitude=amp), 1.0)
+        assert_complete(kern)
+        assert schmidt_decompose(kern).eigenvalues.size == support.size
+
     @pytest.mark.parametrize("points", [513, 1025])
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_no_preset_eigenvalue_above_the_floor_is_missed(self, preset, points):
@@ -280,7 +297,8 @@ class TestProfiles:
     @pytest.mark.parametrize("text", [
         pytest.param("1549.0\n1550.0\n", id="one_column"),
         pytest.param("1550.0 -3.0\n", id="one_row"),
-        pytest.param("1549.0 -3.0\n1550.0 x\n", id="non_numeric")])
+        pytest.param("1549.0 -3.0\n1550.0 x\n", id="non_numeric"),
+        pytest.param("1549.0 -3.0\n1550.0 nan\n1551.0 -3.0\n", id="non_finite")])
     def test_malformed_table_names_its_path(self, tmp_path, text):
         path = tmp_path / "malformed.txt"
         path.write_text(text)
@@ -327,9 +345,47 @@ class TestKernel:
     def test_zero_duration_gate_rejected(self):
         grid = FrequencyGrid(center=0.0, span=4.0, n_points=31)
         filt = make_profile("rectangular", {"bandwidth": 1.0}, grid)
-        for duration in (0.0, -1.0):
+        for duration in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ModeAnalysisError, match="duration"):
                 build_kernel(filt, duration)
+
+    def test_kernel_is_a_record_of_filter_and_gate(self):
+        # no matrix is stored: the dense kernel is built on demand, and the
+        # trace is T sum |h|^2 dw / 2pi
+        grid = FrequencyGrid(center=0.0, span=8.0, n_points=101)
+        filt = make_profile("gaussian", {"fwhm": 2.0}, grid)
+        kern = build_kernel(filt, 3.0)
+        assert kern.profile is filt and kern.gate_duration == 3.0
+        assert "entries" not in {f.name for f in dataclasses.fields(KernelMatrix)}
+        assert kern.trace_chi() == pytest.approx(np.trace(kern.scaled), rel=1e-14)
+        index = np.array([3, 7, 50, 51, 99])
+        np.testing.assert_array_equal(kern.block(index), kern.entries[np.ix_(index, index)])
+
+    def test_no_grid_sized_matrix_is_allocated(self):
+        # build_kernel is O(n); schmidt_decompose forms only the passband
+        # block (256 of 1025 samples, a sixteenth of an n x n float array)
+        n = 1025
+        grid = FrequencyGrid(center=0.0, span=48.0, n_points=n)
+        filt = make_profile("rectangular", {"bandwidth": 12.0}, grid)
+        tracemalloc.start()
+        try:
+            kern = build_kernel(filt, 1.0)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            schmidt_decompose(kern)
+            decomposed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 8 * n
+        assert decomposed < 8 * n * n / 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, value):
+        grid = FrequencyGrid(center=0.0, span=4.0, n_points=31)
+        amp = np.full(grid.n_points, 0.5)
+        amp[15] = value
+        with pytest.raises(ModeAnalysisError, match="not finite"):
+            FilterProfile(grid=grid, amplitude=amp)
 
 
 class TestSchmidt:
@@ -514,10 +570,13 @@ class TestSchmidt:
             retained_register(basis)
 
     def test_eigenvalue_above_one_rejected(self):
-        grid = FrequencyGrid(center=0.0, span=4.0, n_points=21)
-        bad = KernelMatrix(grid=grid, entries=np.eye(21) * (3 * TWO_PI / grid.spacing))
-        with pytest.raises(ModeAnalysisError, match="exceeds 1"):
-            schmidt_decompose(bad)
+        # a grid of spacing 4 pi / T puts every F(m dw), m != 0, on a zero of
+        # the sinc, so a unit filter's scaled kernel is T dw / 2pi I = 2 I
+        T = 1.0
+        grid = FrequencyGrid(center=0.0, span=20 * 4 * np.pi / T, n_points=21)
+        unit = FilterProfile(grid=grid, amplitude=np.ones(grid.n_points))
+        with pytest.raises(ModeAnalysisError, match=r"leading eigenvalue 2\.00000000 exceeds 1"):
+            schmidt_decompose(build_kernel(unit, T))
 
 
 class TestCurve:
@@ -527,6 +586,20 @@ class TestCurve:
         c2 = effective_c(0.4 * TWO_PI / 6.4e-12 * 6.4e-12, 1.0)  # B*T = 0.4*2pi
         assert c2 == pytest.approx(0.63, abs=0.01)
         assert effective_c(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(ModeAnalysisError, match="finite"):
+            effective_c(value, 1.0)
+        with pytest.raises(ModeAnalysisError, match="finite"):
+            rect_rect_basis(value)
+        with pytest.raises(ModeAnalysisError, match="finite"):
+            eigenvalue_curve([1.0, value])
+        with pytest.raises(ValueError, match="span must be finite"):
+            FrequencyGrid(center=0.0, span=value, n_points=5)
+        for center in (value, -value):
+            with pytest.raises(ValueError, match="center must be finite"):
+                FrequencyGrid(center=center, span=1.0, n_points=5)
 
     def test_curve_monotone_and_trace(self):
         cs = [0.5, 1.0, 1.5, 2.5, 3.8]
