@@ -293,10 +293,11 @@ class Scenario:
     def filters(self):
         filters = {"signal": _filter_spec(self, "signal", self.grids[STOKES]),
                    "idler": _filter_spec(self, "idler", self.grids[ANTISTOKES])}
-        if filter_bandwidth(filters["signal"]) <= 0:
-            tabulated = self.value("filters.signal_shape") == "tabulated"
-            key = "filters.signal_files" if tabulated else "filters.signal_bandwidth_ghz"
-            _unresolved(key, "the signal filter", filters["signal"].grid)
+        for arm, filt in filters.items():
+            if filter_bandwidth(filt) <= 0:
+                tabulated = self.value(f"filters.{arm}_shape") == "tabulated"
+                key = f"filters.{arm}_{'files' if tabulated else 'bandwidth_ghz'}"
+                _unresolved(key, f"the {arm} filter", filt.grid)
         return filters
 
     @cached_property

@@ -22,20 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TWO_PI, FrequencyGrid, angular_from_nm, eigh_above, load_two_column_table
+from .grids import (TWO_PI, FrequencyGrid, angular_from_nm, gauss_legendre,
+                    load_two_column_table)
 
 # Modes with chi below this are dropped from detection projections.
 MODE_RETENTION_CUTOFF = 1e-3
 
 EIGENVALUE_FLOOR = 1e-12
 EIGENVALUE_CEILING_TOL = 1e-6
-# Relative margin within which samples tie for the largest |phi| of a mode,
-# for kernels that `eigh_above` does not split: far above that solver's
-# rounding of two mirror samples (at most 3e-11 on the modes with
-# chi >= 1e-6 of the presets' filters and of rect-rect chains at
-# c = 0.5-3.8, solved unsplit; 6e-11 from a plain eigh), far below the
-# difference of neighbouring samples.
+# Relative margin within which samples tie for the largest |phi| of a mode:
+# far above the SVD's rounding of mirror samples of a mode of a centred
+# filter (at most 5.3e-13 of max |phi| on the modes with chi >= 1e-6 of the
+# presets' filters at 513-2049 points and of rect-rect chains at
+# c = 0.5-3.8), far below the difference of neighbouring samples.
 PHASE_TIE_TOL = 1e-9
+
+# Gauss-Legendre nodes of the gate beyond ceil(D T / 2), D the support's
+# widest frequency difference (`KernelMatrix.factor`)
+GATE_RULE_MARGIN = 8
+# largest error of that rule on F(D_k), in q eps T for its q nodes: it
+# measures at most 0.6 on rect-rect chains at c = 0.01-50, on the presets'
+# filters at 513-4097 points and on 300 random Gaussian chains
+GATE_RULE_TOL = 4.0
 
 DEFAULT_GRID_POINTS = 513
 DEFAULT_SPAN_FACTOR = 4.0
@@ -167,6 +175,38 @@ class KernelMatrix:
         h = self.profile.amplitude[index]
         return np.conj(h)[:, None] * h[None, :] * F[np.ix_(index, index)]
 
+    def factor(self, index):
+        """A with A^H A = kappa dw / 2pi on the samples `index`, ascending.
+
+        F(D) = integral e^{iDt} dt over the gate [-T/2, T/2], so the
+        q-point Gauss-Legendre rule (t_j, w_j) on the gate factors it:
+        A's 2q rows are sqrt(w_j dw / 2pi) h cos(t_j w) and
+        sqrt(w_j dw / 2pi) h sin(t_j w), with w measured from the grid
+        centre, real for a real filter.  q = ceil(D T / 2) + GATE_RULE_MARGIN
+        for the support's widest frequency difference D, so q is set by the
+        band's time-bandwidth product, not by the grid.  The rule is checked
+        against T sinc(D_k T / 2) at every lag D_k = k dw up to D: an error
+        delta above GATE_RULE_TOL q eps T raises ModeAnalysisError.  Within
+        it, A^H A differs from the exact block by E with
+        |E_mn| <= delta |h_m| |h_n| dw / 2pi, so ||E|| <= delta sum |h|^2 dw / 2pi
+        and, by Weyl's inequality, no chi_j moves by more than
+        delta trace_chi() / T.
+        """
+        grid, T = self.profile.grid, self.gate_duration
+        lags = np.arange(index[-1] - index[0] + 1 if index.size else 1) * grid.spacing
+        q = int(np.ceil(lags[-1] * T / 2)) + GATE_RULE_MARGIN
+        nodes, weights = gauss_legendre(q)
+        t, weights = nodes * (T / 2), weights * (T / 2)
+        error = np.max(np.abs(np.cos(np.outer(lags, t)) @ weights
+                              - T * np.sinc(lags * T / 2 / np.pi)))
+        if not error <= GATE_RULE_TOL * q * np.finfo(float).eps * T:
+            raise ModeAnalysisError(
+                f"the {q}-node gate rule misses F(D) by {error:.3g} x T = {T:.6g}")
+        phase = np.outer(t, (index - (grid.n_points - 1) / 2.0) * grid.spacing)
+        root = np.sqrt(weights * (grid.spacing / TWO_PI))[:, None]
+        return np.concatenate((root * np.cos(phase), root * np.sin(phase))) \
+            * self.profile.amplitude[index]
+
     @property
     def entries(self):
         """The dense n x n kernel, built on each call."""
@@ -217,41 +257,34 @@ def schmidt_decompose(kernel):
 
     A row and column of the kernel are exactly zero wherever the filter is
     (the flat-top filter outside its passband), so every mode with chi > 0
-    lies on the filter's support, and only the block over it is formed.  The
-    basis holds its m eigenvalues, those below EIGENVALUE_FLOOR as zeros, and
-    the eigenmodes of the k non-zero ones as unit vectors of shape (n, k),
-    zero off the support.  A Gaussian filter's support is the whole grid; an
-    all-zero filter gives an empty basis.
+    lies on the filter's support.  The basis holds the support's m
+    eigenvalues, those below EIGENVALUE_FLOOR as zeros, and the eigenmodes
+    of the k non-zero ones as unit vectors of shape (n, k), zero off the
+    support.  A Gaussian filter's support is the whole grid; an all-zero
+    filter gives an empty basis.
 
-    Only the k eigenpairs at or above the floor are computed, by
-    `eigh_above`: a filter symmetric about the grid centre makes the block
-    equal to its row-and-column reversal, so its modes are even or odd and
-    it splits into two halves.  Each half's leading eigenpairs come from a
-    small Rayleigh-Ritz subspace, accepted on two certificates: the half's
-    trace less the sum of the Ritz values is at most EIGENVALUE_FLOOR, so
-    no eigenvalue the subspace misses reaches the floor (every
-    `KernelMatrix` is positive semidefinite), and each kept pair's
-    residual |A v - chi v| is within a small multiple of eps max(chi).  The
-    subspace doubles until both hold; at half the half's size one dense
-    eigh takes over.
+    The scaled kernel on the support is A^H A for the gate's factor A
+    (`KernelMatrix.factor`), 2q x m with q set by the band's
+    time-bandwidth product.  So one SVD A = U diag(sigma) V^H gives
+    chi_j = sigma_j^2, descending, and phi_j = conj(vh_j): every
+    eigenvalue, without a certificate, and no m x m matrix is formed.
     """
     support = np.flatnonzero(kernel.profile.amplitude)
     grid = kernel.profile.grid
-    block = kernel.block(support) * (grid.spacing / TWO_PI)
-    top_vals, top_vecs = eigh_above(block, EIGENVALUE_FLOOR)
-    k = top_vals.size
-    if k and top_vals[-1] > 1.0 + EIGENVALUE_CEILING_TOL:
+    sigma, vh = np.linalg.svd(kernel.factor(support), full_matrices=False)[1:]
+    chi = sigma ** 2
+    if chi.size and chi[0] > 1.0 + EIGENVALUE_CEILING_TOL:
         raise ModeAnalysisError(
-            f"leading eigenvalue {top_vals[-1]:.8f} exceeds 1; refine the grid")
+            f"leading eigenvalue {chi[0]:.8f} exceeds 1; refine the grid")
+    k = np.count_nonzero(chi >= EIGENVALUE_FLOOR)
     vals = np.zeros(support.size)
-    vals[:k] = top_vals[::-1]
+    vals[:k] = chi[:k]
     # complex for every kernel: real modes change how `raman_moments`' FFT rounds
     vecs = np.zeros((grid.n_points, k), dtype=complex)
-    vecs[support] = top_vecs[:, ::-1]
+    vecs[support] = vh[:k].conj().T
     # fix the free global phase: the largest-|phi| sample made real positive.
     # An odd mode of a filter symmetric about the grid centre peaks at two
-    # mirror samples, exactly equal from the split solver; a kernel that is
-    # not split rounds them apart, so the first sample within
+    # mirror samples, which the SVD rounds apart, so the first sample within
     # PHASE_TIE_TOL of the largest is taken
     mags = np.abs(vecs)
     first = np.argmax(mags >= (1.0 - PHASE_TIE_TOL) * mags.max(axis=0), axis=0)

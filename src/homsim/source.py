@@ -227,8 +227,16 @@ class RamanGain:
 
 
 def load_raman_gain(path):
-    """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed)."""
+    """Read a 'detuning_THz gain_per_W_m' file ('#' comments allowed).
+
+    The gain is tabulated against |detuning|, so a row with a negative
+    detuning raises SourceModelError naming the path and the row.
+    """
     table = load_two_column_table(path, "Raman gain file", SourceModelError)
+    bad = np.flatnonzero(table[:, 0] < 0)
+    if bad.size:
+        raise SourceModelError(f"Raman gain file {path!r}: negative detuning at row "
+                               f"{bad[0] + 1} ({table[bad[0], 0]:g}, {table[bad[0], 1]:g})")
     nu = table[:, 0] * TWO_PI * 1e12
     g = table[:, 1]
     order = np.argsort(nu)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import homsim
 from homsim import experiment, fock, modes
 from homsim.cli import main
+from homsim.grids import nm_from_angular
 
 CHEAP = """
 [scenario]
@@ -368,6 +370,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {kind}: ")
         assert "nan_table.txt" in err and "non-finite value at row 2" in err
 
+    def test_negative_detuning_gain_row_exits_3_naming_its_row(self, tmp_path, capsys):
+        # the bundled table with one row at -1.2 THz appended, which the
+        # gain's |detuning| lookup would otherwise never read
+        bundled = (resources.files("homsim.data") / "raman_silica.txt").read_text()
+        rows = sum(1 for line in bundled.splitlines() if line.strip() and line[0] != "#")
+        table = tmp_path / "negative_gain.txt"
+        table.write_text(bundled + "-1.2 1e-3\n")
+        code, err = self.run(capsys, ["calibrate", "--preset", "single_mode",
+                                      "--set", f"source.raman_file={table}"])
+        assert code == 3
+        assert err.startswith("error: SourceModelError: Raman gain file ")
+        assert f"negative_gain.txt': negative detuning at row {rows + 1} (-1.2, 0.001)" in err
+
     @pytest.mark.parametrize("preset, detuning", [("single_mode", "0"), ("single_mode", "0.1"),
                                                   ("single_mode", "-0.1"), ("multimode", "0")])
     def test_overlapping_bands_exit_2_before_any_work(self, capsys, monkeypatch,
@@ -436,6 +451,42 @@ class TestExitCodes:
         with pytest.raises(experiment.ExperimentError,
                            match="^filters.signal_bandwidth_ghz .*filters.grid_points"):
             scenario.filters
+
+    @pytest.mark.parametrize("preset, override", [
+        # a 0.3 GHz Gaussian holds one sample above half its peak on
+        # multimode's 0.19 GHz grid
+        ("multimode", "filters.idler_bandwidth_ghz=0.3"),
+        # a 0.01 GHz flat-top holds no power on single_mode's 0.55 GHz grid,
+        # which the detection layer would refuse, naming no key
+        ("single_mode", "filters.idler_bandwidth_ghz=0.01"),
+    ])
+    def test_unresolved_idler_filter_exits_2_before_bases(self, capsys, monkeypatch,
+                                                          preset, override):
+        work = []
+        monkeypatch.setattr(experiment, "build_kernel", lambda *args: work.append(args))
+        code, err = self.run(capsys, ["scan", "--preset", preset, "--set", override,
+                                      "--set", "scan.points=5"])
+        assert code == 2 and work == []
+        assert err.startswith("error: ExperimentError: filters.idler_bandwidth_ghz gives "
+                              "the idler filter no resolved width")
+
+    def test_unresolved_tabulated_idler_filter_names_its_files(self, tmp_path, capsys):
+        # a table at 0 dB on the idler grid's centre sample alone, and -200 dB
+        # from half a spacing on either side
+        text = CHEAP.replace("idler_shape = rectangular\nidler_bandwidth_ghz = 24.6",
+                             "idler_shape = tabulated\nidler_files = {table}")
+        grid = experiment.load_scenario(CHEAP).grids["antistokes"]
+        omega = grid.center + grid.spacing * np.array([-grid.n_points, -0.5, 0, 0.5,
+                                                       grid.n_points])
+        table = tmp_path / "needle.txt"
+        table.write_text("".join(f"{nm:.17g} {db}\n" for nm, db in
+                                 zip(nm_from_angular(omega), [-200, -200, 0, -200, -200])))
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(text.format(table=table))
+        code, err = self.run(capsys, ["scan", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("error: ExperimentError: filters.idler_files gives "
+                              "the idler filter no resolved width")
 
     @pytest.mark.parametrize("preset, override", [
         ("multimode", "filters.grid_span_factor=0.1"),

@@ -28,8 +28,8 @@ from homsim.experiment import (
     preset_scenario,
     run_delay_scan,
 )
-from homsim.grids import FrequencyGrid
-from homsim.modes import MODE_RETENTION_CUTOFF, build_kernel, schmidt_decompose
+from homsim.grids import TWO_PI, FrequencyGrid
+from homsim.modes import MODE_RETENTION_CUTOFF, KernelMatrix, build_kernel, schmidt_decompose
 from homsim.network import retained_register
 from homsim.source import default_raman_gain
 
@@ -566,11 +566,12 @@ class TestSetup:
     def test_one_pair_amplitude_eigh_per_scenario(self, monkeypatch):
         # the carved pump's spectrum is real and the band grids are square,
         # so the pair amplitude is real symmetric and takes one real
-        # mirror-split eigh and no svd: the i of the pair amplitude never
-        # enters a grid-sized array.  The bands' kernels are equal, so the one
-        # kernel decomposition runs on the flat-top filters' 31-sample
-        # passband.  Both matrices are mirror-symmetric, so each is an eigh of
-        # its even half and one of its odd half
+        # mirror-split eigh, of its even half and of its odd half, and no
+        # svd: the i of the pair amplitude never enters a grid-sized array.
+        # The bands' kernels are equal, so the one kernel decomposition is
+        # one real svd of the gate's factor on the flat-top filters'
+        # 31-sample passband: a cos and a sin row per node of the 16-node
+        # Gauss-Legendre rule, whose Jacobi matrix takes one eigh
         calls = {"svd": [], "eigh": []}
         for name, log in calls.items():
             def counting(*args, _real=getattr(np.linalg, name), _log=log, **kwargs):
@@ -581,14 +582,15 @@ class TestSetup:
         sc = load_scenario(CHEAP)
         for stage in SETUP_STAGES:
             getattr(sc, stage)
-        assert calls == {"svd": [],
-                         "eigh": [((16, 16), np.float64), ((15, 15), np.float64),
-                                  ((61, 61), np.float64), ((60, 60), np.float64)]}
+        assert calls == {"svd": [((32, 31), np.float64)],
+                         "eigh": [((16, 16), np.float64), ((61, 61), np.float64),
+                                  ((60, 60), np.float64)]}
 
     @pytest.mark.parametrize("preset", experiment.PRESET_NAMES)
     def test_set_up_and_scan_never_import_numpy_random(self, preset):
-        # the Schmidt solver's probe block is a fixed hash, not a generator:
-        # importing numpy.random alone raises a process's peak RSS by ~6 MiB
+        # importing numpy.random alone raises a process's peak RSS by ~6 MiB,
+        # and numpy.polynomial by ~0.9 MiB: the gate's Gauss-Legendre rule
+        # comes from `grids.gauss_legendre`, not from leggauss
         stages = (*SETUP_STAGES, "pair_modes", "conditioned_transmissions", "dip_width")
         code = ("import sys\n"
                 "from homsim.experiment import fit_visibility, preset_scenario, run_delay_scan\n"
@@ -596,30 +598,33 @@ class TestSetup:
                 f"for stage in {stages!r}:\n"
                 "    getattr(sc, stage)\n"
                 "fit_visibility(run_delay_scan(sc))\n"
-                "print('numpy.random' in sys.modules)\n")
+                "print([m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules])\n")
         # a fresh interpreter that imports this same homsim package
         path = [str(Path(homsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "False"
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_plain_eigh_gives_the_same_scans(self, preset_scans, monkeypatch):
-        # the mirror-split, certified low-rank kernel decomposition and the
-        # mirror-split pair amplitude against one plain eigh per matrix: the
-        # same physics to the rounding of the solvers
+        # the gate's factor and its svd for the kernel decomposition, and the
+        # mirror-split pair amplitude, against one plain eigh per matrix: the
+        # kernel's dense block on the support, factored as sqrt(chi) V^H,
+        # whose svd returns that eigh's pairs.  The same physics to the
+        # rounding of the solvers
         shapes = []
 
         def plain_eigh(a):
             shapes.append(a.shape)
             return np.linalg.eigh(a)
 
-        def plain_eigh_above(a, floor):
-            vals, vecs = plain_eigh(a)
-            return vals[vals >= floor], vecs[:, vals >= floor]
+        def eigh_factor(kernel, index):
+            scaled = kernel.block(index) * (kernel.profile.grid.spacing / TWO_PI)
+            vals, vecs = plain_eigh(scaled)
+            return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
 
-        monkeypatch.setattr("homsim.modes.eigh_above", plain_eigh_above)
+        monkeypatch.setattr(KernelMatrix, "factor", eigh_factor)
         monkeypatch.setattr("homsim.source.mirror_eigh", plain_eigh)
         for name, split in preset_scans.items():
             scan = run_delay_scan(preset_scenario(name))

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homsim import grids
-from homsim.grids import MIRROR_TOL, TWO_PI, FrequencyGrid, eigh_above, mirror_eigh
+from homsim import modes
+from homsim.grids import MIRROR_TOL, TWO_PI, FrequencyGrid, gauss_legendre, mirror_eigh
 from homsim.experiment import PRESET_NAMES, preset_scenario
 from homsim.modes import (
     DEFAULT_SPAN_FACTOR,
@@ -85,106 +85,20 @@ class TestMirrorEigh:
             np.testing.assert_array_equal(got, ref)
 
 
-def psd_with_spectrum(lams, dtype, mirror, seed=0):
-    """A Hermitian PSD matrix with eigenvalues `lams` (to rounding), exactly
-    equal to its row-and-column reversal when `mirror` holds."""
-    n = lams.size
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n, n))
-    if dtype == complex:
-        v = v + 1j * rng.normal(size=(n, n))
-    if mirror:
-        # alternate even and odd columns, which stay so through the QR
-        v[:, ::2] += v[::-1, ::2]
-        v[:, 1::2] -= v[::-1, 1::2]
-    q = np.linalg.qr(v)[0]
-    a = (q * lams) @ q.conj().T
-    a = (a + a.conj().T) / 2
-    return (a + a[::-1, ::-1]) / 2 if mirror else a
+def record_shapes(monkeypatch, name):
+    """The list to which every later np.linalg.<name> call appends its shape."""
+    calls, real = [], getattr(np.linalg, name)
 
-
-def record_eigh_shapes(monkeypatch):
-    """The list to which every later np.linalg.eigh call appends its shape."""
-    calls, real_eigh = [], np.linalg.eigh
-
-    def recording_eigh(m, *args, **kwargs):
+    def recording(m, *args, **kwargs):
         calls.append(m.shape)
-        return real_eigh(m, *args, **kwargs)
+        return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, name, recording)
     return calls
 
 
-def spectrum_of(kind, n):
-    """Eigenvalues for `psd_with_spectrum`: a few (low rank) or more than
-    n/4 (rank above n/4) falling geometrically from 1 to 1e-11, the rest
-    zero; n of them spread over [0.5, 1] (flat); or 16 ones, which fill a
-    first Ritz block, and four at 1e-11 that it misses (gap)."""
-    if kind == "flat":
-        return np.linspace(0.5, 1.0, n)
-    if kind == "gap":
-        return np.concatenate((np.ones(16), np.full(4, 1e-11), np.zeros(max(n - 20, 0))))[:n]
-    rank = min(n, 4 if kind == "low rank" else n // 4 + 4)
-    return np.concatenate((np.logspace(0, -11, rank), np.zeros(n - rank)))
-
-
 class TestEighAbove:
-    SPECTRA = ["low rank", "rank above n/4", "flat", "gap"]
-
-    @pytest.mark.parametrize("spectrum", SPECTRA)
-    @pytest.mark.parametrize("mirror", [False, True], ids=["plain", "mirror"])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n", [2, 3, 64, 65])
-    def test_matches_eigh_above_the_floor(self, n, dtype, mirror, spectrum):
-        a = psd_with_spectrum(spectrum_of(spectrum, n), dtype, mirror)
-        ref = np.linalg.eigvalsh(a)
-        ref = ref[ref >= EIGENVALUE_FLOOR]
-        vals, vecs = eigh_above(a, EIGENVALUE_FLOOR)
-        eps = np.finfo(float).eps
-        assert vals.dtype == np.float64 and vecs.dtype == a.dtype
-        assert vecs.shape == (n, ref.size)
-        assert np.all(np.diff(vals) >= 0)
-        scale = 4 * n * eps * np.max(ref)
-        assert np.max(np.abs(vals - ref)) <= scale
-        assert np.max(np.abs(a @ vecs - vecs * vals)) <= scale
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(ref.size))) <= 4 * n * eps
-        if mirror:
-            # each mode is even or odd about the centre, exactly
-            np.testing.assert_array_equal(np.abs(vecs), np.abs(vecs[::-1]))
-            parity = np.sign(np.real(np.sum(vecs * vecs[::-1].conj(), axis=0)))
-            np.testing.assert_array_equal(vecs[::-1], vecs * parity)
-
-    @pytest.mark.parametrize("n, spectrum, shapes", [
-        # a 16-column Ritz block holds a low-rank matrix
-        (65, "low rank", [(16, 16)]),
-        (64, "low rank", [(16, 16)]),
-        # 20 eigenvalues above the floor need a block of 32 ...
-        (65, "rank above n/4", [(16, 16), (32, 32)]),
-        # ... which is half of 64 samples, where one dense eigh takes over
-        (64, "rank above n/4", [(16, 16), (64, 64)]),
-        (65, "flat", [(16, 16), (32, 32), (65, 65)]),
-        # the first block finds the 16 leading pairs to rounding, and only
-        # the trace shows the four it misses
-        (65, "gap", [(16, 16), (32, 32)]),
-        # at most 32 samples, the first block is already half the matrix
-        (32, "low rank", [(32, 32)]),
-    ])
-    def test_block_doubles_until_certified(self, monkeypatch, n, spectrum, shapes):
-        a = psd_with_spectrum(spectrum_of(spectrum, n), float, mirror=False)
-        calls = record_eigh_shapes(monkeypatch)
-        eigh_above(a, EIGENVALUE_FLOOR)
-        assert calls == shapes
-
-    def test_residual_certificate_is_enforced(self, monkeypatch):
-        # no Ritz pair's residual is exactly zero, so with no tolerance a
-        # low-rank matrix that the first block holds falls through to the
-        # dense eigh, with the same pairs to rounding
-        a = psd_with_spectrum(spectrum_of("low rank", 65), float, mirror=False)
-        calls = record_eigh_shapes(monkeypatch)
-        monkeypatch.setattr(grids, "RITZ_RESIDUAL_TOL", 0.0)
-        vals = eigh_above(a, EIGENVALUE_FLOOR)[0]
-        assert calls == [(16, 16), (32, 32), (65, 65)]
-        np.testing.assert_allclose(vals, np.logspace(0, -11, 4)[::-1], rtol=1e-3)
+    """The basis keeps every eigenvalue of the dense kernel at or above the floor."""
 
     @pytest.mark.parametrize("kind", ["rectangular", "gaussian"])
     @pytest.mark.parametrize("c", [0.01, 0.785, 3.0, 10.0])
@@ -388,6 +302,62 @@ class TestKernel:
             FilterProfile(grid=grid, amplitude=amp)
 
 
+def factor_case(name):
+    """A filter on a 257-point grid behind a gate of T = 3: a real Gaussian,
+    the same with a spectral phase, a flat-top with a zero gap (a support of
+    two runs), or a flat-top off the grid centre."""
+    grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
+    if name == "real":
+        amp = make_profile("gaussian", {"fwhm": 2.0}, grid).amplitude
+    elif name == "complex":
+        amp = make_profile("gaussian", {"fwhm": 2.0}, grid).amplitude
+        amp = amp * np.exp(0.7j * grid.points + 0.3j * grid.points ** 2)
+    elif name == "split":
+        amp = make_profile("rectangular", {"bandwidth": 4.0}, grid).amplitude.copy()
+        amp[120:140] = 0.0
+    else:
+        amp = make_profile("rectangular", {"bandwidth": 2.0, "center": 1.3}, grid).amplitude
+    return build_kernel(FilterProfile(grid=grid, amplitude=amp), 3.0)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("name", ["real", "complex", "split", "off_centre"])
+    def test_gram_matrix_is_the_scaled_kernel(self, name):
+        # A^H A against the dense kernel on the support, to a few eps of its
+        # largest entry; a real filter gives a real factor
+        kern = factor_case(name)
+        support = np.flatnonzero(kern.profile.amplitude)
+        a = kern.factor(support)
+        assert a.dtype == (np.complex128 if name == "complex" else np.float64)
+        assert a.shape[1] == support.size
+        ref = kern.scaled[np.ix_(support, support)]
+        gram = a.conj().T @ a
+        assert np.max(np.abs(gram - ref)) <= 32 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_too_few_nodes_fail_the_check(self, monkeypatch):
+        # the real case's support spans D = 10, so D T / 2 = 15, and with no
+        # margin its 15 nodes do not integrate the gate's exponentials to
+        # rounding
+        kern = factor_case("real")
+        monkeypatch.setattr(modes, "GATE_RULE_MARGIN", 0)
+        with pytest.raises(ModeAnalysisError, match="the 15-node gate rule misses F"):
+            kern.factor(np.arange(kern.profile.grid.n_points))
+        with pytest.raises(ModeAnalysisError, match="gate rule"):
+            schmidt_decompose(kern)
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 16, 39, 134])
+    def test_jacobi_rule_matches_leggauss(self, q):
+        # leggauss polishes its nodes by Newton steps; the Jacobi matrix's
+        # eigh holds nodes and weights to a few eps absolutely (the weights
+        # sum to 2), which the gate rule's own check then bounds
+        nodes, weights = gauss_legendre(q)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(q)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(nodes - ref_nodes)) <= 4 * q * eps
+        assert np.max(np.abs(weights - ref_weights)) <= 4 * q * eps
+        assert np.sum(weights) == pytest.approx(2.0, rel=4 * q * eps)
+
+
 class TestSchmidt:
     def test_paper_regime_c38(self):
         chis = rect_rect_basis(3.8).eigenvalues
@@ -485,8 +455,8 @@ class TestSchmidt:
     @pytest.mark.parametrize("kind, params", [("rectangular", {"bandwidth": 2.0}),
                                               ("gaussian", {"fwhm": 2.0})])
     def test_real_filter_gives_real_kernel(self, kind, params):
-        # a real filter's kernel is real symmetric and takes a real eigh; the
-        # same filter passed as complex takes the Hermitian one
+        # a real filter's kernel is real symmetric and takes a real svd; the
+        # same filter passed as complex takes the complex one
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         filt = make_profile(kind, params, grid)
         kern = build_kernel(filt, 3.0)
@@ -496,23 +466,26 @@ class TestSchmidt:
         real, herm = (schmidt_decompose(build_kernel(f, 3.0)) for f in (filt, as_complex))
         assert real.eigenmodes.dtype == herm.eigenmodes.dtype == np.complex128
         assert np.max(np.abs(real.eigenvalues - herm.eigenvalues)) <= 1e-12
-        # an odd mode peaks at two mirror samples, exactly equal from the
-        # split solver; the phase convention takes the first of them, so the
-        # modes agree sign for sign
+        # a real filter's factor is real, and so are its modes.  An odd mode
+        # peaks at two mirror samples, which the svd rounds apart; the phase
+        # convention takes the first within PHASE_TIE_TOL of the largest, so
+        # the modes agree sign for sign
+        assert np.all(real.eigenmodes.imag == 0)
         k = real.retained()
         assert np.max(np.abs(real.eigenmodes[:, :k] - herm.eigenmodes[:, :k])) <= 1e-12
 
     def test_phase_fix_matches_per_column_reference(self):
-        # reference: in each column the first sample within PHASE_TIE_TOL of
-        # the largest |phi| made real positive, one column at a time, on a
-        # kernel with a spectral phase
+        # reference: the svd of the gate's factor, and in each column the
+        # first sample within PHASE_TIE_TOL of the largest |phi| made real
+        # positive, one column at a time, on a kernel with a spectral phase
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         phase = np.exp(1j * np.random.default_rng(5).normal(size=grid.n_points))
         gauss = make_profile("gaussian", {"fwhm": 2.0}, grid)
         kern = build_kernel(FilterProfile(grid=grid, amplitude=gauss.amplitude * phase), 3.0)
-        vals, vecs = eigh_above(kern.scaled, EIGENVALUE_FLOOR)
-        k = vals.size
-        vecs = vecs[:, ::-1].astype(complex)
+        sigma, vh = np.linalg.svd(kern.factor(np.arange(grid.n_points)),
+                                  full_matrices=False)[1:]
+        k = np.count_nonzero(sigma ** 2 >= EIGENVALUE_FLOOR)
+        vecs = vh[:k].conj().T
         for j in range(k):
             mags = np.abs(vecs[:, j])
             ref = vecs[np.flatnonzero(mags >= (1 - PHASE_TIE_TOL) * mags.max())[0], j]
@@ -521,9 +494,9 @@ class TestSchmidt:
 
     def test_passband_block_matches_full_eigh(self, monkeypatch):
         # a flat-top filter zeroes the kernel's rows and columns off its
-        # passband: eigh runs on the passband block, whose eigenvalues and
-        # transmitting modes are the basis, and they match a full eigh,
-        # whose other eigenvalues vanish
+        # passband: the gate's factor is formed on the passband alone, and
+        # the eigenvalues and transmitting modes of its svd are the basis.
+        # They match a full eigh, whose other eigenvalues vanish
         grid = FrequencyGrid(center=0.0, span=10.0, n_points=257)
         kern = build_kernel(make_profile("rectangular", {"bandwidth": 2.5}, grid), 3.0)
         passband = np.flatnonzero(np.diag(kern.entries))
@@ -533,20 +506,15 @@ class TestSchmidt:
         full_vals, full_vecs = full_vals[::-1], full_vecs[:, ::-1]
         assert np.max(np.abs(full_vals[m:])) <= 1e-15
         full_vals = np.where(full_vals[:m] < EIGENVALUE_FLOOR, 0.0, full_vals[:m])
-        real_eigh, shapes = np.linalg.eigh, []
-
-        def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        svd_shapes = record_shapes(monkeypatch, "svd")
+        eigh_shapes = record_shapes(monkeypatch, "eigh")
         basis = schmidt_decompose(kern)
-        # the passband is mirror-symmetric, so its block splits into an even
-        # half of 33 samples, whose leading pairs come from a 16-column Ritz
-        # block, and an odd half of 32, at half of which the block would
-        # start, so it takes one dense eigh
+        # the passband's 65 samples span D = 2.5 rad/s, so D T / 2 = 3.75 and
+        # the gate's rule has 4 + 8 nodes: one eigh of its Jacobi matrix, and
+        # one svd of a factor with a cos and a sin row per node
         assert m == 65
-        assert shapes == [(16, 16), (32, 32)]
+        assert eigh_shapes == [(12, 12)]
+        assert svd_shapes == [(24, 65)]
         assert basis.eigenvalues.shape == (m,)
         assert basis.eigenmodes.shape == (grid.n_points, np.count_nonzero(full_vals))
         assert np.max(np.abs(basis.eigenvalues - full_vals)) <= 1e-15

@@ -337,7 +337,9 @@ class TestRaman:
         pytest.param("0.0\n1.0\n", id="one_column"),
         pytest.param("1.0 2e-5\n", id="one_row"),
         pytest.param("0.0 0.0\n1.0 x\n", id="non_numeric"),
-        pytest.param("0.0 0.0\n1.25 nan\n2.0 4e-5\n", id="non_finite")])
+        pytest.param("0.0 0.0\n1.25 nan\n2.0 4e-5\n", id="non_finite"),
+        # the gain is read at |detuning|, so a negative row would be dropped
+        pytest.param("0.0 0.0\n1.25 4e-5\n-1.2 1e-3\n", id="negative_detuning")])
     def test_malformed_gain_file_names_its_path(self, tmp_path, text):
         path = tmp_path / "malformed.txt"
         path.write_text(text)
