@@ -97,8 +97,71 @@ def record_shapes(monkeypatch, name):
     return calls
 
 
+def psd_with_spectrum(lams, dtype, mirror, seed=0):
+    """A Hermitian PSD matrix with eigenvalues `lams` (to rounding), exactly
+    equal to its row-and-column reversal when `mirror` holds."""
+    n = lams.size
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, n))
+    if dtype == complex:
+        v = v + 1j * rng.normal(size=(n, n))
+    if mirror:
+        # alternate even and odd columns, which stay so through the QR
+        v[:, ::2] += v[::-1, ::2]
+        v[:, 1::2] -= v[::-1, 1::2]
+    q = np.linalg.qr(v)[0]
+    a = (q * lams) @ q.conj().T
+    a = (a + a.conj().T) / 2
+    return (a + a[::-1, ::-1]) / 2 if mirror else a
+
+
+def spectrum_of(kind, n):
+    """Eigenvalues for `psd_with_spectrum`: a few (low rank) or more than
+    n/4 (rank above n/4) falling geometrically from 1 to 1e-11, the rest
+    zero; n of them spread over [0.5, 1] (flat); or 16 ones and four at
+    1e-11, a degenerate top and a gap above the floor (gap)."""
+    if kind == "flat":
+        return np.linspace(0.5, 1.0, n)
+    if kind == "gap":
+        return np.concatenate((np.ones(16), np.full(4, 1e-11), np.zeros(max(n - 20, 0))))[:n]
+    rank = min(n, 4 if kind == "low rank" else n // 4 + 4)
+    return np.concatenate((np.logspace(0, -11, rank), np.zeros(n - rank)))
+
+
 class TestEighAbove:
-    """The basis keeps every eigenvalue of the dense kernel at or above the floor."""
+    """Eigenpairs at or above the floor: `mirror_eigh`'s match eigh's on PSD
+    matrices with degenerate and null spectra, and the basis keeps every
+    eigenvalue of the dense kernel there."""
+
+    SPECTRA = ["low rank", "rank above n/4", "flat", "gap"]
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("mirror", [False, True], ids=["plain", "mirror"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65])
+    def test_matches_eigh_above_the_floor(self, n, dtype, mirror, spectrum):
+        # the split's even and odd halves share the null space and the
+        # degenerate top between them; the pairs they keep at or above the
+        # floor are eigh's, with each mode exactly even or odd
+        a = psd_with_spectrum(spectrum_of(spectrum, n), dtype, mirror)
+        ref = np.linalg.eigvalsh(a)
+        ref = ref[ref >= EIGENVALUE_FLOOR]
+        vals, vecs = mirror_eigh(a)
+        keep = vals >= EIGENVALUE_FLOOR
+        vals, vecs = vals[keep], vecs[:, keep]
+        eps = np.finfo(float).eps
+        assert vals.dtype == np.float64 and vecs.dtype == a.dtype
+        assert vecs.shape == (n, ref.size)
+        assert np.all(np.diff(vals) >= 0)
+        scale = 4 * n * eps * np.max(ref)
+        assert np.max(np.abs(vals - ref)) <= scale
+        assert np.max(np.abs(a @ vecs - vecs * vals)) <= scale
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(ref.size))) <= 4 * n * eps
+        if mirror:
+            # each mode is even or odd about the centre, exactly
+            np.testing.assert_array_equal(np.abs(vecs), np.abs(vecs[::-1]))
+            parity = np.sign(np.real(np.sum(vecs * vecs[::-1].conj(), axis=0)))
+            np.testing.assert_array_equal(vecs[::-1], vecs * parity)
 
     @pytest.mark.parametrize("kind", ["rectangular", "gaussian"])
     @pytest.mark.parametrize("c", [0.01, 0.785, 3.0, 10.0])
